@@ -41,8 +41,8 @@ fn regenerate() {
                 "VLRT per burst window",
                 "up to ~80 / 50 ms",
                 format!(
-                    "peak {:.0} / 50 ms",
-                    report.tiers[0].vlrt.peak().map(|p| p.1).unwrap_or(0.0)
+                    "peak {} / 50 ms",
+                    report.tiers[0].vlrt.counts().iter().max().unwrap_or(&0)
                 ),
             ),
         ],

@@ -36,7 +36,7 @@ fn regenerate() {
                 report
                     .tiers
                     .iter()
-                    .filter(|t| t.vlrt.total() > 0.0)
+                    .filter(|t| t.vlrt.total() > 0)
                     .map(|t| t.name.clone())
                     .collect::<Vec<_>>()
                     .join(", "),

@@ -37,8 +37,8 @@ fn regenerate() {
                 "VLRT per burst window",
                 "up to ~40 / 50 ms",
                 format!(
-                    "peak {:.0} / 50 ms",
-                    report.tiers[2].vlrt.peak().map(|p| p.1).unwrap_or(0.0)
+                    "peak {} / 50 ms",
+                    report.tiers[2].vlrt.counts().iter().max().unwrap_or(&0)
                 ),
             ),
         ],

@@ -9,8 +9,8 @@
 use ntier_core::experiment::{ExperimentSpec, WARMUP};
 use ntier_core::report::RunReport;
 use ntier_des::time::SimDuration;
-use ntier_telemetry::series::WindowedSeries;
 use ntier_telemetry::{render, MONITOR_WINDOW_MS};
+use ntier_telemetry::{CounterSeries, PeakSeries};
 
 /// Runs a figure's spec list on the deterministic parallel runner, one
 /// worker per available core; reports come back in submission order, so
@@ -34,34 +34,38 @@ pub fn figure_seconds(report: &RunReport) -> usize {
 
 /// Per-second peaks of a per-window value vector, skipping the warm-up.
 pub fn second_peaks(values: &[f64], seconds: usize) -> Vec<f64> {
-    aggregate(values, seconds, f64::max, 0.0)
+    aggregate(values, seconds, f64::max)
 }
 
 /// Per-second sums of a per-window value vector, skipping the warm-up.
 pub fn second_sums(values: &[f64], seconds: usize) -> Vec<f64> {
-    aggregate(values, seconds, |a, b| a + b, 0.0)
+    aggregate(values, seconds, |a, b| a + b)
 }
 
-fn aggregate(values: &[f64], seconds: usize, f: impl Fn(f64, f64) -> f64, init: f64) -> Vec<f64> {
+/// Folds each figure second's windows with `f`, starting from zero (the
+/// reading of an untouched window).
+fn aggregate<T: Copy + Default>(values: &[T], seconds: usize, f: impl Fn(T, T) -> T) -> Vec<T> {
     let w0 = warmup_windows();
     (0..seconds)
         .map(|s| {
             let base = w0 + s * WINDOWS_PER_SECOND;
             (0..WINDOWS_PER_SECOND)
-                .map(|i| values.get(base + i).copied().unwrap_or(0.0))
-                .fold(init, &f)
+                .map(|i| values.get(base + i).copied().unwrap_or_default())
+                .fold(T::default(), &f)
         })
         .collect()
 }
 
-/// Per-second peak of a windowed series' per-window maxima.
-pub fn series_second_peaks(series: &WindowedSeries, seconds: usize) -> Vec<f64> {
-    second_peaks(&series.maxima(), seconds)
+/// Per-second peak of a gauge series' per-window peaks.
+pub fn series_second_peaks(series: &PeakSeries, seconds: usize) -> Vec<f64> {
+    let peaks = aggregate(series.peaks(), seconds, u32::max);
+    peaks.into_iter().map(f64::from).collect()
 }
 
-/// Per-second sum of a windowed series' per-window sums.
-pub fn series_second_sums(series: &WindowedSeries, seconds: usize) -> Vec<f64> {
-    second_sums(&series.sums(), seconds)
+/// Per-second sum of a counter series' per-window counts.
+pub fn series_second_sums(series: &CounterSeries, seconds: usize) -> Vec<f64> {
+    let sums = aggregate(series.counts(), seconds, |a, b| a + b);
+    sums.into_iter().map(f64::from).collect()
 }
 
 /// Prints the three panels of a timeline figure (CPU / queues / VLRT) the

@@ -76,13 +76,13 @@ pub fn detect(
     for (tier_idx, tier) in report.tiers.iter().enumerate() {
         let mut current: Option<CtqoEpisode> = None;
         let mut empty_run = 0u64;
-        for (t, agg) in tier.drops.iter() {
-            if agg.sum > 0.0 {
+        for (t, n) in tier.drops.iter() {
+            if n > 0 {
                 empty_run = 0;
                 match &mut current {
                     Some(ep) => {
                         ep.end = t + window;
-                        ep.drops += agg.sum as u64;
+                        ep.drops += u64::from(n);
                     }
                     None => {
                         current = Some(CtqoEpisode {
@@ -90,7 +90,7 @@ pub fn detect(
                             stall_tier,
                             start: t,
                             end: t + window,
-                            drops: agg.sum as u64,
+                            drops: u64::from(n),
                             class: classify(tier_idx, stall_tier),
                         });
                     }
@@ -395,7 +395,7 @@ pub fn causal_chains(
                 .enumerate()
                 .filter(|(_, t)| {
                     let cap = t.capacity as f64;
-                    (w_lo..=w_hi).any(|w| t.queue_depth.window(w).max >= cap * 0.9)
+                    (w_lo..=w_hi).any(|w| f64::from(t.queue_depth.peak(w)) >= cap * 0.9)
                 })
                 .map(|(i, _)| i)
                 .collect();

@@ -72,7 +72,7 @@ use ntier_server::conn_pool::Lease;
 use ntier_server::{ConnectionPool, CpuModel, EventLoop, ProcessGroup, StallTimeline};
 use ntier_telemetry::metrics::{MetricsSample, ReplicaSample, TierSample};
 use ntier_telemetry::{
-    LatencyHistogram, MetricsRegistry, QuantileSketch, UtilizationSeries, WindowedSeries,
+    CounterSeries, LatencyHistogram, MetricsRegistry, PeakSeries, QuantileSketch, UtilizationSeries,
 };
 use ntier_trace::{TerminalClass, TraceEventKind, TraceHandle, Tracer, TRACE_NONE};
 use ntier_workload::source::ArrivalSource;
@@ -681,9 +681,9 @@ struct Replica {
     cpu: CpuModel,
     conn_pool: Option<ConnectionPool>,
     util: UtilizationSeries,
-    queue_depth: WindowedSeries,
-    drops: WindowedSeries,
-    vlrt: WindowedSeries,
+    queue_depth: PeakSeries,
+    drops: CounterSeries,
+    vlrt: CounterSeries,
     drops_total: u64,
     peak_queue: usize,
     life: ReplicaLife,
@@ -840,7 +840,7 @@ pub struct Engine {
     rng_mix: SimRng,
     rng_clients: SimRng,
     latency: LatencyHistogram,
-    vlrt_by_completion: WindowedSeries,
+    vlrt_by_completion: CounterSeries,
     injected: u64,
     completed: u64,
     failed: u64,
@@ -1085,7 +1085,7 @@ impl Engine {
             rng_mix: root.fork("mix"),
             rng_clients: root.fork("clients"),
             latency,
-            vlrt_by_completion: WindowedSeries::paper_default_for(horizon),
+            vlrt_by_completion: CounterSeries::paper_default_for(horizon),
             injected: 0,
             completed: 0,
             failed: 0,
@@ -1154,9 +1154,9 @@ impl Engine {
             cpu: CpuModel::new(tc.cores, stalls),
             conn_pool: tc.downstream_pool.map(ConnectionPool::new),
             util: UtilizationSeries::paper_default_for(tc.cores, horizon),
-            queue_depth: WindowedSeries::paper_default_for(horizon),
-            drops: WindowedSeries::paper_default_for(horizon),
-            vlrt: WindowedSeries::paper_default_for(horizon),
+            queue_depth: PeakSeries::paper_default_for(horizon),
+            drops: CounterSeries::paper_default_for(horizon),
+            vlrt: CounterSeries::paper_default_for(horizon),
             drops_total: 0,
             peak_queue: 0,
             life: ReplicaLife::Active,
@@ -1745,6 +1745,13 @@ impl Engine {
             let Some(req) = self.pending_arrival.take() else {
                 return;
             };
+            // A plan that does not fit the system is a fault of the input,
+            // not of the engine: end the stream here, before this arrival
+            // counts as injected, so conservation still holds.
+            if let Err(e) = self.check_plan(&req.plan) {
+                self.workload_fault = Some(format!("arrival at {}: {e}", self.now));
+                return;
+            }
             // Pull the successor before processing this arrival: the next
             // Inject takes an earlier sequence number than anything this
             // request schedules at the same timestamp, matching the order
@@ -1752,25 +1759,19 @@ impl Engine {
             self.pull_next_arrival();
             (req.class, req.plan)
         } else {
-            match &self.workload {
+            let (class, plan) = match &self.workload {
                 Workload::Closed { mix, .. } | Workload::Open { mix, .. } => {
                     let s = mix.sample(&mut self.rng_mix);
                     (s.class, Plan::compile(&s))
                 }
                 Workload::OpenPlans { arrivals } => ("custom", arrivals[idx as usize].1.share()),
                 Workload::Source(_) => unreachable!("handled above"),
-            }
-        };
-        assert_eq!(
-            plan.depth(),
-            self.tiers.len(),
-            "plan depth must match the system's tier count"
-        );
-        if self.has_fanout {
-            if let Err(e) = plan.matches_shape(&self.cfg.shape) {
+            };
+            if let Err(e) = self.check_plan(&plan) {
                 panic!("{e}");
             }
-        }
+            (class, plan)
+        };
         // Fast-fail at the client while its breaker refuses the hop (in
         // half-open this admits the request as the probe).
         if self.tiers[0].hop_breaker.is_some() {
@@ -1816,6 +1817,23 @@ impl Engine {
         self.injected += 1;
         self.arm_attempt_timer(id);
         self.send(id, 0, 0);
+    }
+
+    /// Checks that `plan` fits the system: one entry per tier and, on
+    /// fan-out topologies, the shape's call structure.
+    fn check_plan(&self, plan: &Plan) -> Result<(), String> {
+        if plan.depth() != self.tiers.len() {
+            return Err(format!(
+                "plan depth {} does not match the system's {} tiers",
+                plan.depth(),
+                self.tiers.len()
+            ));
+        }
+        if self.has_fanout {
+            plan.matches_shape(&self.cfg.shape)
+        } else {
+            Ok(())
+        }
     }
 
     /// Injects under a hedged client policy: one logical request, a primary
@@ -2727,7 +2745,7 @@ impl Engine {
         }
         self.drops_total += 1;
         self.tiers[tier].replicas[rep].drops_total += 1;
-        self.tiers[tier].replicas[rep].drops.add(self.now, 1.0);
+        self.tiers[tier].replicas[rep].drops.add(self.now, 1);
         self.class_stats
             .entry(self.requests[i].class)
             .or_default()
@@ -3221,11 +3239,11 @@ impl Engine {
         if latency >= SimDuration::from_millis(ntier_telemetry::VLRT_THRESHOLD_MS) {
             stats.vlrt += 1;
             self.vlrt_total += 1;
-            self.vlrt_by_completion.add(self.now, 1.0);
+            self.vlrt_by_completion.add(self.now, 1);
             if let Some(first_drop) = self.requests[i].drops.iter().next() {
                 self.tiers[first_drop.tier].replicas[first_drop.replica.index()]
                     .vlrt
-                    .add(first_drop.at, 1.0);
+                    .add(first_drop.at, 1);
             }
         }
         self.client_next(req);
@@ -3284,7 +3302,8 @@ impl Engine {
         if depth > r.peak_queue {
             r.peak_queue = depth;
         }
-        r.queue_depth.record(self.now, depth as f64);
+        r.queue_depth
+            .record(self.now, u32::try_from(depth).unwrap_or(u32::MAX));
     }
 
     fn into_report(mut self) -> RunReport {

@@ -5,7 +5,9 @@ use ntier_des::ids::{ReplicaId, TierId};
 use ntier_des::time::{SimDuration, SimTime};
 use ntier_resilience::ResilienceStats;
 use ntier_telemetry::histogram::Mode;
-use ntier_telemetry::{LatencyHistogram, MetricsRegistry, UtilizationSeries, WindowedSeries};
+use ntier_telemetry::{
+    CounterSeries, LatencyHistogram, MetricsRegistry, PeakSeries, UtilizationSeries,
+};
 use ntier_trace::{ControlAction, TierData, TraceLog};
 
 /// Per-replica measurements for one instance of a replica set. Only
@@ -15,12 +17,13 @@ use ntier_trace::{ControlAction, TierData, TraceLog};
 pub struct ReplicaReport {
     /// Which replica (0-based).
     pub id: ReplicaId,
-    /// Queued requests at this replica, sampled on every change.
-    pub queue_depth: WindowedSeries,
+    /// Peak queued requests at this replica per 50 ms window, sampled on
+    /// every change.
+    pub queue_depth: PeakSeries,
     /// Dropped messages at this replica per 50 ms window.
-    pub drops: WindowedSeries,
+    pub drops: CounterSeries,
     /// VLRT requests attributed to drops at this replica.
-    pub vlrt: WindowedSeries,
+    pub vlrt: CounterSeries,
     /// This replica's own CPU busy time per 50 ms window.
     pub util: UtilizationSeries,
     /// Per-window utilization of interference co-located with this replica.
@@ -44,14 +47,14 @@ pub struct TierReport {
     pub arch: &'static str,
     /// Admission capacity at start (`MaxSysQDepth` or `LiteQDepth`).
     pub capacity: usize,
-    /// Queued requests (threads busy + backlog, or async in-flight) sampled
-    /// on every change; read `max` per 50 ms window for the figures.
-    pub queue_depth: WindowedSeries,
+    /// Peak queued requests (threads busy + backlog, or async in-flight)
+    /// per 50 ms window, sampled on every change.
+    pub queue_depth: PeakSeries,
     /// Dropped messages per 50 ms window.
-    pub drops: WindowedSeries,
+    pub drops: CounterSeries,
     /// VLRT requests attributed to drops at this tier, per 50 ms window
     /// (recorded at first-drop time, the way the paper's (c) panels count).
-    pub vlrt: WindowedSeries,
+    pub vlrt: CounterSeries,
     /// This tier's own CPU busy time per 50 ms window.
     pub util: UtilizationSeries,
     /// Per-window utilization of co-located interference (the hog VM /
@@ -128,7 +131,7 @@ pub struct RunReport {
     /// Per-tier measurements (0 = web, 1 = app, 2 = db).
     pub tiers: Vec<TierReport>,
     /// VLRT completions per 50 ms window (at completion time).
-    pub vlrt_by_completion: WindowedSeries,
+    pub vlrt_by_completion: CounterSeries,
     /// Per-request-class statistics, sorted by class name.
     pub classes: Vec<ClassReport>,
     /// Whole-run resilience counters (sum of the per-tier hop counters).
@@ -271,7 +274,7 @@ impl RunReport {
                 name: t.name.clone(),
                 util: t.util.utilizations(),
                 interferer_util: t.interferer_util.clone(),
-                drops: t.drops.sums(),
+                drops: t.drops.counts().to_vec(),
                 replicas: t
                     .replicas
                     .iter()
@@ -279,7 +282,7 @@ impl RunReport {
                         name: t.name.clone(),
                         util: r.util.utilizations(),
                         interferer_util: r.interferer_util.clone(),
-                        drops: r.drops.sums(),
+                        drops: r.drops.counts().to_vec(),
                         replicas: Vec::new(),
                     })
                     .collect(),

@@ -5,8 +5,8 @@
 //! resource use is aggregated in 50 ms windows. This crate provides those
 //! instruments for the reproduction:
 //!
-//! * [`series::WindowedSeries`] — per-window counters/gauges (queue depths,
-//!   VLRT counts per 50 ms, drops per window);
+//! * [`series::CounterSeries`] / [`series::PeakSeries`] — one integer per
+//!   50 ms window: drops and VLRT counts, queue-depth peaks;
 //! * [`series::UtilizationSeries`] — busy-time accounting per window
 //!   (the CPU-utilization timelines in Figs. 3, 5, 7–11);
 //! * [`histogram::LatencyHistogram`] — response-time histograms with
@@ -35,7 +35,7 @@ pub mod stats;
 pub use histogram::LatencyHistogram;
 pub use metrics::{MetricsConfig, MetricsRegistry, MetricsSample, MetricsSnapshot};
 pub use ring::RingSeries;
-pub use series::{UtilizationSeries, WindowedSeries};
+pub use series::{CounterSeries, PeakSeries, UtilizationSeries};
 pub use sketch::QuantileSketch;
 
 /// The paper's monitoring window: 50 ms.

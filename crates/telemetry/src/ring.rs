@@ -1,14 +1,14 @@
 //! Bounded-memory windowed series: a ring of recent fine windows backed by
 //! tiered downsampling.
 //!
-//! [`crate::series::WindowedSeries`] keeps every window it ever touched —
-//! O(horizon) storage, which is what caps runs at Fig.-1 scale (ROADMAP
-//! item 1). [`RingSeries`] is the streaming alternative: the most recent
-//! windows are retained at full 50 ms resolution, windows evicted from that
-//! ring collapse 10:1 into a coarse ring, and windows evicted from the
-//! coarse ring fold into a single "ancient" aggregate. Memory is
-//! O(retained windows), independent of the horizon, and nothing is lost —
-//! counts and sums are conserved across the three tiers.
+//! The per-window series in [`crate::series`] keep every window they ever
+//! touched — O(horizon) storage. [`RingSeries`] is the streaming
+//! alternative: the most recent windows are retained at full 50 ms
+//! resolution, windows evicted from that ring collapse 10:1 into a coarse
+//! ring, and windows evicted from the coarse ring fold into a single
+//! "ancient" aggregate. Memory is O(retained windows), independent of the
+//! horizon, and nothing is lost — counts and sums are conserved across the
+//! three tiers.
 //!
 //! Downsampling is pure aggregate arithmetic on window indices, so a ring
 //! fed the same samples in the same order is bit-identical regardless of
@@ -17,16 +17,50 @@
 use ntier_des::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-use crate::series::WindowAgg;
+/// Aggregates accumulated within one window.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct WindowAgg {
+    /// Sum of recorded values (for counters: the windowed total).
+    pub sum: f64,
+    /// Number of recordings.
+    pub count: u64,
+    /// Maximum recorded value (0 when the window is empty).
+    pub max: f64,
+    /// Last recorded value (0 when the window is empty).
+    pub last: f64,
+}
 
-fn fold(into: &mut WindowAgg, w: &WindowAgg) {
-    into.sum += w.sum;
-    into.count += w.count;
-    if w.max > into.max {
-        into.max = w.max;
+impl WindowAgg {
+    /// Mean of recorded values, or 0 for an empty window.
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
     }
-    if w.count > 0 {
-        into.last = w.last;
+
+    /// The aggregate of a single recording.
+    pub(crate) fn sample(value: f64) -> Self {
+        WindowAgg {
+            sum: value,
+            count: 1,
+            max: value,
+            last: value,
+        }
+    }
+
+    /// Folds `w` in: sums and counts add, maxima take the larger value, and
+    /// `last` follows `w` when it saw any recording.
+    pub(crate) fn absorb(&mut self, w: &WindowAgg) {
+        self.sum += w.sum;
+        self.count += w.count;
+        if w.max > self.max {
+            self.max = w.max;
+        }
+        if w.count > 0 {
+            self.last = w.last;
+        }
     }
 }
 
@@ -155,13 +189,7 @@ impl RingSeries {
     /// Adds `value` to the window containing `t`, downsampling as needed.
     pub fn add(&mut self, t: SimTime, value: f64) {
         let idx = t.window_index(self.window);
-        let sample = WindowAgg {
-            sum: value,
-            count: 1,
-            max: value,
-            last: value,
-        };
-        self.fold_window(idx, &sample);
+        self.fold_window(idx, &WindowAgg::sample(value));
     }
 
     /// Folds one fine-window aggregate into the tiers.
@@ -173,21 +201,21 @@ impl RingSeries {
         let ancient = &mut self.ancient;
         self.fine.ensure(idx, self.fine_cap, |fine_idx, old| {
             let cidx = fine_idx / factor;
-            coarse.ensure(cidx, coarse_cap, |_, cold| fold(ancient, &cold));
+            coarse.ensure(cidx, coarse_cap, |_, cold| ancient.absorb(&cold));
             if let Some(c) = coarse.get_mut(cidx) {
-                fold(c, &old);
+                c.absorb(&old);
             } else {
                 // Already evicted from the coarse tier too: straight to
                 // the ancient aggregate.
-                fold(ancient, &old);
+                ancient.absorb(&old);
             }
         });
         if let Some(w) = self.fine.get_mut(idx) {
-            fold(w, agg);
+            w.absorb(agg);
         } else if let Some(c) = self.coarse.get_mut(idx / self.coarse_factor) {
-            fold(c, agg);
+            c.absorb(agg);
         } else {
-            fold(&mut self.ancient, agg);
+            self.ancient.absorb(agg);
         }
     }
 
@@ -265,22 +293,44 @@ impl RingSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::WindowedSeries;
     use proptest::prelude::*;
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
     }
 
+    /// The unbounded reference: every 50 ms window ever touched, each an
+    /// f64 aggregate of its recordings.
+    #[derive(Default)]
+    struct FullSeries(Vec<WindowAgg>);
+
+    impl FullSeries {
+        fn add(&mut self, t: SimTime, value: f64) {
+            let idx = t.window_index(SimDuration::from_millis(50)) as usize;
+            if idx >= self.0.len() {
+                self.0.resize(idx + 1, WindowAgg::default());
+            }
+            self.0[idx].absorb(&WindowAgg::sample(value));
+        }
+
+        fn window(&self, idx: usize) -> WindowAgg {
+            self.0.get(idx).copied().unwrap_or_default()
+        }
+
+        fn total(&self) -> f64 {
+            self.0.iter().map(|w| w.sum).sum()
+        }
+    }
+
     #[test]
     fn short_run_matches_full_series_exactly() {
         let mut ring = RingSeries::paper_default();
-        let mut full = WindowedSeries::paper_default();
+        let mut full = FullSeries::default();
         for t in [5u64, 60, 110, 140, 260, 300, 999] {
             ring.add(ms(t), t as f64);
             full.add(ms(t), t as f64);
         }
-        for idx in 0..full.len() as u64 {
+        for idx in 0..full.0.len() as u64 {
             assert_eq!(
                 ring.fine_window(idx).unwrap_or_default(),
                 full.window(idx as usize),
@@ -341,7 +391,7 @@ mod tests {
             values in proptest::collection::vec(0.0f64..100.0, 1..300),
         ) {
             let mut ring = RingSeries::paper_default();
-            let mut full = WindowedSeries::paper_default();
+            let mut full = FullSeries::default();
             let mut t = 0u64;
             for (g, v) in gaps.iter().zip(values.iter().cycle()) {
                 t += g;

@@ -1,242 +1,302 @@
 //! Fixed-window time series: the 50 ms aggregates the paper's figures plot.
 //!
-//! [`WindowedSeries`] covers counters (VLRT requests per window, drops per
-//! window) and gauges (queue depths). [`UtilizationSeries`] accounts busy
-//! time per window, producing CPU-utilization timelines.
+//! Every per-window quantity the engine records is an integer, and every
+//! reader takes exactly one aggregate of it, so each series stores one
+//! `u32` per window:
+//!
+//! * [`CounterSeries`] — events per window (drops, VLRT requests); replica
+//!   sets pool by adding;
+//! * [`PeakSeries`] — the highest gauge reading per window (queue depth);
+//!   replica sets pool by taking the larger peak;
+//! * [`UtilizationSeries`] — busy microseconds per window, read back as
+//!   CPU utilization; replica sets pool busy time and cores.
 
 use ntier_des::time::{SimDuration, SimTime};
 
-/// Horizon past which [`WindowedSeries::reserve_through`] and
-/// [`UtilizationSeries::paper_default_for`] stop preallocating: 10 minutes
-/// of simulated time. Longer runs grow lazily (and long-horizon telemetry
-/// should stream through [`crate::RingSeries`] instead) — O(horizon)
+/// Horizon past which the `paper_default_for` constructors stop
+/// preallocating: 10 minutes of simulated time. Longer runs grow one
+/// horizon-cap-sized chunk at a time (and long-horizon telemetry should
+/// stream through [`crate::RingSeries`] instead) — O(horizon)
 /// preallocation is exactly what capped runs at Fig.-1 scale.
 pub const PREALLOC_HORIZON_CAP: SimDuration = SimDuration::from_secs(600);
 
-/// Aggregates accumulated within one window.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct WindowAgg {
-    /// Sum of recorded values (for counters: the windowed total).
-    pub sum: f64,
-    /// Number of recordings.
-    pub count: u64,
-    /// Maximum recorded value (0 when the window is empty).
-    pub max: f64,
-    /// Last recorded value (0 when the window is empty).
-    pub last: f64,
+/// One `u32` per window, from time zero through the last touched window:
+/// the storage behind all three series. Untouched windows read as 0.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Windows {
+    size: SimDuration,
+    values: Vec<u32>,
 }
 
-impl WindowAgg {
-    /// Mean of recorded values, or 0 for an empty window.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
+impl Windows {
+    fn new(size: SimDuration) -> Self {
+        assert!(!size.is_zero(), "window must be non-zero");
+        Windows {
+            size,
+            values: Vec::new(),
         }
+    }
+
+    /// Windows in [`PREALLOC_HORIZON_CAP`] plus a spill window for events
+    /// landing exactly at the horizon: the most ever reserved up front, and
+    /// the growth step past that.
+    fn chunk(&self) -> usize {
+        (PREALLOC_HORIZON_CAP.as_micros() / self.size.as_micros()) as usize + 2
+    }
+
+    /// Reserves capacity for every window up to `horizon` (plus the spill
+    /// window), capped at one [`chunk`](Self::chunk). Only capacity is
+    /// reserved: `len()` still reports the windows actually touched.
+    fn reserve_through(&mut self, horizon: SimDuration) {
+        let want = (horizon.as_micros() / self.size.as_micros()) as usize + 2;
+        let n = want.min(self.chunk());
+        self.values
+            .reserve_exact(n.saturating_sub(self.values.len()));
+    }
+
+    #[inline]
+    fn at(&mut self, idx: usize) -> &mut u32 {
+        if idx >= self.values.len() {
+            self.grow_to(idx);
+        }
+        &mut self.values[idx]
+    }
+
+    #[inline]
+    fn index(&self, t: SimTime) -> usize {
+        t.window_index(self.size) as usize
+    }
+
+    /// Extends the series through window `idx`. Past one chunk, capacity
+    /// grows a whole chunk at a time: doubling would leave an hour-long
+    /// run holding up to twice the windows it uses.
+    #[cold]
+    fn grow_to(&mut self, idx: usize) {
+        let chunk = self.chunk();
+        if idx >= self.values.capacity() && idx >= chunk {
+            let target = (idx / chunk + 1) * chunk;
+            self.values.reserve_exact(target - self.values.len());
+        }
+        self.values.resize(idx + 1, 0);
+    }
+
+    /// Adds `n` to window `idx`. The sum is the stored datum, so an
+    /// overflow panics instead of wrapping.
+    #[inline]
+    fn add(&mut self, idx: usize, n: u32) {
+        let v = self.at(idx);
+        *v = checked_sum(*v, n);
+    }
+
+    fn get(&self, idx: usize) -> u32 {
+        self.values.get(idx).copied().unwrap_or(0)
+    }
+
+    /// Folds `other` in window by window with `f`, extending `self` to
+    /// cover every window either side touched.
+    fn merge(&mut self, other: &Windows, f: impl Fn(u32, u32) -> u32) {
+        assert_eq!(
+            self.size, other.size,
+            "cannot absorb series with a different window size"
+        );
+        if other.values.len() > self.values.len() {
+            self.grow_to(other.values.len() - 1);
+        }
+        for (a, &b) in self.values.iter_mut().zip(&other.values) {
+            *a = f(*a, b);
+        }
+    }
+
+    fn to_f64(&self) -> Vec<f64> {
+        self.values.iter().map(|&v| f64::from(v)).collect()
     }
 }
 
-/// A time series aggregated into fixed windows (default 50 ms).
-///
-/// Recordings are indexed by simulated time; the series grows on demand, and
-/// unobserved windows read as empty aggregates.
+fn checked_sum(a: u32, b: u32) -> u32 {
+    a.checked_add(b).expect("per-window total overflows u32")
+}
+
+/// Events counted per window (default 50 ms): drops, VLRT requests.
 ///
 /// # Example
 ///
 /// ```
 /// use ntier_des::prelude::*;
-/// use ntier_telemetry::series::WindowedSeries;
+/// use ntier_telemetry::CounterSeries;
 ///
-/// let mut vlrt = WindowedSeries::with_window(SimDuration::from_millis(50));
-/// vlrt.add(SimTime::from_millis(120), 1.0); // one VLRT request in window 2
-/// vlrt.add(SimTime::from_millis(130), 1.0);
-/// assert_eq!(vlrt.window(2).sum, 2.0);
-/// assert_eq!(vlrt.window(0).sum, 0.0);
+/// let mut vlrt = CounterSeries::with_window(SimDuration::from_millis(50));
+/// vlrt.add(SimTime::from_millis(120), 1); // one VLRT request in window 2
+/// vlrt.add(SimTime::from_millis(130), 1);
+/// assert_eq!(vlrt.count(2), 2);
+/// assert_eq!(vlrt.count(0), 0);
+/// assert_eq!(vlrt.total(), 2);
 /// ```
-#[derive(Debug, Clone)]
-pub struct WindowedSeries {
-    window: SimDuration,
-    windows: Vec<WindowAgg>,
-}
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CounterSeries(Windows);
 
-impl WindowedSeries {
+impl CounterSeries {
     /// Creates a series with the given window size.
     ///
     /// # Panics
     ///
     /// Panics if `window` is zero.
     pub fn with_window(window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "window must be non-zero");
-        WindowedSeries {
-            window,
-            windows: Vec::new(),
-        }
+        CounterSeries(Windows::new(window))
     }
 
     /// Creates a series with the paper's 50 ms monitoring window.
     pub fn paper_default() -> Self {
-        WindowedSeries::with_window(SimDuration::from_millis(crate::MONITOR_WINDOW_MS))
+        Self::with_window(SimDuration::from_millis(crate::MONITOR_WINDOW_MS))
     }
 
-    /// Like [`WindowedSeries::paper_default`], but with backing storage
-    /// reserved for a run of length `horizon` so the hot path never
-    /// reallocates. Only capacity is reserved: `len()` still reports the
-    /// windows actually touched, so reads are unchanged.
+    /// Like [`CounterSeries::paper_default`], with storage reserved for a
+    /// run of length `horizon` (capped at [`PREALLOC_HORIZON_CAP`]) so the
+    /// hot path does not reallocate. Observable state is unchanged.
     pub fn paper_default_for(horizon: SimDuration) -> Self {
-        let mut s = WindowedSeries::paper_default();
-        s.reserve_through(horizon);
+        let mut s = Self::paper_default();
+        s.0.reserve_through(horizon);
         s
     }
 
-    /// Reserves capacity for every window up to `horizon` (plus one spill
-    /// window for events that land exactly at the horizon), capped at
-    /// [`PREALLOC_HORIZON_CAP`]: past the cap only the first 10 minutes'
-    /// worth is reserved and later windows grow lazily.
-    pub fn reserve_through(&mut self, horizon: SimDuration) {
-        let want = (horizon.as_micros() / self.window.as_micros()) as usize + 2;
-        let cap = (PREALLOC_HORIZON_CAP.as_micros() / self.window.as_micros()) as usize + 2;
-        if want > cap {
-            // Pre-cap behavior reserved O(horizon) here — 1.7 GB of windows
-            // for a simulated day at 50 ms. Trip in debug builds so the
-            // fallback is visible, not silent.
-            debug_assert!(
-                horizon > PREALLOC_HORIZON_CAP,
-                "cap binds only past the preallocation horizon"
-            );
-        }
-        let n = want.min(cap);
-        self.windows.reserve(n.saturating_sub(self.windows.len()));
+    /// Adds `n` events to the window containing `t`.
+    #[inline]
+    pub fn add(&mut self, t: SimTime, n: u32) {
+        self.0.add(self.0.index(t), n);
     }
 
-    /// The window size.
-    pub fn window_size(&self) -> SimDuration {
-        self.window
+    /// Events in window `idx` (0 if never touched).
+    pub fn count(&self, idx: usize) -> u32 {
+        self.0.get(idx)
     }
 
-    /// Adds `value` to the window containing `t` (counter semantics: values
-    /// accumulate in `sum`).
-    pub fn add(&mut self, t: SimTime, value: f64) {
-        let idx = t.window_index(self.window) as usize;
-        self.ensure(idx);
-        let w = &mut self.windows[idx];
-        w.sum += value;
-        w.count += 1;
-        if value > w.max {
-            w.max = value;
-        }
-        w.last = value;
+    /// Events per window, from time zero through the last touched window.
+    pub fn counts(&self) -> &[u32] {
+        &self.0.values
     }
 
-    /// Records a gauge observation at `t` (use [`WindowAgg::max`] /
-    /// [`WindowAgg::mean`] when reading).
-    pub fn record(&mut self, t: SimTime, value: f64) {
-        self.add(t, value);
+    /// The per-window counts as `f64`s, for readers that plot or compare
+    /// floats.
+    pub fn sums(&self) -> Vec<f64> {
+        self.0.to_f64()
     }
 
-    /// The aggregate for window `idx` (empty default if never touched).
-    pub fn window(&self, idx: usize) -> WindowAgg {
-        self.windows.get(idx).copied().unwrap_or_default()
+    /// Total events across all windows.
+    pub fn total(&self) -> u64 {
+        self.0.values.iter().map(|&v| u64::from(v)).sum()
+    }
+
+    /// Iterates `(window_start_time, count)` over all windows.
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, u32)> + '_ {
+        let w = self.0.size.as_micros();
+        self.0
+            .values
+            .iter()
+            .enumerate()
+            .map(move |(i, &v)| (SimTime::from_micros(i as u64 * w), v))
     }
 
     /// Number of windows from time zero through the last touched window.
     pub fn len(&self) -> usize {
-        self.windows.len()
+        self.0.values.len()
     }
 
     /// `true` if no window was ever touched.
     pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
+        self.0.values.is_empty()
     }
 
-    /// Iterates `(window_start_time, aggregate)` over all windows.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, WindowAgg)> + '_ {
-        let w = self.window;
-        self.windows
-            .iter()
-            .enumerate()
-            .map(move |(i, agg)| (SimTime::from_micros(i as u64 * w.as_micros()), *agg))
-    }
-
-    /// The per-window sums as a plain vector (counter reading).
-    pub fn sums(&self) -> Vec<f64> {
-        self.windows.iter().map(|w| w.sum).collect()
-    }
-
-    /// The per-window maxima as a plain vector (gauge reading).
-    pub fn maxima(&self) -> Vec<f64> {
-        self.windows.iter().map(|w| w.max).collect()
-    }
-
-    /// Total of all window sums.
-    pub fn total(&self) -> f64 {
-        self.windows.iter().map(|w| w.sum).sum()
-    }
-
-    /// The largest window sum together with its window start time.
-    pub fn peak(&self) -> Option<(SimTime, f64)> {
-        let w = self.window;
-        self.windows
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.sum.partial_cmp(&b.1.sum).expect("sums are finite"))
-            .map(|(i, agg)| (SimTime::from_micros(i as u64 * w.as_micros()), agg.sum))
-    }
-
-    /// Folds `other` into `self` window-by-window: sums and counts add, maxima
-    /// take the larger value. Used to pool per-replica series into one
-    /// tier-level view; both series must share a window size.
+    /// Pools `other` into `self` (one replica into a tier-wide view):
+    /// counts add window by window.
     ///
     /// # Panics
     ///
     /// Panics if the window sizes differ.
-    pub fn absorb(&mut self, other: &WindowedSeries) {
-        assert_eq!(
-            self.window, other.window,
-            "cannot absorb series with a different window size"
-        );
-        if other.windows.is_empty() {
-            return;
-        }
-        self.ensure(other.windows.len() - 1);
-        for (w, o) in self.windows.iter_mut().zip(other.windows.iter()) {
-            w.sum += o.sum;
-            w.count += o.count;
-            if o.max > w.max {
-                w.max = o.max;
-            }
-            if o.count > 0 {
-                w.last = o.last;
-            }
-        }
+    pub fn absorb(&mut self, other: &CounterSeries) {
+        self.0.merge(&other.0, checked_sum);
     }
+}
 
-    fn ensure(&mut self, idx: usize) {
-        if idx >= self.windows.len() {
-            self.windows.resize(idx + 1, WindowAgg::default());
-        }
-    }
+/// The highest gauge reading per window (default 50 ms): queue depth.
+///
+/// # Example
+///
+/// ```
+/// use ntier_des::prelude::*;
+/// use ntier_telemetry::PeakSeries;
+///
+/// let mut depth = PeakSeries::paper_default();
+/// depth.record(SimTime::from_millis(0), 100);
+/// depth.record(SimTime::from_millis(10), 300);
+/// depth.record(SimTime::from_millis(20), 200);
+/// assert_eq!(depth.peak(0), 300);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PeakSeries(Windows);
 
-    /// Pools partitions of one logical series — per-shard slices of a
-    /// sharded run, or per-replica views of a tier — into a single series:
-    /// the window-wise [`absorb`](Self::absorb) fold over every partition,
-    /// in iteration order (pass shards in shard-id order so the `last`
-    /// sample resolves deterministically). Returns `None` for an empty
-    /// iterator.
+impl PeakSeries {
+    /// Creates a series with the given window size.
     ///
     /// # Panics
     ///
-    /// Panics if the partitions disagree on window size.
-    pub fn merged<'a, I>(parts: I) -> Option<WindowedSeries>
-    where
-        I: IntoIterator<Item = &'a WindowedSeries>,
-    {
-        let mut it = parts.into_iter();
-        let mut acc = it.next()?.clone();
-        for p in it {
-            acc.absorb(p);
-        }
-        Some(acc)
+    /// Panics if `window` is zero.
+    pub fn with_window(window: SimDuration) -> Self {
+        PeakSeries(Windows::new(window))
+    }
+
+    /// Creates a series with the paper's 50 ms monitoring window.
+    pub fn paper_default() -> Self {
+        Self::with_window(SimDuration::from_millis(crate::MONITOR_WINDOW_MS))
+    }
+
+    /// Like [`PeakSeries::paper_default`], with storage reserved for a run
+    /// of length `horizon` (capped at [`PREALLOC_HORIZON_CAP`]).
+    pub fn paper_default_for(horizon: SimDuration) -> Self {
+        let mut s = Self::paper_default();
+        s.0.reserve_through(horizon);
+        s
+    }
+
+    /// Records a gauge reading at `t`; the window keeps its largest.
+    #[inline]
+    pub fn record(&mut self, t: SimTime, value: u32) {
+        let w = self.0.at(self.0.index(t));
+        *w = (*w).max(value);
+    }
+
+    /// The largest reading in window `idx` (0 if never touched).
+    pub fn peak(&self, idx: usize) -> u32 {
+        self.0.get(idx)
+    }
+
+    /// Per-window peaks, from time zero through the last touched window.
+    pub fn peaks(&self) -> &[u32] {
+        &self.0.values
+    }
+
+    /// The per-window peaks as `f64`s, for readers that plot or compare
+    /// floats.
+    pub fn maxima(&self) -> Vec<f64> {
+        self.0.to_f64()
+    }
+
+    /// Number of windows from time zero through the last touched window.
+    pub fn len(&self) -> usize {
+        self.0.values.len()
+    }
+
+    /// `true` if no window was ever touched.
+    pub fn is_empty(&self) -> bool {
+        self.0.values.is_empty()
+    }
+
+    /// Pools `other` into `self` (one replica into a tier-wide view): each
+    /// window keeps the larger peak.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window sizes differ.
+    pub fn absorb(&mut self, other: &PeakSeries) {
+        self.0.merge(&other.0, u32::max);
     }
 }
 
@@ -259,9 +319,20 @@ impl WindowedSeries {
 /// ```
 #[derive(Debug, Clone)]
 pub struct UtilizationSeries {
-    window: SimDuration,
     cores: u32,
-    busy_micros: Vec<u64>,
+    busy_micros: Windows,
+}
+
+/// Asserts that a fully busy window of `cores` cores fits the `u32`
+/// per-window busy-time counter.
+fn check_capacity(window: SimDuration, cores: u32) {
+    assert!(
+        window
+            .as_micros()
+            .checked_mul(u64::from(cores))
+            .is_some_and(|c| c <= u64::from(u32::MAX)),
+        "window x cores ({window} x {cores}) overflows the u32 busy-time counter"
+    );
 }
 
 impl UtilizationSeries {
@@ -269,15 +340,13 @@ impl UtilizationSeries {
     ///
     /// # Panics
     ///
-    /// Panics if `window` is zero or `cores` is zero.
+    /// Panics if `window` or `cores` is zero, or if a fully busy window
+    /// (`window` × `cores` microseconds) does not fit in a `u32`.
     pub fn with_window(window: SimDuration, cores: u32) -> Self {
-        assert!(!window.is_zero(), "window must be non-zero");
+        let busy_micros = Windows::new(window);
         assert!(cores > 0, "cores must be non-zero");
-        UtilizationSeries {
-            window,
-            cores,
-            busy_micros: Vec::new(),
-        }
+        check_capacity(window, cores);
+        UtilizationSeries { cores, busy_micros }
     }
 
     /// Creates a series with the paper's 50 ms window.
@@ -287,27 +356,18 @@ impl UtilizationSeries {
 
     /// Like [`UtilizationSeries::paper_default`], but with busy-time storage
     /// reserved for a run of length `horizon` (capacity only — observable
-    /// state is identical to the on-demand series). Reservation is capped
-    /// at [`PREALLOC_HORIZON_CAP`], like
-    /// [`WindowedSeries::reserve_through`].
+    /// state is identical to the on-demand series), capped at
+    /// [`PREALLOC_HORIZON_CAP`].
     pub fn paper_default_for(cores: u32, horizon: SimDuration) -> Self {
         let mut s = UtilizationSeries::paper_default(cores);
-        let want = (horizon.as_micros() / s.window.as_micros()) as usize + 2;
-        let cap = (PREALLOC_HORIZON_CAP.as_micros() / s.window.as_micros()) as usize + 2;
-        if want > cap {
-            debug_assert!(
-                horizon > PREALLOC_HORIZON_CAP,
-                "cap binds only past the preallocation horizon"
-            );
-        }
-        s.busy_micros.reserve(want.min(cap));
+        s.busy_micros.reserve_through(horizon);
         s
     }
 
     /// Total busy time recorded across all windows, in microseconds — the
     /// integer numerator behind the metrics plane's `util_ppm` gauges.
     pub fn total_busy_micros(&self) -> u64 {
-        self.busy_micros.iter().sum()
+        self.busy_micros.values.iter().map(|&b| u64::from(b)).sum()
     }
 
     /// Accounts one core as busy over `[start, end)`.
@@ -317,33 +377,31 @@ impl UtilizationSeries {
     /// Panics if `end < start`.
     pub fn record_busy(&mut self, start: SimTime, end: SimTime) {
         assert!(end >= start, "busy interval must be well-ordered");
-        if end == start {
-            return;
-        }
-        let wsize = self.window.as_micros();
+        let wsize = self.busy_micros.size.as_micros();
         let mut cursor = start.as_micros();
         let end_us = end.as_micros();
         while cursor < end_us {
             let idx = (cursor / wsize) as usize;
-            let window_end = (idx as u64 + 1) * wsize;
-            let slice_end = window_end.min(end_us);
-            self.ensure(idx);
-            self.busy_micros[idx] += slice_end - cursor;
+            let slice_end = ((idx as u64 + 1) * wsize).min(end_us);
+            // A slice never exceeds one window, and `check_capacity`
+            // bounds a window by `u32::MAX` microseconds.
+            self.busy_micros.add(idx, (slice_end - cursor) as u32);
             cursor = slice_end;
         }
     }
 
+    fn capacity_micros(&self) -> f64 {
+        self.busy_micros.size.as_micros() as f64 * f64::from(self.cores)
+    }
+
     /// Utilization of window `idx` in `[0, 1]` (0 if never touched).
     pub fn utilization(&self, idx: usize) -> f64 {
-        let busy = self.busy_micros.get(idx).copied().unwrap_or(0);
-        busy as f64 / (self.window.as_micros() as f64 * f64::from(self.cores))
+        f64::from(self.busy_micros.get(idx)) / self.capacity_micros()
     }
 
     /// Utilizations for all windows through the last touched one.
     pub fn utilizations(&self) -> Vec<f64> {
-        (0..self.busy_micros.len())
-            .map(|i| self.utilization(i))
-            .collect()
+        (0..self.len()).map(|i| self.utilization(i)).collect()
     }
 
     /// Mean utilization over windows `[0, through_window]` (inclusive),
@@ -353,10 +411,8 @@ impl UtilizationSeries {
             return 0.0;
         }
         let n = through_window + 1;
-        let busy: u64 = (0..n)
-            .map(|i| self.busy_micros.get(i).copied().unwrap_or(0))
-            .sum();
-        busy as f64 / (self.window.as_micros() as f64 * f64::from(self.cores) * n as f64)
+        let busy: u64 = (0..n).map(|i| u64::from(self.busy_micros.get(i))).sum();
+        busy as f64 / (self.capacity_micros() * n as f64)
     }
 
     /// Pools `other` into `self`: busy time and core counts add, so the
@@ -365,135 +421,134 @@ impl UtilizationSeries {
     ///
     /// # Panics
     ///
-    /// Panics if the window sizes differ.
+    /// Panics if the window sizes differ, or if the pooled cores overflow
+    /// the `u32` busy-time counter.
     pub fn absorb(&mut self, other: &UtilizationSeries) {
-        assert_eq!(
-            self.window, other.window,
-            "cannot absorb series with a different window size"
-        );
-        self.cores += other.cores;
-        if other.busy_micros.len() > self.busy_micros.len() {
-            self.busy_micros.resize(other.busy_micros.len(), 0);
-        }
-        for (b, o) in self.busy_micros.iter_mut().zip(other.busy_micros.iter()) {
-            *b += o;
-        }
+        let cores = self.cores + other.cores;
+        check_capacity(self.busy_micros.size, cores);
+        self.busy_micros.merge(&other.busy_micros, checked_sum);
+        self.cores = cores;
     }
 
     /// Number of windows touched.
     pub fn len(&self) -> usize {
-        self.busy_micros.len()
+        self.busy_micros.values.len()
     }
 
     /// `true` if no busy time was ever recorded.
     pub fn is_empty(&self) -> bool {
-        self.busy_micros.is_empty()
-    }
-
-    fn ensure(&mut self, idx: usize) {
-        if idx >= self.busy_micros.len() {
-            self.busy_micros.resize(idx + 1, 0);
-        }
+        self.busy_micros.values.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::WindowAgg;
     use proptest::prelude::*;
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
     }
 
+    fn chunk() -> usize {
+        Windows::new(SimDuration::from_millis(crate::MONITOR_WINDOW_MS)).chunk()
+    }
+
     #[test]
     fn counter_accumulates_per_window() {
-        let mut s = WindowedSeries::paper_default();
-        s.add(ms(10), 1.0);
-        s.add(ms(40), 1.0);
-        s.add(ms(51), 1.0);
-        assert_eq!(s.window(0).sum, 2.0);
-        assert_eq!(s.window(1).sum, 1.0);
-        assert_eq!(s.total(), 3.0);
+        let mut s = CounterSeries::paper_default();
+        s.add(ms(10), 1);
+        s.add(ms(40), 1);
+        s.add(ms(51), 1);
+        assert_eq!(s.count(0), 2);
+        assert_eq!(s.count(1), 1);
+        assert_eq!(s.total(), 3);
+        assert_eq!(s.sums(), vec![2.0, 1.0]);
     }
 
     #[test]
-    fn gauge_tracks_max_and_mean() {
-        let mut s = WindowedSeries::paper_default();
-        s.record(ms(0), 100.0);
-        s.record(ms(10), 300.0);
-        s.record(ms(20), 200.0);
-        let w = s.window(0);
-        assert_eq!(w.max, 300.0);
-        assert_eq!(w.mean(), 200.0);
-        assert_eq!(w.last, 200.0);
+    fn gauge_keeps_the_window_peak() {
+        let mut s = PeakSeries::paper_default();
+        s.record(ms(0), 100);
+        s.record(ms(10), 300);
+        s.record(ms(20), 200);
+        s.record(ms(60), 7);
+        assert_eq!(s.peaks(), &[300, 7]);
+        assert_eq!(s.maxima(), vec![300.0, 7.0]);
     }
 
     #[test]
-    fn untouched_windows_read_empty() {
-        let s = WindowedSeries::paper_default();
-        assert_eq!(s.window(17), WindowAgg::default());
-        assert!(s.is_empty());
-        assert_eq!(s.peak(), None);
-    }
-
-    #[test]
-    fn peak_finds_largest_window() {
-        let mut s = WindowedSeries::paper_default();
-        s.add(ms(10), 2.0);
-        s.add(ms(260), 5.0);
-        s.add(ms(400), 1.0);
-        let (t, v) = s.peak().unwrap();
-        assert_eq!(t, ms(250));
-        assert_eq!(v, 5.0);
+    fn untouched_windows_read_zero() {
+        let c = CounterSeries::paper_default();
+        let p = PeakSeries::paper_default();
+        assert_eq!((c.count(17), p.peak(17)), (0, 0));
+        assert!(c.is_empty() && p.is_empty());
+        assert_eq!(c.total(), 0);
     }
 
     #[test]
     fn iter_yields_window_starts() {
-        let mut s = WindowedSeries::with_window(SimDuration::from_millis(100));
-        s.add(ms(150), 1.0);
+        let mut s = CounterSeries::with_window(SimDuration::from_millis(100));
+        s.add(ms(150), 1);
         let points: Vec<_> = s.iter().collect();
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].0, ms(0));
-        assert_eq!(points[1].0, ms(100));
-        assert_eq!(points[1].1.sum, 1.0);
+        assert_eq!(points, vec![(ms(0), 0), (ms(100), 1)]);
     }
 
     #[test]
-    fn merged_pools_shard_partitions() {
-        // Three shards each hold a slice of one logical drop series; the
-        // merge must equal the series a single-shard run would have built.
-        let mut whole = WindowedSeries::paper_default();
-        let mut parts: Vec<WindowedSeries> =
-            (0..3).map(|_| WindowedSeries::paper_default()).collect();
-        for (i, t) in [5u64, 60, 110, 140, 260, 300].iter().enumerate() {
-            whole.add(ms(*t), 1.0);
-            parts[i % 3].add(ms(*t), 1.0);
-        }
-        let merged = WindowedSeries::merged(parts.iter()).expect("non-empty");
-        assert_eq!(merged.sums(), whole.sums());
-        assert_eq!(merged.total(), whole.total());
-        assert!(WindowedSeries::merged(std::iter::empty()).is_none());
+    fn absorb_adds_counters_and_maxes_peaks() {
+        let (mut c0, mut c1) = (
+            CounterSeries::paper_default(),
+            CounterSeries::paper_default(),
+        );
+        let (mut p0, mut p1) = (PeakSeries::paper_default(), PeakSeries::paper_default());
+        c0.add(ms(0), 2);
+        c1.add(ms(0), 3);
+        c1.add(ms(120), 1);
+        p0.record(ms(0), 9);
+        p1.record(ms(0), 4);
+        p1.record(ms(120), 5);
+        c0.absorb(&c1);
+        p0.absorb(&p1);
+        assert_eq!(c0.counts(), &[5, 0, 1]);
+        assert_eq!(p0.peaks(), &[9, 0, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "different window size")]
+    fn absorb_rejects_mismatched_windows() {
+        let mut a = CounterSeries::paper_default();
+        a.absorb(&CounterSeries::with_window(SimDuration::from_millis(10)));
     }
 
     #[test]
     fn preallocation_is_capped_past_ten_minutes() {
         let day = SimDuration::from_secs(24 * 3_600);
-        let capped = (PREALLOC_HORIZON_CAP.as_micros()
-            / SimDuration::from_millis(crate::MONITOR_WINDOW_MS).as_micros())
-            as usize
-            + 2;
-        let s = WindowedSeries::paper_default_for(day);
-        assert!(
-            s.windows.capacity() <= 2 * capped,
-            "capacity {}",
-            s.windows.capacity()
-        );
+        let s = CounterSeries::paper_default_for(day);
+        assert_eq!(s.0.values.capacity(), chunk());
         let u = UtilizationSeries::paper_default_for(2, day);
-        assert!(u.busy_micros.capacity() <= 2 * capped);
-        // short horizons still get their exact reservation
-        let short = WindowedSeries::paper_default_for(SimDuration::from_secs(20));
-        assert!(short.windows.capacity() >= 400);
+        assert_eq!(u.busy_micros.values.capacity(), chunk());
+        // short horizons get their exact reservation
+        let short = PeakSeries::paper_default_for(SimDuration::from_secs(20));
+        assert_eq!(short.0.values.capacity(), 402);
+    }
+
+    #[test]
+    fn growth_past_the_cap_is_one_chunk_at_a_time() {
+        // An hour at 50 ms touches 72 000 windows; doubling from the capped
+        // reservation would end at 8 chunks, chunked growth ends at 6.
+        let hour = SimDuration::from_secs(3_600);
+        let mut s = PeakSeries::paper_default_for(hour);
+        for t in (0..3_600_000u64).step_by(50) {
+            s.record(ms(t), 1);
+            assert_eq!(s.0.values.capacity() % chunk(), 0, "at {t} ms");
+        }
+        assert_eq!(s.len(), 72_000);
+        assert_eq!(s.0.values.capacity(), 6 * chunk());
+        // Unreserved series double while small, then step by chunks.
+        let mut c = CounterSeries::paper_default();
+        c.add(ms(50 * 20_000), 1);
+        assert_eq!(c.0.values.capacity(), 2 * chunk());
     }
 
     #[test]
@@ -530,6 +585,16 @@ mod tests {
     }
 
     #[test]
+    fn absorbed_utilization_pools_busy_time_and_cores() {
+        let mut a = UtilizationSeries::paper_default(1);
+        let mut b = UtilizationSeries::paper_default(3);
+        a.record_busy(ms(0), ms(50));
+        b.record_busy(ms(50), ms(100));
+        a.absorb(&b);
+        assert_eq!(a.utilizations(), vec![0.25, 0.25]);
+    }
+
+    #[test]
     fn empty_busy_interval_is_noop() {
         let mut u = UtilizationSeries::paper_default(1);
         u.record_busy(ms(10), ms(10));
@@ -543,6 +608,36 @@ mod tests {
         u.record_busy(ms(20), ms(10));
     }
 
+    #[test]
+    #[should_panic(expected = "overflows the u32 busy-time counter")]
+    fn oversized_window_times_cores_panics() {
+        // 50 ms x 100 000 cores = 5e9 busy microseconds per window.
+        let _ = UtilizationSeries::paper_default(100_000);
+    }
+
+    /// The f64 `sum`/`count`/`max`/`last` aggregate the integer series
+    /// replaced, fed the same samples.
+    fn reference(samples: &[(u64, u32)]) -> Vec<WindowAgg> {
+        let mut windows = Vec::new();
+        for &(t, v) in samples {
+            let idx = ms(t).window_index(SimDuration::from_millis(50)) as usize;
+            if idx >= windows.len() {
+                windows.resize(idx + 1, WindowAgg::default());
+            }
+            windows[idx].absorb(&WindowAgg::sample(f64::from(v)));
+        }
+        windows
+    }
+
+    fn absorb_reference(into: &mut Vec<WindowAgg>, other: &[WindowAgg]) {
+        if other.len() > into.len() {
+            into.resize(other.len(), WindowAgg::default());
+        }
+        for (w, o) in into.iter_mut().zip(other) {
+            w.absorb(o);
+        }
+    }
+
     proptest! {
         /// Total busy time recorded equals total busy time read back,
         /// regardless of how intervals straddle windows.
@@ -554,21 +649,46 @@ mod tests {
                 u.record_busy(SimTime::from_micros(start), SimTime::from_micros(start + len));
                 expect += len;
             }
+            prop_assert_eq!(u.total_busy_micros(), expect);
             let w = SimDuration::from_millis(crate::MONITOR_WINDOW_MS).as_micros() as f64;
             let got: f64 = u.utilizations().iter().map(|x| x * w).sum();
             prop_assert!((got - expect as f64).abs() < 1e-6);
         }
 
-        /// Counter totals equal the sum of inserted values.
+        /// Both integer series read exactly what the f64 aggregate read —
+        /// counters its `sum`, gauges its `max`, over the same windows — for
+        /// one replica and after pooling two replicas (counters add, gauges
+        /// keep the larger peak).
         #[test]
-        fn counter_total_is_conserved(values in proptest::collection::vec((0u64..10_000, 0.0f64..10.0), 1..100)) {
-            let mut s = WindowedSeries::paper_default();
-            let mut expect = 0.0;
-            for (t, v) in &values {
-                s.add(SimTime::from_millis(*t), *v);
-                expect += v;
-            }
-            prop_assert!((s.total() - expect).abs() < 1e-9);
+        fn integer_series_match_the_f64_reference(
+            a in proptest::collection::vec((0u64..10_000, 0u32..1_000), 0..100),
+            b in proptest::collection::vec((0u64..10_000, 0u32..1_000), 0..100),
+        ) {
+            let build = |samples: &[(u64, u32)]| {
+                let mut c = CounterSeries::paper_default();
+                let mut p = PeakSeries::paper_default();
+                for &(t, v) in samples {
+                    c.add(ms(t), v);
+                    p.record(ms(t), v);
+                }
+                (c, p)
+            };
+            let (mut ca, mut pa) = build(&a);
+            let (cb, pb) = build(&b);
+            let mut ra = reference(&a);
+            let sums = |r: &[WindowAgg]| r.iter().map(|w| w.sum).collect::<Vec<_>>();
+            let maxima = |r: &[WindowAgg]| r.iter().map(|w| w.max).collect::<Vec<_>>();
+            prop_assert_eq!(ca.sums(), sums(&ra));
+            prop_assert_eq!(pa.maxima(), maxima(&ra));
+
+            ca.absorb(&cb);
+            pa.absorb(&pb);
+            absorb_reference(&mut ra, &reference(&b));
+            prop_assert_eq!(ca.sums(), sums(&ra));
+            prop_assert_eq!(pa.maxima(), maxima(&ra));
+            prop_assert_eq!(ca.len(), ra.len());
+            prop_assert_eq!(pa.len(), ra.len());
+            prop_assert_eq!(ca.total() as f64, ra.iter().map(|w| w.sum).sum::<f64>());
         }
     }
 }

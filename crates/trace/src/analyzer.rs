@@ -25,7 +25,7 @@ pub struct TierData {
     /// Interferer (colocated-VM / stall) utilization per window.
     pub interferer_util: Vec<f64>,
     /// Connection drops per window.
-    pub drops: Vec<f64>,
+    pub drops: Vec<u32>,
     /// Per-replica series for replicated tiers (empty for single-instance
     /// tiers). Index `r` is replica `r`; the top-level series stay the
     /// tier-wide aggregate so unreplicated analyses are unchanged.
@@ -476,14 +476,14 @@ impl RootCause {
                 .map(|rd| (&rd.drops, Some(drop_replica)))
                 .unwrap_or((&td.drops, None))
         })?;
-        let drops_here = drops.get(window as usize).copied().unwrap_or(0.0);
-        if drops_here > 0.0 {
+        let drops_here = drops.get(window as usize).copied().unwrap_or(0);
+        if drops_here > 0 {
             Some(Culprit {
                 tier: drop_tier,
                 replica,
                 window,
                 kind: CulpritKind::QueueOverflow,
-                score: drops_here,
+                score: f64::from(drops_here),
             })
         } else {
             None
@@ -551,7 +551,7 @@ mod tests {
             name: name.into(),
             util: vec![0.3; windows],
             interferer_util: vec![0.0; windows],
-            drops: vec![0.0; windows],
+            drops: vec![0; windows],
             replicas: Vec::new(),
         }
     }
@@ -562,7 +562,7 @@ mod tests {
         // interferer burst in windows 18-19 — upstream CTQO.
         let mut web = tier("web", 64);
         let mut app = tier("app", 64);
-        web.drops[20] = 1.0;
+        web.drops[20] = 1;
         app.interferer_util[18] = 0.9;
         app.interferer_util[19] = 0.8;
         let log = log_of(vec![vlrt_trace(0, 1_000, 0)]);
@@ -585,7 +585,7 @@ mod tests {
     #[test]
     fn saturation_beats_bare_queue_overflow() {
         let mut web = tier("web", 64);
-        web.drops[20] = 2.0;
+        web.drops[20] = 2;
         web.util[19] = 1.0;
         let log = log_of(vec![vlrt_trace(0, 1_000, 0)]);
         let a = RootCause::default().analyze(&log, &[web]);
@@ -597,7 +597,7 @@ mod tests {
     #[test]
     fn queue_overflow_is_the_fallback_and_none_without_evidence() {
         let mut web = tier("web", 64);
-        web.drops[20] = 3.0;
+        web.drops[20] = 3;
         let log = log_of(vec![vlrt_trace(0, 1_000, 0), vlrt_trace(1, 2_000, 0)]);
         let a = RootCause::default().analyze(&log, &[web]);
         let c0 = a.chains[0].steps[0].culprit.as_ref().expect("culprit");
@@ -639,7 +639,7 @@ mod tests {
     fn narration_mentions_tier_names_and_cause() {
         let mut web = tier("web", 64);
         let mut app = tier("app", 64);
-        web.drops[20] = 1.0;
+        web.drops[20] = 1;
         app.interferer_util[19] = 0.7;
         let log = log_of(vec![vlrt_trace(0, 1_000, 0)]);
         let a = RootCause::default().analyze(&log, &[web, app]);
@@ -654,7 +654,7 @@ mod tests {
         // interferer burst; the tier-wide aggregate shows the same burst
         // diluted by the two idle replicas (0.3 < floor).
         let mut web = tier("web", 64);
-        web.drops[20] = 1.0;
+        web.drops[20] = 1;
         let mut app = tier("app", 64);
         app.interferer_util[19] = 0.3;
         app.replicas = vec![tier("app", 64), tier("app", 64), tier("app", 64)];
@@ -674,7 +674,7 @@ mod tests {
         // Drop at window 20 (t=1.0s), terminal at t≈4.0s, lookback 12
         // windows (600 ms): the window is [t=0.4s, t=4.01s].
         let mut web = tier("web", 64);
-        web.drops[20] = 1.0;
+        web.drops[20] = 1;
         let log = log_of(vec![vlrt_trace(0, 1_000, 0)]);
         let act = |ms: u64, label: &str| ControlAction {
             at: SimTime::from_millis(ms),
@@ -705,7 +705,7 @@ mod tests {
     #[test]
     fn analyze_without_actions_leaves_chains_action_free() {
         let mut web = tier("web", 64);
-        web.drops[20] = 1.0;
+        web.drops[20] = 1;
         let log = log_of(vec![vlrt_trace(0, 1_000, 0)]);
         let a = RootCause::default().analyze(&log, &[web]);
         assert!(a.chains[0].control.is_empty());
@@ -719,9 +719,9 @@ mod tests {
             vlrt_trace_at(2, 3_000, 0, 0),
         ]);
         let mut web = tier("web", 128);
-        web.drops[20] = 1.0;
-        web.drops[40] = 1.0;
-        web.drops[60] = 1.0;
+        web.drops[20] = 1;
+        web.drops[40] = 1;
+        web.drops[60] = 1;
         let a = RootCause::default().analyze(&log, &[web, tier("app", 128)]);
         assert_eq!(
             a.drop_site_histogram(),

@@ -438,5 +438,5 @@ fn vlrt_counts_are_consistent() {
         report.vlrt_total,
         report.latency.count_above(SimDuration::from_secs(3))
     );
-    assert_eq!(report.vlrt_total as f64, report.vlrt_by_completion.total());
+    assert_eq!(report.vlrt_total, report.vlrt_by_completion.total());
 }

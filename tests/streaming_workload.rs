@@ -12,7 +12,8 @@
 //! * the `Workload::open`/`open_plans` builders are drop-in equal to the
 //!   deprecated direct variant constructions they wrap;
 //! * mix/system mismatches surface as typed [`WorkloadError`]s, and trace
-//!   parse failures surface as `RunReport::workload_fault`, never panics.
+//!   parse failures and streamed plans that do not fit the system surface
+//!   as `RunReport::workload_fault`, never panics.
 
 #![deny(deprecated)]
 
@@ -304,6 +305,39 @@ fn non_monotone_sources_trip_the_engine_guard() {
     let fault = report.workload_fault.as_deref().expect("guard tripped");
     assert!(fault.contains("non-decreasing"), "{fault}");
     assert_eq!(report.injected, 1, "{}", report.summary());
+}
+
+#[test]
+fn mismatched_plan_depth_ends_the_stream_as_a_fault() {
+    // Four well-formed 3-tier arrivals, then one 2-tier plan, then more
+    // well-formed ones the engine must never reach.
+    let good = Plan::compile(&RequestMix::view_story().sample(&mut SimRng::seed_from(1)));
+    let short = Plan::pipeline(&[SimDuration::from_micros(80); 2]);
+    let arrival = |ms: u64, plan: &Plan| {
+        (
+            SimTime::from_millis(ms),
+            SourcedRequest {
+                class: "x",
+                plan: plan.share(),
+            },
+        )
+    };
+    let mut pairs: Vec<_> = (1..=4).map(|i| arrival(i * 10, &good)).collect();
+    pairs.push(arrival(50, &short));
+    pairs.extend((6..=9).map(|i| arrival(i * 10, &good)));
+    let report = Engine::new(
+        small_system(),
+        Workload::from_source(VecSource::new(pairs)),
+        SimDuration::from_secs(2),
+        1,
+    )
+    .run();
+    let fault = report.workload_fault.as_deref().expect("mismatch surfaced");
+    assert!(fault.contains("plan depth 2"), "{fault}");
+    assert!(fault.contains("3 tiers"), "{fault}");
+    assert_eq!(report.injected, 4, "{}", report.summary());
+    assert_eq!(report.completed, 4, "{}", report.summary());
+    assert!(report.is_conserved(), "{}", report.summary());
 }
 
 #[test]
