@@ -1,7 +1,6 @@
 //! Engine throughput micro-benchmark: events per second on the two
 //! heaviest presets (Fig. 1 at WL 7000 and the full Fig. 12 concurrency
-//! grid), the sharded event schedule at 1/2/4/8 shards inside a single
-//! run, plus the parallel runner's wall-clock scaling across worker
+//! grid), plus the parallel runner's wall-clock scaling across worker
 //! counts. Results are written to `BENCH_engine.json` at the repository
 //! root so the numbers ride along with the code that produced them.
 //! Every scaling row records `host_cores` alongside its wall-clock: the
@@ -55,20 +54,6 @@ const BENCH_JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_
 fn committed_events_per_sec() -> Option<f64> {
     let json = std::fs::read_to_string(BENCH_JSON_PATH).ok()?;
     let tail = &json[json.find("\"events_per_sec\"")? + "\"events_per_sec\"".len()..];
-    tail.trim_start_matches([':', ' '])
-        .split(|c: char| !(c.is_ascii_digit() || c == '.'))
-        .next()?
-        .parse()
-        .ok()
-}
-
-/// The shards=1 `events_per_sec` recorded in the committed
-/// `single_run_parallel` section, if present — the regression floor for
-/// the sharded-queue bookkeeping path.
-fn committed_sharded_events_per_sec() -> Option<f64> {
-    let json = std::fs::read_to_string(BENCH_JSON_PATH).ok()?;
-    let section = &json[json.find("\"single_run_parallel\"")?..];
-    let tail = &section[section.find("\"events_per_sec\"")? + "\"events_per_sec\"".len()..];
     tail.trim_start_matches([':', ' '])
         .split(|c: char| !(c.is_ascii_digit() || c == '.'))
         .next()?
@@ -252,68 +237,6 @@ fn measure(c: &mut Criterion) {
         );
     }
 
-    // --- Single-run parallel: the sharded event schedule on fig1 -------
-    // Rows measure `run_sharded(n)` — the event schedule partitioned into
-    // n per-subtree calendar queues and merged back in global
-    // `(time, stamp)` order. The merge runs on the driving thread, so the
-    // rows bound the sharded queue's bookkeeping cost honestly rather
-    // than claiming core-scaling (per-row `host_cores` makes the binding
-    // resource explicit; on a 1-core host parity across shard counts is
-    // the expected honest result). Completion AND event counts are
-    // asserted equal across every row: the shard count must be invisible.
-    let mut sharded_rows: Vec<(usize, f64)> = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        let mut wall = f64::INFINITY;
-        for _ in 0..fig1_reps {
-            let spec = exp::fig1(7_000, fig1_horizon, 1);
-            let t = Instant::now();
-            let r = spec.run_sharded(shards);
-            wall = wall.min(t.elapsed().as_secs_f64());
-            assert_eq!(
-                r.completed, fig1_report.completed,
-                "shard count changed completions"
-            );
-            assert_eq!(
-                r.events, fig1_report.events,
-                "shard count changed the event stream"
-            );
-        }
-        sharded_rows.push((shards, wall));
-    }
-    // Events-per-sec gate on the shards=1 row: the single-shard path must
-    // stay within 5% of its committed floor (same extra-sample policy as
-    // the fig1 gate; `ENGINE_BENCH_REBASELINE=1` exempts an intentional
-    // rebaseline).
-    let sharded_baseline = (!quick && !rebaseline())
-        .then(committed_sharded_events_per_sec)
-        .flatten();
-    if let Some(baseline) = sharded_baseline {
-        let mut extra = 0;
-        while fig1_report.events as f64 / sharded_rows[0].1 < baseline * 0.95 && extra < 12 {
-            let spec = exp::fig1(7_000, fig1_horizon, 1);
-            let t = Instant::now();
-            let _ = spec.run_sharded(1);
-            sharded_rows[0].1 = sharded_rows[0].1.min(t.elapsed().as_secs_f64());
-            extra += 1;
-        }
-        let eps = fig1_report.events as f64 / sharded_rows[0].1;
-        assert!(
-            eps >= baseline * 0.95,
-            "shards=1 throughput {eps:.0} ev/s fell more than 5% below the committed \
-             single_run_parallel baseline {baseline:.0} ev/s \
-             (rerun with ENGINE_BENCH_REBASELINE=1 only for an intentional change)"
-        );
-    }
-    let sharded_serial_wall = sharded_rows[0].1;
-    for &(shards, wall) in &sharded_rows {
-        println!(
-            "engine_events sharded: {shards} shard(s)  wall {wall:.3}s  \
-             {:.2}M events/s  speedup {:.2}x  ({cores} host core(s))",
-            fig1_report.events as f64 / wall / 1e6,
-            sharded_serial_wall / wall
-        );
-    }
-
     // --- Fig. 12 sweep: serial engine throughput -----------------------
     let mut sweep_wall = f64::INFINITY;
     let mut sweep_events = 0u64;
@@ -406,33 +329,6 @@ fn measure(c: &mut Criterion) {
         json,
         "    \"overhead_vs_disabled\": {:.4}",
         metrics_overhead
-    );
-    json.push_str("  },\n");
-    let _ = writeln!(json, "  \"single_run_parallel\": {{");
-    let _ = writeln!(json, "    \"preset\": \"fig1_7000\",");
-    let _ = writeln!(json, "    \"rows\": [");
-    for (i, &(shards, wall)) in sharded_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{ \"shards\": {shards}, \"host_cores\": {cores}, \"wall_s_best\": {wall:.4}, \
-             \"events_per_sec\": {:.0}, \"speedup_vs_1_shard\": {:.2} }}{}",
-            fig1_report.events as f64 / wall,
-            sharded_serial_wall / wall,
-            if i + 1 == sharded_rows.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(json, "    ],");
-    let _ = writeln!(
-        json,
-        "    \"note\": \"run_sharded(n) partitions the event schedule into n per-subtree \
-         calendar queues merged in global (time, stamp) order on the driving thread, so \
-         these rows bound the sharded queue's bookkeeping cost — they do not claim \
-         core-scaling, and on a host_cores=1 machine wall-clock parity across shard \
-         counts is the honest expected result. Completion and event counts are asserted \
-         identical across all rows. Thread-parallel conservative execution is exercised \
-         separately by ntier_des::shard::run_conservative. Full-mode runs gate the \
-         shards=1 events_per_sec within 5% of the value committed here \
-         (ENGINE_BENCH_REBASELINE=1 exempts an intentional rebaseline).\""
     );
     json.push_str("  },\n");
     let _ = writeln!(json, "  \"fig12_sweep\": {{");

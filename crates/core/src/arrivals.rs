@@ -68,7 +68,7 @@ impl<S: ArrivalSource> ArrivalSource for PlanStamped<S> {
 /// Samples a [`RequestMix`] per arrival and compiles the 3-tier plan —
 /// the streaming analogue of `Workload::open`. Mix draws consume the same
 /// pull rng as the arrival times, so the stream stays deterministic
-/// regardless of thread or shard count.
+/// regardless of runner thread count.
 #[derive(Debug)]
 pub struct MixPlans<S> {
     inner: S,

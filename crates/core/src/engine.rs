@@ -62,7 +62,6 @@ use std::collections::HashMap;
 
 use ntier_control::{Action, ControlLog, Controller, Directive, Observation, ReplicaObs, TierObs};
 use ntier_des::prelude::*;
-use ntier_des::shard::ShardedQueue;
 use ntier_net::{Backlog, RetransmitState, RetryDecision};
 use ntier_resilience::{
     AimdLimiter, CircuitBreaker, Fault, HealthDetector, HealthVerdict, HedgeDelay, ResilienceStats,
@@ -82,7 +81,6 @@ use crate::arrivals::SourcedRequest;
 use crate::config::{SystemConfig, TierKind, TierSpec};
 use crate::plan::Plan;
 use crate::report::{ClassReport, DropRecord, ReplicaReport, RunReport, TierReport};
-use crate::shard::ShardPlan;
 use crate::topology::Balancer;
 
 /// The workload driving a run.
@@ -136,8 +134,7 @@ pub enum Workload {
 /// All of the source's randomness — arrival gaps, mix samples, demand
 /// multipliers — is drawn from the engine's dedicated `"arrival-source"`
 /// rng fork at pull time, on the single thread driving the event loop, so
-/// streamed runs stay bit-identical across runner thread counts and engine
-/// shard counts.
+/// streamed runs stay bit-identical across runner thread counts.
 pub struct WorkloadSource(Box<dyn ArrivalSource<Payload = SourcedRequest> + Send>);
 
 impl std::fmt::Debug for WorkloadSource {
@@ -341,93 +338,6 @@ enum Event {
     /// anything but its own successor — so even metered runs simulate the
     /// exact same system.
     MetricsTick,
-}
-
-/// The engine's event schedule: one flat calendar queue, or — under
-/// [`Engine::run_sharded`] — per-shard calendar queues partitioned by the
-/// event's home tier and merged back in global `(time, stamp)` order.
-///
-/// The sharded variant is *bit-identical* to the single queue by
-/// construction: [`ShardedQueue`] stamps every push with one global
-/// sequence counter and always pops the smallest `(time, stamp)` across
-/// shards, which is exactly the single queue's `(time, seq)` order (pinned
-/// by `matches_single_queue` in `ntier_des::shard`). Routing therefore
-/// only decides *locality* — which shard's calendar a tier's events live
-/// on, the partition a conservative-parallel pass over the cut works from
-/// (see DESIGN.md §14) — never order.
-#[derive(Debug)]
-enum EngineQueue {
-    Single(EventQueue<Event>),
-    Sharded {
-        q: ShardedQueue<Event>,
-        plan: ShardPlan,
-    },
-}
-
-impl EngineQueue {
-    fn push(&mut self, at: SimTime, ev: Event) {
-        match self {
-            EngineQueue::Single(q) => q.push(at, ev),
-            EngineQueue::Sharded { q, plan } => {
-                let shard = Self::home_shard(&ev, plan).min(q.shard_count() - 1);
-                q.push(shard, at, ev);
-            }
-        }
-    }
-
-    /// Pops the earliest event and drains the *rest* of its equal-time run
-    /// (up to `max` total) into `batch`. Runs of one — the common case —
-    /// return without touching `batch` at all.
-    fn pop_run(&mut self, batch: &mut Vec<Event>, max: usize) -> Option<(SimTime, Event)> {
-        match self {
-            EngineQueue::Single(q) => q.pop_run(batch, max),
-            EngineQueue::Sharded { q, .. } => {
-                let (_, t, ev) = q.pop()?;
-                while batch.len() + 1 < max && q.peek_time() == Some(t) {
-                    let (_, _, ev2) = q.pop().expect("peeked front");
-                    batch.push(ev2);
-                }
-                Some((t, ev))
-            }
-        }
-    }
-
-    /// The shard whose calendar holds `ev`: tier-addressed events live with
-    /// their tier, everything client-side (injection, client timers, retry
-    /// backoffs, hedges, faults, the controller) with the root's shard 0.
-    fn home_shard(ev: &Event, plan: &ShardPlan) -> usize {
-        match ev {
-            Event::Arrival { tier, .. }
-            | Event::SliceDone { tier, .. }
-            | Event::ReplyArrive { tier, .. }
-            | Event::SpawnDone { tier, .. }
-            | Event::CancelArrive { tier, .. }
-            | Event::ReplicaReady { tier } => plan.shard_of_tier(*tier as usize),
-            Event::ClientSend { .. }
-            | Event::Inject { .. }
-            | Event::ArmReply { .. }
-            | Event::AttemptTimeout { .. }
-            | Event::RetryFire { .. }
-            | Event::FaultBegin { .. }
-            | Event::FaultEnd { .. }
-            | Event::HedgeFire { .. }
-            | Event::LogicalDeadline { .. }
-            | Event::ControllerTick
-            | Event::HealthTick
-            | Event::MetricsTick => 0,
-        }
-    }
-
-    /// Events ever scheduled on this queue (the global stamp counter).
-    /// `scheduled_total() - events_handled` is the calendar occupancy — a
-    /// read that, unlike a raw queue length, is invariant across shard
-    /// counts and the hot path's equal-time batch pre-pops.
-    fn scheduled_total(&self) -> u64 {
-        match self {
-            EngineQueue::Single(q) => q.scheduled_total(),
-            EngineQueue::Sharded { q, .. } => q.scheduled_total(),
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -815,7 +725,7 @@ pub struct Engine {
     cfg: SystemConfig,
     workload: Workload,
     horizon: SimDuration,
-    queue: EngineQueue,
+    queue: EventQueue<Event>,
     now: SimTime,
     tiers: Vec<NodeRuntime>,
     /// Cached `cfg.shape.has_fanout()`: fan-out runs pay the plan/shape
@@ -887,6 +797,9 @@ pub struct Engine {
     /// Optional live JSONL sink: each frozen snapshot is written as one
     /// line *during* the run (attach via [`Engine::with_metrics_sink`]).
     metrics_sink: Option<MetricsSink>,
+    /// The first write error of `metrics_sink`, which is dropped at that
+    /// point; copied into the report.
+    metrics_sink_fault: Option<String>,
     /// Dedicated rng fork feeding [`Workload::Source`] pulls, so streamed
     /// arrivals consume randomness independently of every other plane.
     rng_source: SimRng,
@@ -1070,7 +983,7 @@ impl Engine {
             cfg,
             workload,
             horizon,
-            queue: EngineQueue::Single(EventQueue::with_capacity(1 << 16)),
+            queue: EventQueue::with_capacity(1 << 16),
             now: SimTime::ZERO,
             tiers,
             has_fanout,
@@ -1111,6 +1024,7 @@ impl Engine {
             hedge_override: None,
             metrics,
             metrics_sink: None,
+            metrics_sink_fault: None,
             rng_source: root.fork("arrival-source"),
             pending_arrival: None,
             last_arrival: SimTime::ZERO,
@@ -1121,7 +1035,9 @@ impl Engine {
     /// Attaches a streaming JSONL sink: every metrics snapshot is written
     /// as one line the moment it is frozen, so long runs can be observed
     /// (and tailed) while they execute. A no-op unless the config enables
-    /// the metrics plane via [`SystemConfig::with_metrics`].
+    /// the metrics plane via [`SystemConfig::with_metrics`]. A failed
+    /// write drops the sink and lands in
+    /// [`RunReport::metrics_sink_fault`]; the run goes on.
     #[must_use]
     pub fn with_metrics_sink(mut self, sink: Box<dyn std::io::Write + Send>) -> Self {
         self.metrics_sink = Some(MetricsSink(sink));
@@ -1193,31 +1109,6 @@ impl Engine {
             }
         }
         self.into_report()
-    }
-
-    /// Runs the simulation with the event schedule spatially partitioned
-    /// into `shards` per-subtree calendar queues (see [`ShardPlan`] for the
-    /// preorder cut and DESIGN.md §14 for the synchronization design).
-    ///
-    /// The report is **bit-identical** to [`Self::run`] at any shard
-    /// count: `shards == 1` *is* the single-queue engine, and the sharded
-    /// merge preserves the global `(time, seq)` order by construction —
-    /// the property `tests/determinism.rs` pins field-for-field on the
-    /// golden presets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn run_sharded(mut self, shards: usize) -> RunReport {
-        assert!(shards > 0, "a run needs at least one shard");
-        if shards > 1 {
-            let plan = ShardPlan::cut(&self.cfg.shape, shards, self.cfg.hop_delay);
-            self.queue = EngineQueue::Sharded {
-                q: ShardedQueue::new(shards),
-                plan,
-            };
-        }
-        self.run()
     }
 
     #[allow(deprecated)]
@@ -1339,7 +1230,10 @@ impl Engine {
         let snap = reg.tick(sample);
         if let Some(MetricsSink(w)) = &mut self.metrics_sink {
             use std::io::Write as _;
-            writeln!(w, "{}", snap.jsonl()).expect("metrics sink write failed");
+            if let Err(e) = writeln!(w, "{}", snap.jsonl()) {
+                self.metrics_sink = None;
+                self.metrics_sink_fault = Some(format!("metrics sink write at {}: {e}", self.now));
+            }
         }
         let next = self.now + reg.interval();
         if next <= SimTime::ZERO + self.horizon {
@@ -3457,6 +3351,7 @@ impl Engine {
             control,
             metrics: self.metrics.map(|m| *m),
             workload_fault: self.workload_fault,
+            metrics_sink_fault: self.metrics_sink_fault,
         }
     }
 }

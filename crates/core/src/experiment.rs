@@ -49,14 +49,6 @@ impl ExperimentSpec {
     pub fn run(self) -> RunReport {
         Engine::new(self.system, self.workload, self.horizon, self.seed).run()
     }
-
-    /// Runs the experiment with the event schedule partitioned into
-    /// `shards` per-subtree calendar queues (see
-    /// [`Engine::run_sharded`]). The report is bit-identical to
-    /// [`Self::run`] at any shard count.
-    pub fn run_sharded(self, shards: usize) -> RunReport {
-        Engine::new(self.system, self.workload, self.horizon, self.seed).run_sharded(shards)
-    }
 }
 
 /// Millibottleneck trains for the Fig. 1 endurance runs: clusters of 2–3
@@ -1186,7 +1178,8 @@ pub const TRACE_REPLAY_FIXTURE: &str = include_str!("../../../fixtures/alibaba_1
 /// CSV so memory stays proportional to the number of *active* requests
 /// rather than the trace length.
 ///
-/// Each task instance becomes one request: [`TraceDemandModel::paper_default`]
+/// Each task instance becomes one request:
+/// [`TraceDemandModel::paper_default`](crate::arrivals::TraceDemandModel::paper_default)
 /// scales the paper's 3-tier demand vector by the task's normalized CPU
 /// request. The trace averages ~290 instances/s — about 25% of the app
 /// tier's capacity — but carries three 2 s submission surges at roughly

@@ -55,7 +55,6 @@ pub mod plan;
 pub mod presets;
 pub mod report;
 pub mod servlet;
-pub mod shard;
 pub mod topology;
 
 pub use analysis::{CtqoClass, CtqoEpisode};

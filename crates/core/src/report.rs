@@ -150,6 +150,12 @@ pub struct RunReport {
     /// error that truncated the arrival stream, or a non-monotone arrival
     /// time). `None` for materialized workloads and clean streams.
     pub workload_fault: Option<String>,
+    /// The first write error of the JSONL sink attached with
+    /// [`Engine::with_metrics_sink`](crate::Engine::with_metrics_sink).
+    /// The sink is dropped at that error; the run and the in-memory
+    /// [`metrics`](Self::metrics) registry carry on unchanged. `None` when
+    /// no sink was attached or every write succeeded.
+    pub metrics_sink_fault: Option<String>,
 }
 
 impl RunReport {

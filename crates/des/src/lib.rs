@@ -35,7 +35,6 @@ pub mod dist;
 pub mod ids;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod time;
 
 /// Convenient re-exports of the items nearly every consumer needs.

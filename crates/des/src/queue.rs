@@ -296,35 +296,6 @@ impl<E> EventQueue<E> {
         false
     }
 
-    /// The timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.active.last() {
-            return Some(e.time);
-        }
-        for b in &self.buckets[(self.cursor + 1).min(NUM_BUCKETS)..] {
-            if !b.is_empty() {
-                return b.iter().map(|e| e.time).min();
-            }
-        }
-        self.overflow.peek().map(|e| e.time)
-    }
-
-    /// The earliest pending `(time, event)` without removing it.
-    ///
-    /// Takes `&mut self` because it may promote the next bucket into the
-    /// active bucket to reach the front entry — semantically transparent, and
-    /// it makes a subsequent [`pop`](Self::pop) O(1). This is the primitive
-    /// the sharded merge in [`crate::shard`] leans on.
-    pub fn peek(&mut self) -> Option<(SimTime, &E)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.active.is_empty() {
-            self.refill_active();
-        }
-        self.active.last().map(|e| (e.time, &e.event))
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -378,24 +349,14 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_millis(1), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(1)));
-        assert_eq!(q.peek(), Some((SimTime::from_millis(1), &())));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn peek_sees_far_future_events() {
+    fn earlier_push_overtakes_a_far_future_event() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(100), 'z');
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(100)));
-        assert_eq!(q.peek(), Some((SimTime::from_secs(100), &'z')));
         q.push(SimTime::from_secs(7), 'a');
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(7)));
-        assert_eq!(q.peek(), Some((SimTime::from_secs(7), &'a')));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(7), 'a')));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(100), 'z')));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -410,9 +371,10 @@ mod tests {
     #[test]
     fn past_pushes_fire_before_pending_future_events() {
         let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(10), "first");
         q.push(SimTime::from_secs(10), "late");
         // Drain into the 10 s bucket, then push something "in the past".
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
+        assert_eq!(q.pop().unwrap().1, "first");
         q.push(SimTime::from_secs(5), "early");
         assert_eq!(q.pop().unwrap().1, "early");
         assert_eq!(q.pop().unwrap().1, "late");

@@ -23,7 +23,8 @@ use crate::LiveError;
 ///
 /// When the spec says `replicas > 1` the builder spawns that many
 /// independent instances — each with its own accept queue, workers and
-/// stall gate — behind a [`ReplicaSet`] running the spec's [`Balancer`].
+/// stall gate — behind a [`ReplicaSet`] running the spec's
+/// [`Balancer`](ntier_core::Balancer).
 #[derive(Debug, Clone)]
 pub struct LiveTier {
     spec: TierSpec,

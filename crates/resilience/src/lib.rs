@@ -8,7 +8,7 @@
 //!
 //! Three parts:
 //!
-//! * [`fault`] — a [`FaultPlan`](fault::FaultPlan): scheduled tier crashes,
+//! * [`fault`] — a [`FaultPlan`]: scheduled tier crashes,
 //!   probabilistic message drops, stuck workers, and added hop latency,
 //!   declared as absolute windows the same way `StallTimeline` declares
 //!   millibottlenecks — plus *gray* faults: per-replica service-rate
@@ -16,7 +16,7 @@
 //!   ([`FaultPlan::gray_degradation`](fault::FaultPlan::gray_degradation)),
 //!   flaky-link loss bursts, and zone-correlated multi-replica windows,
 //!   with structural validation returning a typed
-//!   [`FaultPlanError`](fault::FaultPlanError).
+//!   [`FaultPlanError`].
 //! * [`health`] — passive gray-failure detection: per-replica health
 //!   scoring (latency/error EWMAs plus a phi-accrual failure detector over
 //!   inter-reply gaps) feeding an outlier-ejection policy with peer

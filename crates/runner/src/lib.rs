@@ -7,14 +7,14 @@
 //! embarrassingly parallel — *as long as parallelism cannot perturb
 //! results*.
 //!
-//! Determinism argument: a [`ExperimentSpec`](ntier_core::experiment::ExperimentSpec)
-//! owns every input of its simulation (config, workload, horizon, seed) and
-//! `run()` touches no global state; the engine draws randomness only from
-//! its own seeded RNG. Workers claim specs by atomically incrementing a
-//! shared index — *which* thread runs a spec is racy, but each report is a
-//! pure function of its spec, and reports are written into a slot keyed by
-//! submission index. `run_all(specs, n)` therefore returns bit-identical
-//! reports for every `n`, which `tests/` asserts field-for-field.
+//! Determinism argument: an [`ExperimentSpec`] owns every input of its
+//! simulation (config, workload, horizon, seed) and `run()` touches no
+//! global state; the engine draws randomness only from its own seeded RNG.
+//! Workers claim specs by atomically incrementing a shared index — *which*
+//! thread runs a spec is racy, but each report is a pure function of its
+//! spec, and reports are written into a slot keyed by submission index.
+//! `run_all(specs, n)` therefore returns bit-identical reports for every
+//! `n`, which `tests/` asserts field-for-field.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -91,55 +91,7 @@ pub fn try_run_all(
     specs: Vec<ExperimentSpec>,
     threads: usize,
 ) -> Result<Vec<RunReport>, RunnerError> {
-    try_run_all_sharded(specs, threads, 1)
-}
-
-/// [`run_all`] with each run's event schedule partitioned into `shards`
-/// per-subtree calendar queues (see `Engine::run_sharded`): nested
-/// parallelism, runs × shards. Reports are bit-identical to
-/// [`run_all`] — sharding changes schedule locality, never results.
-///
-/// The caller owns the core budget. [`sharded_threads`] computes the
-/// worker count that keeps `threads × shards` within the host's cores,
-/// the split the shard bench uses.
-///
-/// # Panics
-///
-/// Panics if `threads` or `shards` is zero, or if any experiment panics.
-pub fn run_all_sharded(
-    specs: Vec<ExperimentSpec>,
-    threads: usize,
-    shards: usize,
-) -> Vec<RunReport> {
-    try_run_all_sharded(specs, threads, shards).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Worker-pool size for a sharded sweep that keeps the nested parallelism
-/// budget `threads × shards` within the available cores: at least one
-/// worker, at most `cores / shards`.
-pub fn sharded_threads(shards: usize) -> usize {
-    (default_threads() / shards.max(1)).max(1)
-}
-
-/// [`run_all_sharded`] with worker failures returned as values.
-///
-/// # Errors
-///
-/// Returns [`RunnerError::WorkerPanicked`] when any worker thread panicked,
-/// or [`RunnerError::MissingReport`] when a claimed spec never stored its
-/// report.
-///
-/// # Panics
-///
-/// Panics if `threads` or `shards` is zero — caller bugs, not runtime
-/// failures.
-pub fn try_run_all_sharded(
-    specs: Vec<ExperimentSpec>,
-    threads: usize,
-    shards: usize,
-) -> Result<Vec<RunReport>, RunnerError> {
     assert!(threads > 0, "runner needs at least one worker thread");
-    assert!(shards > 0, "runner needs at least one shard per run");
     let n = specs.len();
     if n == 0 {
         return Ok(Vec::new());
@@ -172,7 +124,7 @@ pub fn try_run_all_sharded(
                 // once); treat it as already-run rather than dying in a
                 // worker, where the panic message is least visible.
                 if let Some(spec) = spec {
-                    let report = spec.run_sharded(shards);
+                    let report = spec.run();
                     *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(report);
                 }
             });
@@ -290,33 +242,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_rejected() {
         let _ = run_all(tiny_specs(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_rejected() {
-        let _ = run_all_sharded(tiny_specs(), 1, 0);
-    }
-
-    #[test]
-    fn shard_count_cannot_change_results() {
-        let flat: Vec<_> = run_all(tiny_specs(), 2).iter().map(fingerprint).collect();
-        for shards in [1, 2, 4] {
-            let sharded: Vec<_> = run_all_sharded(tiny_specs(), sharded_threads(shards), shards)
-                .iter()
-                .map(fingerprint)
-                .collect();
-            assert_eq!(flat, sharded, "results diverged at {shards} shards");
-        }
-    }
-
-    #[test]
-    fn sharded_threads_respects_the_core_budget() {
-        for shards in [1, 2, 4, 8, 64] {
-            let t = sharded_threads(shards);
-            assert!(t >= 1);
-            assert!(t * shards <= default_threads().max(shards));
-        }
     }
 
     #[test]

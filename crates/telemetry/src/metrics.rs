@@ -11,9 +11,8 @@
 //! the registry freezes a [`MetricsSnapshot`].
 //!
 //! Everything in a snapshot is an integer (utilization in ppm), so the
-//! JSONL/CSV bytes are identical across platforms, runner thread counts
-//! and engine shard counts — the same determinism contract the engine's
-//! goldens pin.
+//! JSONL/CSV bytes are identical across platforms and runner thread
+//! counts — the same determinism contract the engine's goldens pin.
 
 use ntier_des::time::{SimDuration, SimTime};
 
@@ -73,8 +72,8 @@ pub struct MetricsSample {
     /// Events handled so far (engine self-metric).
     pub events_handled: u64,
     /// Events ever scheduled; `scheduled - handled` is the calendar
-    /// occupancy, stable across shard counts and hot-path batching where a
-    /// raw queue length is not.
+    /// occupancy, stable under the hot path's equal-time batch pre-pops
+    /// where a raw queue length is not.
     pub events_scheduled: u64,
     /// Live entries in the request slab.
     pub slab_live: u64,
@@ -148,7 +147,7 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// Renders the snapshot as one JSON line (stable field order, integers
-    /// only — byte-identical across platforms and shard counts).
+    /// only — byte-identical across platforms and thread counts).
     pub fn jsonl(&self) -> String {
         use std::fmt::Write;
         let mut s = String::with_capacity(256);

@@ -12,7 +12,7 @@
 //!
 //! Downsampling is pure aggregate arithmetic on window indices, so a ring
 //! fed the same samples in the same order is bit-identical regardless of
-//! horizon, shard count, or wall-clock timing.
+//! horizon or wall-clock timing.
 
 use ntier_des::time::{SimDuration, SimTime};
 use std::collections::VecDeque;

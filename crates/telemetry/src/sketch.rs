@@ -1,13 +1,13 @@
 //! A deterministic, mergeable quantile sketch for latency streams.
 //!
 //! The paper's monitoring method needs latency quantiles continuously —
-//! per control tick, per metrics snapshot, per shard — and the full
+//! per control tick and per metrics snapshot — and the full
 //! [`crate::LatencyHistogram`] answers that only at its 50 ms bucket
 //! resolution while costing O(range) storage. [`QuantileSketch`] is the
 //! streaming replacement: DDSketch-style log-linear buckets over integer
 //! microseconds, a guaranteed relative-error bound, and a `merge` that is
-//! plain counter addition — associative, commutative, and therefore
-//! shard-order-stable, which is what keeps sharded runs bit-identical.
+//! plain counter addition — associative and commutative, so pooled
+//! sketches come out bit-identical whatever order they are merged in.
 //!
 //! # Bucketing
 //!
@@ -163,9 +163,9 @@ impl QuantileSketch {
     }
 
     /// Folds `other` into `self` by bucket-wise counter addition. Merging
-    /// is associative and commutative, so pooling per-shard sketches gives
-    /// the same bytes in any order — the property the sharded-run
-    /// bit-identity tests pin.
+    /// is associative and commutative, so pooling partial sketches gives
+    /// the same bytes in any order (pinned by the merge-order proptest
+    /// below).
     pub fn merge(&mut self, other: &QuantileSketch) {
         if other.counts.len() > self.counts.len() {
             self.counts.resize(other.counts.len(), 0);
@@ -289,19 +289,20 @@ mod tests {
             }
         }
 
-        /// Merge is associative and commutative: any shard split, merged
-        /// in any order, equals the unsharded sketch byte-for-byte.
+        /// Merge is associative and commutative: any split of a stream
+        /// into parts, merged in any order, equals the whole-stream sketch
+        /// byte-for-byte.
         #[test]
-        fn merge_is_shard_order_stable(
+        fn merge_is_order_stable(
             samples in proptest::collection::vec(0u64..60_000_000, 1..300),
-            shards in 1usize..6,
+            split in 1usize..6,
         ) {
             let mut whole = QuantileSketch::new();
             let mut parts: Vec<QuantileSketch> =
-                (0..shards).map(|_| QuantileSketch::new()).collect();
+                (0..split).map(|_| QuantileSketch::new()).collect();
             for (i, &v) in samples.iter().enumerate() {
                 whole.record(us(v));
-                parts[i % shards].record(us(v));
+                parts[i % split].record(us(v));
             }
             // forward merge order
             let mut fwd = QuantileSketch::new();

@@ -14,7 +14,7 @@
 //! sequence of `rng` states it is handed). The engine dedicates one named
 //! rng fork (`"arrival-source"`) to workload pulls and consumes it nowhere
 //! else, so the arrival stream depends only on the run seed — never on
-//! thread count, shard count, or interleaving with other engine draws.
+//! thread count or interleaving with other engine draws.
 //! Two further rules keep sources composable:
 //!
 //! * **Monotone times.** `next_arrival` results must be non-decreasing.

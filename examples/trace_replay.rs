@@ -8,8 +8,8 @@
 //! caller stack converts them into fast failures), then pins three
 //! properties the streaming redesign promises:
 //!
-//! * **determinism** — the report is bit-identical across 1/2/4 engine
-//!   shards and across 1 vs. 8 runner threads;
+//! * **determinism** — the report is bit-identical across reruns and
+//!   across 1 vs. 8 runner threads;
 //! * **bounded memory** — a counting allocator asserts that peak live heap
 //!   stays far below what eagerly materializing one million
 //!   `(SimTime, Plan)` arrivals would need;
@@ -183,19 +183,8 @@ fn main() {
         baseline.vlrt_fraction() * 100.0
     );
 
-    // Determinism: bit-identical across engine shard counts...
-    let base_fp = fingerprint(baseline);
-    for shards in [2usize, 4] {
-        let report = trace_replay(TraceReplayArm::Baseline, seed).run_sharded(shards);
-        assert_eq!(
-            fingerprint(&report),
-            base_fp,
-            "{shards}-shard replay diverged from the serial run"
-        );
-    }
-    println!("shards    1/2/4 bit-identical (fingerprint {base_fp:016x})");
-
-    // ...and across runner thread counts.
+    // Determinism: bit-identical to the run above and across runner
+    // thread counts.
     let specs = || {
         vec![
             trace_replay(TraceReplayArm::Baseline, seed),
@@ -210,8 +199,13 @@ fn main() {
         .iter()
         .map(fingerprint)
         .collect();
+    let base_fp = fingerprint(baseline);
+    assert_eq!(
+        serial[0], base_fp,
+        "runner replay diverged from the direct run"
+    );
     assert_eq!(serial, threaded, "8-thread runner diverged from serial");
-    println!("threads   1/8 bit-identical");
+    println!("threads   1/8 bit-identical (fingerprint {base_fp:016x})");
 
     // Bounded memory: streaming keeps the whole replay far below what an
     // eagerly materialized arrival vector would need.

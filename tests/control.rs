@@ -223,28 +223,6 @@ fn controlled_runs_are_thread_count_invariant() {
     }
 }
 
-/// The shard-invariance half of the same contract: replaying the full
-/// control frontier through 2 or 4 per-subtree calendar queues reproduces
-/// the decision log byte for byte — every actuation fires at the same
-/// instant with the same reason string, because ControllerTick events are
-/// home-routed to shard 0 and merged back in global `(time, stamp)` order.
-#[test]
-fn controlled_runs_are_shard_count_invariant() {
-    let fingerprints = |shards: usize| -> Vec<String> {
-        experiment::control_frontier_sweep(7)
-            .into_iter()
-            .map(|spec| control_fingerprint(&spec.run_sharded(shards)))
-            .collect()
-    };
-    let single = fingerprints(1);
-    for shards in [2usize, 4] {
-        let sharded = fingerprints(shards);
-        for (i, (a, b)) in single.iter().zip(&sharded).enumerate() {
-            assert_eq!(a, b, "controlled arm #{i} diverged at {shards} shards");
-        }
-    }
-}
-
 /// An arbitrary (possibly pathological) autoscaler + governor over a
 /// replicated app tier.
 fn arb_control() -> impl Strategy<Value = ControlConfig> {

@@ -46,7 +46,7 @@ fn fingerprint(r: &ntier_core::RunReport) -> Golden {
     }
 }
 
-fn closed_50_sharded(seed: u64, shards: usize) -> ntier_core::RunReport {
+fn closed_50(seed: u64) -> ntier_core::RunReport {
     let system = Topology::three_tier(
         TierSpec::sync("Web", 4, 2),
         TierSpec::sync("App", 4, 2).with_downstream_pool(2),
@@ -56,11 +56,7 @@ fn closed_50_sharded(seed: u64, shards: usize) -> ntier_core::RunReport {
         spec: ClosedLoopSpec::rubbos(50),
         mix: RequestMix::rubbos_browse(),
     };
-    Engine::new(system, workload, SimDuration::from_secs(20), seed).run_sharded(shards)
-}
-
-fn closed_50(seed: u64) -> ntier_core::RunReport {
-    closed_50_sharded(seed, 1)
+    Engine::new(system, workload, SimDuration::from_secs(20), seed).run()
 }
 
 #[test]
@@ -347,40 +343,6 @@ fn invariance_specs() -> Vec<experiment::ExperimentSpec> {
         specs.push(experiment::fig12_async(c, 11));
     }
     specs
-}
-
-/// The tentpole guarantee of the sharded queue: the shard count is invisible
-/// in the output, field for field, on every committed golden preset. A
-/// sharded run routes events through per-shard calendar queues and merges
-/// them by global `(time, stamp)` order, so the replayed event stream — and
-/// therefore every counter, quantile and per-window series — must be
-/// bit-identical to the single-queue run.
-#[test]
-fn golden_presets_are_shard_count_invariant() {
-    for shards in [2usize, 4] {
-        for seed in [1u64, 7, 42] {
-            assert_eq!(
-                deep_fingerprint(&closed_50(seed)),
-                deep_fingerprint(&closed_50_sharded(seed, shards)),
-                "closed_50 seed {seed} diverged at {shards} shards"
-            );
-        }
-        type PresetFn = fn() -> experiment::ExperimentSpec;
-        let presets: [(&str, PresetFn); 3] = [
-            ("fig3", || experiment::fig3(3)),
-            ("retry_storm", || {
-                experiment::retry_storm(experiment::RetryStormVariant::Naive, 7)
-            }),
-            ("chain_depth", || experiment::chain_depth(5, false, 3)),
-        ];
-        for (name, make) in presets {
-            assert_eq!(
-                deep_fingerprint(&make().run()),
-                deep_fingerprint(&make().run_sharded(shards)),
-                "{name} diverged at {shards} shards"
-            );
-        }
-    }
 }
 
 /// The tentpole guarantee of the parallel runner: the worker-pool size is

@@ -10,7 +10,7 @@
 //!   reads simulation state and reschedules itself.
 //! * **On ⇒ deterministic.** The snapshot stream is part of the replayed
 //!   event order, so it must be bit-identical across runner thread counts
-//!   and engine shard counts, and across repeated runs of the same seed.
+//!   and across repeated runs of the same seed.
 
 #![deny(deprecated)]
 
@@ -153,25 +153,6 @@ fn metrics_plane_never_perturbs_golden_presets() {
     }
 }
 
-/// The snapshot stream is bit-identical across engine shard counts: the
-/// tick rides the replayed event order, which the sharded queue preserves.
-#[test]
-fn metrics_stream_is_shard_count_invariant() {
-    for (name, make) in presets() {
-        let single = metered(make()).run();
-        let base = single.metrics.as_ref().expect("metered").jsonl();
-        assert!(!base.is_empty());
-        for shards in [2usize, 4] {
-            let sharded = metered(make()).run_sharded(shards);
-            assert_eq!(
-                base,
-                sharded.metrics.as_ref().expect("metered").jsonl(),
-                "{name}: metrics stream diverged at {shards} shards"
-            );
-        }
-    }
-}
-
 /// The snapshot stream is bit-identical across runner worker-pool sizes,
 /// and across repeated runs of the same seed.
 #[test]
@@ -228,6 +209,53 @@ fn sink_streams_exactly_the_snapshot_lines() {
     assert!(
         streamed.lines().all(|l| l.starts_with("{\"t_us\":")),
         "every line is one JSON snapshot"
+    );
+}
+
+/// A `Write` sink that accepts `budget` bytes and then fails every write,
+/// like a full disk or a closed pipe.
+struct FailingSink {
+    budget: usize,
+}
+
+impl std::io::Write for FailingSink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.budget == 0 {
+            return Err(std::io::Error::other("sink full"));
+        }
+        let n = buf.len().min(self.budget);
+        self.budget -= n;
+        Ok(n)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A failing sink ends the stream, not the run: the fault is reported, the
+/// registry still holds every snapshot, and the simulation is the one the
+/// unsinked run produced.
+#[test]
+fn failed_sink_write_is_reported_not_fatal() {
+    let spec = metered(closed_50_spec(7));
+    let failing = Engine::new(spec.system, spec.workload, spec.horizon, spec.seed)
+        .with_metrics_sink(Box::new(FailingSink { budget: 1_000 }))
+        .run();
+    let unsinked = metered(closed_50_spec(7)).run();
+    let fault = failing
+        .metrics_sink_fault
+        .as_deref()
+        .expect("fault surfaced");
+    assert!(fault.contains("sink full"), "{fault}");
+    assert!(unsinked.metrics_sink_fault.is_none());
+    assert_eq!(fingerprint(&failing), fingerprint(&unsinked));
+    assert_eq!(failing.events, unsinked.events);
+    let reg = failing.metrics.as_ref().expect("metered");
+    assert!(reg.snapshots().len() >= 19, "one snapshot per 1 s tick");
+    assert_eq!(
+        reg.jsonl(),
+        unsinked.metrics.as_ref().expect("metered").jsonl(),
+        "the registry keeps every snapshot after the sink is dropped"
     );
 }
 

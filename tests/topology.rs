@@ -135,45 +135,52 @@ proptest! {
     }
 }
 
+/// A random replicated root scattering to 2–6 single-tier shard arms at a
+/// random feasible quorum — wider fan-outs than `arb_topology`'s 2–3.
+fn arb_scatter() -> impl Strategy<Value = SystemConfig> {
+    (
+        arb_spec("root"),
+        proptest::collection::vec(arb_spec("shard"), 2..7),
+        1usize..7,
+    )
+        .prop_map(|(root, arms, quorum)| {
+            let quorum = quorum.min(arms.len());
+            Topology::client()
+                .tier(root)
+                .fanout(quorum, arms.into_iter().map(Branch::tier).collect())
+                .build()
+                .expect("randomly built scatters are valid")
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Sharding the event schedule of an arbitrary replicated tree across
-    /// 2–6 per-subtree calendar queues neither loses nor invents requests
-    /// — and in fact reproduces the single-queue report field for field,
-    /// per-replica ledgers included. Shard counts beyond the tier count
-    /// exercise the clamp path.
+    /// Scattering a replicated root across 2–6 random shard arms, at any
+    /// quorum, neither loses nor invents requests.
     #[test]
     fn conservation_over_random_trees_and_shard_counts(
-        system in arb_topology(),
+        system in arb_scatter(),
         batch in 1u64..40,
         demand_us in 100u64..2_000,
-        shards in 2usize..7,
         seed in any::<u64>(),
     ) {
+        let shards = system.shape.len() - 1;
+        prop_assert!((2..7).contains(&shards), "{} shards", shards);
         let demands = vec![SimDuration::from_micros(demand_us); system.shape.len()];
         let plan = Plan::tree_pipeline(&system.shape, &demands);
         let arrivals: Vec<(SimTime, Plan)> = (0..batch)
             .map(|i| (SimTime::from_millis(200 + i * 20), plan.share()))
             .collect();
-        let run = |shards: usize| {
-            Engine::new(
-                system.clone(),
-                Workload::open_plans(arrivals.iter().map(|(t, p)| (*t, p.share())).collect()),
-                SimDuration::from_secs(15),
-                seed,
-            )
-            .run_sharded(shards)
-        };
-        let sharded = run(shards);
-        prop_assert!(sharded.is_conserved(), "{}", sharded.summary());
-        prop_assert_eq!(sharded.injected, batch);
-        prop_assert_eq!(
-            deep_fingerprint(&run(1)),
-            deep_fingerprint(&sharded),
-            "report diverged at {} shards",
-            shards
-        );
+        let report = Engine::new(
+            system,
+            Workload::open_plans(arrivals),
+            SimDuration::from_secs(15),
+            seed,
+        )
+        .run();
+        prop_assert!(report.is_conserved(), "{}", report.summary());
+        prop_assert_eq!(report.injected, batch);
     }
 }
 

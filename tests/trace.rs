@@ -205,31 +205,6 @@ fn traced_runner_is_thread_count_invariant() {
     }
 }
 
-/// Trace logs are also part of the *shard* determinism contract: replaying
-/// a traced run through 2 or 4 per-subtree calendar queues must reproduce
-/// every retained trace's event stream byte for byte, because the merged
-/// `(time, stamp)` order is exactly the single-queue order.
-#[test]
-fn traced_runs_are_shard_count_invariant() {
-    let fingerprints = |shards: usize| -> Vec<String> {
-        traced_fig1_specs()
-            .into_iter()
-            .map(|spec| {
-                let report = spec.run_sharded(shards);
-                trace_fingerprint(report.trace.as_ref().expect("traced spec"))
-            })
-            .collect()
-    };
-    let single = fingerprints(1);
-    for shards in [2usize, 4] {
-        assert_eq!(
-            single,
-            fingerprints(shards),
-            "trace log diverged at {shards} shards"
-        );
-    }
-}
-
 /// A coarse but wide report fingerprint for the observer-effect check.
 fn report_fingerprint(r: &RunReport) -> String {
     use std::fmt::Write;
