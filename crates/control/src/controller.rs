@@ -6,10 +6,9 @@ use crate::observe::Observation;
 use ntier_des::rng::SimRng;
 use ntier_des::time::SimTime;
 
-/// What the host (DES engine or live harness) must actuate after a tick.
+/// What the host (the DES engine) must actuate after a tick.
 ///
-/// Directives are pure data: the controller never touches the plant, so the
-/// same decision logic runs under simulated and wall-clock time.
+/// Directives are pure data: the controller never touches the plant.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Directive {
     /// Provision a replica at `tier`; it must come online after the

@@ -26,8 +26,7 @@
 //! The crate is **pure and clock-agnostic**: [`Controller::tick`] maps an
 //! [`Observation`] to a list of [`Directive`]s and records a [`Decision`]
 //! for every action taken. The DES engine drives it step-synchronously
-//! from a `ControllerTick` event; the live harness drives the identical
-//! type from a wall-clock sampling thread. Determinism rules: the
+//! from a `ControllerTick` event. Determinism rules: the
 //! controller consumes randomness only from the `SimRng` fork handed to
 //! `tick` (the engine forks it as `"control"`), so controlled runs stay
 //! bit-identical across worker-pool sizes.

@@ -1653,6 +1653,9 @@ impl Engine {
             self.pull_next_arrival();
             (req.class, req.plan)
         } else {
+            if self.workload_fault.is_some() {
+                return; // a misfit plan ended the eager stream
+            }
             let (class, plan) = match &self.workload {
                 Workload::Closed { mix, .. } | Workload::Open { mix, .. } => {
                     let s = mix.sample(&mut self.rng_mix);
@@ -1661,8 +1664,11 @@ impl Engine {
                 Workload::OpenPlans { arrivals } => ("custom", arrivals[idx as usize].1.share()),
                 Workload::Source(_) => unreachable!("handled above"),
             };
+            // The same input fault as a misfit streamed plan: end the
+            // stream before this arrival counts as injected.
             if let Err(e) = self.check_plan(&plan) {
-                panic!("{e}");
+                self.workload_fault = Some(format!("arrival at {}: {e}", self.now));
+                return;
             }
             (class, plan)
         };

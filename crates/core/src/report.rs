@@ -146,9 +146,10 @@ pub struct RunReport {
     /// quantile sketch and the bounded-memory ring series — when the run
     /// had the metrics plane enabled (`None` for unmetered runs).
     pub metrics: Option<MetricsRegistry>,
-    /// A fault reported by a streaming workload source (e.g. a trace parse
-    /// error that truncated the arrival stream, or a non-monotone arrival
-    /// time). `None` for materialized workloads and clean streams.
+    /// A fault that truncated the arrival stream: a streaming source's
+    /// report (e.g. a trace parse error), a non-monotone arrival time, or
+    /// a plan — streamed or from [`Workload::open_plans`](crate::Workload::open_plans)
+    /// — that does not fit the system. `None` for clean runs.
     pub workload_fault: Option<String>,
     /// The first write error of the JSONL sink attached with
     /// [`Engine::with_metrics_sink`](crate::Engine::with_metrics_sink).

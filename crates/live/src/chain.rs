@@ -12,7 +12,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ntier_core::{TierKind, TierSpec};
-use ntier_trace::TraceSink;
 
 use crate::stall::StallGate;
 use crate::tier::{AsyncTier, ReplicaSet, SyncTier, Tier};
@@ -126,14 +125,6 @@ impl Built {
         }
     }
 
-    fn retransmits(&self) -> u64 {
-        match self {
-            Built::Sync(t) => t.retransmits(),
-            Built::Async(t) => t.retransmits(),
-            Built::Set { members, .. } => members.iter().map(Built::retransmits).sum(),
-        }
-    }
-
     fn reaped(&self) -> u64 {
         match self {
             Built::Sync(t) => t.reaped(),
@@ -156,7 +147,6 @@ impl Built {
 pub struct ChainBuilder {
     tiers: Vec<LiveTier>,
     rto: Duration,
-    trace: Option<Arc<TraceSink>>,
 }
 
 impl ChainBuilder {
@@ -165,7 +155,6 @@ impl ChainBuilder {
         ChainBuilder {
             tiers: Vec::new(),
             rto,
-            trace: None,
         }
     }
 
@@ -175,32 +164,17 @@ impl ChainBuilder {
         self
     }
 
-    /// Records every tier's enqueue/service/drop/reap events onto `sink`,
-    /// stamped with the tier's front-first index and the replica the
-    /// request landed on — the live mirror of the simulator's per-request
-    /// tracing. Pair with [`crate::harness::fire_burst_traced`] so client
-    /// sends and terminals land in the same sink.
-    pub fn trace(mut self, sink: Arc<TraceSink>) -> Self {
-        self.trace = Some(sink);
-        self
-    }
-
     fn spawn_instance(
         &self,
         tier: &LiveTier,
-        idx: usize,
         replica: usize,
         name: String,
         downstream: Option<Arc<dyn Tier>>,
     ) -> Result<Built, LiveError> {
-        let trace = self
-            .trace
-            .as_ref()
-            .map(|s| (s.clone(), idx as u8, replica as u8));
         Ok(match &tier.spec.kind {
             TierKind::Sync {
                 threads, backlog, ..
-            } => Built::Sync(SyncTier::spawn_traced(
+            } => Built::Sync(SyncTier::spawn(
                 name,
                 *threads,
                 *backlog,
@@ -208,12 +182,11 @@ impl ChainBuilder {
                 tier.gate_for(replica),
                 downstream,
                 self.rto,
-                trace,
             )?),
             TierKind::Async {
                 lite_q_depth,
                 workers,
-            } => Built::Async(AsyncTier::spawn_traced(
+            } => Built::Async(AsyncTier::spawn(
                 name,
                 *lite_q_depth,
                 *workers as usize,
@@ -221,7 +194,6 @@ impl ChainBuilder {
                 tier.gate_for(replica),
                 downstream,
                 self.rto,
-                trace,
             )?),
         })
     }
@@ -240,17 +212,16 @@ impl ChainBuilder {
         assert!(!self.tiers.is_empty(), "a chain needs at least one tier");
         let mut built: Vec<Built> = Vec::with_capacity(self.tiers.len());
         let mut downstream: Option<Arc<dyn Tier>> = None;
-        for (idx, tier) in self.tiers.iter().enumerate().rev() {
+        for tier in self.tiers.iter().rev() {
             let n = tier.spec.replicas.max(1);
             let b = if n == 1 {
-                self.spawn_instance(tier, idx, 0, tier.spec.name.clone(), downstream.take())?
+                self.spawn_instance(tier, 0, tier.spec.name.clone(), downstream.take())?
             } else {
                 let shared_downstream = downstream.take();
                 let mut members = Vec::with_capacity(n);
                 for r in 0..n {
                     members.push(self.spawn_instance(
                         tier,
-                        idx,
                         r,
                         format!("{}#{r}", tier.spec.name),
                         shared_downstream.clone(),
@@ -303,29 +274,6 @@ impl Chain {
             Built::Set { members, .. } => Some(members.iter().map(Built::drops).collect()),
             _ => None,
         }
-    }
-
-    /// Per-tier instantaneous queue depths, front first (replica sets
-    /// report the sum over their members; see [`Chain::replica_depths`]
-    /// for the breakdown). This is the signal the control plane samples.
-    pub fn depths(&self) -> Vec<usize> {
-        self.tiers.iter().map(|t| t.as_tier().depth()).collect()
-    }
-
-    /// Per-replica instantaneous queue depths of tier `idx`, or `None` when
-    /// that tier is a single instance.
-    pub fn replica_depths(&self, idx: usize) -> Option<Vec<usize>> {
-        match &self.tiers[idx] {
-            Built::Set { members, .. } => {
-                Some(members.iter().map(|m| m.as_tier().depth()).collect())
-            }
-            _ => None,
-        }
-    }
-
-    /// Per-tier downstream retransmission counts, front first.
-    pub fn retransmits(&self) -> Vec<u64> {
-        self.tiers.iter().map(Built::retransmits).collect()
     }
 
     /// Per-tier counts of cancelled attempts discarded at dequeue (or

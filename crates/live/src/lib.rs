@@ -54,52 +54,22 @@
 //! abandon it in retransmission limbo) instead of servicing orphans, and
 //! report the reclaimed work via [`chain::Chain::reaped`].
 //!
-//! The closed-loop control plane mirrors the same way: a
-//! [`control::LiveController`] samples a running chain on a wall clock and
-//! feeds the *same pure* [`ntier_control::Controller`] the DES engine
-//! ticks step-synchronously, so decision streams from live and simulated
-//! runs diff directly. Gray-failure detection follows suit: a
-//! [`health::LiveHealth`] feeds the *same pure*
-//! [`ntier_resilience::HealthDetector`] from wall-clock reply/drop
-//! signals, returning ejection verdicts as routing advice.
-//!
-//! The observability plane mirrors too: a [`metrics::MetricsServer`]
-//! serves whatever Prometheus-text exposition the harness renders (e.g.
-//! via [`ntier_telemetry::MetricsSnapshot::prometheus`]) at a loopback
-//! `GET /metrics`, and [`control::LiveController::observe_latency`] feeds
-//! per-tick wall-clock latencies through the *same*
-//! [`ntier_telemetry::QuantileSketch`] the engine's controller reads.
-//!
-//! Per-request tracing mirrors the simulator's span vocabulary on a wall
-//! clock: build the chain with [`chain::ChainBuilder::trace`] and drive it
-//! with [`harness::fire_burst_traced`], both sharing one
-//! [`ntier_trace::TraceSink`]; `sink.log()` then yields the same
-//! [`ntier_trace::TraceLog`] the engine reports, ready for the shared
-//! exporters and root-cause analyzer.
+//! The simulator's control, gray-failure health, metrics and tracing
+//! planes have no wall-clock counterpart here: the testbed keeps a mirror
+//! only while a gated test or example drives it (DESIGN.md §16.5).
 
 pub mod chain;
-pub mod control;
 pub mod harness;
-pub mod health;
-pub mod metrics;
 pub mod policy;
 pub mod stall;
 pub mod tier;
 
 pub use chain::{Chain, ChainBuilder, LiveTier};
-pub use control::{LiveController, LiveCounters};
-pub use harness::{
-    fire_burst, fire_burst_traced, fire_burst_with_policy, BurstOutcome, PolicyOutcome,
-};
-pub use health::LiveHealth;
-pub use metrics::MetricsServer;
+pub use harness::{fire_burst, fire_burst_with_policy, BurstOutcome, PolicyOutcome};
 pub use ntier_core::{Balancer, TierSpec};
-pub use ntier_trace::TraceSink;
 pub use policy::WallClock;
 pub use stall::StallGate;
-pub use tier::{
-    AsyncTier, CancelToken, LiveReply, LiveRequest, ReplicaSet, SyncTier, Tier, TierTrace,
-};
+pub use tier::{AsyncTier, CancelToken, LiveReply, LiveRequest, ReplicaSet, SyncTier, Tier};
 
 /// Errors surfaced by the live testbed instead of aborting the process: a
 /// worker that cannot be spawned or a thread that panicked mid-run becomes a

@@ -6,22 +6,9 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use ntier_core::Balancer;
-use ntier_des::ids::{ReplicaId, TierId};
-use ntier_trace::{TraceEventKind, TraceSink};
 
 use crate::stall::StallGate;
 use crate::LiveError;
-
-/// A shared wall-clock trace recorder plus the `(tier, replica)` coordinate
-/// its events are stamped with. `None` — the default everywhere — records
-/// nothing, so untraced chains pay only an `Option` check per touch point.
-///
-/// Caller-side events (the downstream `SynDrop`/`CancelReap` a worker stamps
-/// from its retransmit loop) use replica 0 for the downstream coordinate:
-/// the caller hands the message to the replica *set* and cannot know which
-/// member the balancer picked — the same simplification the simulator's
-/// caller-side mini-traces make.
-pub type TierTrace = Option<(Arc<TraceSink>, u8, u8)>;
 
 /// A cooperative cancellation flag that travels with a request through the
 /// chain. The client keeps a clone; raising it marks the attempt as a loser.
@@ -121,43 +108,19 @@ fn submit_with_retransmit(
     target: &Arc<dyn Tier>,
     mut req: LiveRequest,
     rto: Duration,
-    retransmits: &AtomicU64,
     reaped: &AtomicU64,
-    trace: &TierTrace,
 ) {
-    let mut drop_no: u8 = 0;
     loop {
         if req.cancel.is_cancelled() {
             // The attempt was abandoned while waiting out an RTO — the live
             // equivalent of reaping from retransmission limbo.
             reaped.fetch_add(1, Ordering::Relaxed);
-            if let Some((sink, tier, replica)) = trace {
-                sink.record(
-                    req.id,
-                    TraceEventKind::CancelReap {
-                        tier: TierId(*tier),
-                        replica: ReplicaId(*replica),
-                    },
-                );
-            }
             return;
         }
         match target.submit(req) {
             Ok(()) => return,
             Err(back) => {
                 req = back;
-                retransmits.fetch_add(1, Ordering::Relaxed);
-                if let Some((sink, tier, replica)) = trace {
-                    sink.record(
-                        req.id,
-                        TraceEventKind::SynDrop {
-                            tier: TierId(*tier),
-                            replica: ReplicaId(*replica),
-                            retransmit_no: drop_no,
-                        },
-                    );
-                }
-                drop_no = drop_no.saturating_add(1);
                 std::thread::sleep(rto);
             }
         }
@@ -171,9 +134,7 @@ pub struct SyncTier {
     name: String,
     input: Sender<LiveRequest>,
     drops: AtomicU64,
-    retransmits: Arc<AtomicU64>,
     reaped: Arc<AtomicU64>,
-    trace: TierTrace,
     handles: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -203,44 +164,15 @@ impl SyncTier {
         downstream: Option<Arc<dyn Tier>>,
         rto: Duration,
     ) -> Result<Arc<SyncTier>, LiveError> {
-        SyncTier::spawn_traced(name, workers, backlog, service, gate, downstream, rto, None)
-    }
-
-    /// [`SyncTier::spawn`] with a trace recorder: the tier stamps
-    /// enqueue/service/reap events for every request onto `trace`'s sink
-    /// under its tier index, and its workers stamp the downstream hop's
-    /// drops (tier index + 1) from the retransmit loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LiveError::Spawn`] when the OS refuses a worker thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_traced(
-        name: impl Into<String>,
-        workers: usize,
-        backlog: usize,
-        service: Duration,
-        gate: StallGate,
-        downstream: Option<Arc<dyn Tier>>,
-        rto: Duration,
-        trace: TierTrace,
-    ) -> Result<Arc<SyncTier>, LiveError> {
         assert!(workers > 0, "a sync tier needs at least one worker");
         let name = name.into();
         let (tx, rx): (Sender<LiveRequest>, Receiver<LiveRequest>) = bounded(workers + backlog);
-        let retransmits = Arc::new(AtomicU64::new(0));
         let reaped = Arc::new(AtomicU64::new(0));
         let tier = Arc::new(SyncTier {
             name: name.clone(),
             input: tx,
             drops: AtomicU64::new(0),
-            retransmits: retransmits.clone(),
             reaped: reaped.clone(),
-            trace: trace.clone(),
             handles: parking_lot::Mutex::new(Vec::new()),
         });
         let mut handles = Vec::with_capacity(workers);
@@ -248,11 +180,7 @@ impl SyncTier {
             let rx = rx.clone();
             let gate = gate.clone();
             let downstream = downstream.clone();
-            let retransmits = retransmits.clone();
             let reaped = reaped.clone();
-            let trace = trace.clone();
-            let downstream_trace: TierTrace =
-                trace.as_ref().map(|(sink, t, _)| (sink.clone(), t + 1, 0));
             let thread_name = format!("{name}-worker-{i}");
             handles.push(
                 std::thread::Builder::new()
@@ -266,38 +194,9 @@ impl SyncTier {
                                 // no reply. Dropping its reply sender
                                 // unwinds any upstream hop blocked on it.
                                 reaped.fetch_add(1, Ordering::Relaxed);
-                                if let Some((sink, t, r)) = &trace {
-                                    sink.record(
-                                        req.id,
-                                        TraceEventKind::CancelReap {
-                                            tier: TierId(*t),
-                                            replica: ReplicaId(*r),
-                                        },
-                                    );
-                                }
                                 continue;
                             }
-                            if let Some((sink, t, r)) = &trace {
-                                sink.record(
-                                    req.id,
-                                    TraceEventKind::ServiceStart {
-                                        tier: TierId(*t),
-                                        replica: ReplicaId(*r),
-                                        visit: 0,
-                                    },
-                                );
-                            }
                             std::thread::sleep(service);
-                            if let Some((sink, t, r)) = &trace {
-                                sink.record(
-                                    req.id,
-                                    TraceEventKind::ServiceEnd {
-                                        tier: TierId(*t),
-                                        replica: ReplicaId(*r),
-                                        visit: 0,
-                                    },
-                                );
-                            }
                             match &downstream {
                                 None => {
                                     let _ = req.reply.send(LiveReply {
@@ -315,14 +214,7 @@ impl SyncTier {
                                         reply: tx,
                                         cancel: req.cancel.clone(),
                                     };
-                                    submit_with_retransmit(
-                                        d,
-                                        fwd,
-                                        rto,
-                                        &retransmits,
-                                        &reaped,
-                                        &downstream_trace,
-                                    );
+                                    submit_with_retransmit(d, fwd, rto, &reaped);
                                     if let Ok(reply) = rx_reply.recv() {
                                         let _ = req.reply.send(reply);
                                     }
@@ -336,11 +228,6 @@ impl SyncTier {
         Ok(tier)
     }
 
-    /// Downstream retransmissions performed by this tier's workers.
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits.load(Ordering::Relaxed)
-    }
-
     /// Takes the worker handles for joining (used by `Chain::shutdown`).
     pub fn take_handles(&self) -> Vec<std::thread::JoinHandle<()>> {
         std::mem::take(&mut self.handles.lock())
@@ -349,20 +236,8 @@ impl SyncTier {
 
 impl Tier for SyncTier {
     fn submit(&self, req: LiveRequest) -> Result<(), LiveRequest> {
-        let id = req.id;
         match self.input.try_send(req) {
-            Ok(()) => {
-                if let Some((sink, t, r)) = &self.trace {
-                    sink.record(
-                        id,
-                        TraceEventKind::Enqueue {
-                            tier: TierId(*t),
-                            replica: ReplicaId(*r),
-                        },
-                    );
-                }
-                Ok(())
-            }
+            Ok(()) => Ok(()),
             Err(TrySendError::Full(r)) | Err(TrySendError::Disconnected(r)) => {
                 self.drops.fetch_add(1, Ordering::Relaxed);
                 Err(r)
@@ -395,9 +270,7 @@ pub struct AsyncTier {
     name: String,
     input: Sender<LiveRequest>,
     drops: AtomicU64,
-    retransmits: Arc<AtomicU64>,
     reaped: Arc<AtomicU64>,
-    trace: TierTrace,
     handles: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -420,43 +293,16 @@ impl AsyncTier {
         downstream: Option<Arc<dyn Tier>>,
         rto: Duration,
     ) -> Result<Arc<AsyncTier>, LiveError> {
-        AsyncTier::spawn_traced(name, lite_q, workers, service, gate, downstream, rto, None)
-    }
-
-    /// [`AsyncTier::spawn`] with a trace recorder; see
-    /// [`SyncTier::spawn_traced`] for the event vocabulary.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LiveError::Spawn`] when the OS refuses a worker thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` or `lite_q` is zero.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_traced(
-        name: impl Into<String>,
-        lite_q: usize,
-        workers: usize,
-        service: Duration,
-        gate: StallGate,
-        downstream: Option<Arc<dyn Tier>>,
-        rto: Duration,
-        trace: TierTrace,
-    ) -> Result<Arc<AsyncTier>, LiveError> {
         assert!(workers > 0, "an async tier needs at least one worker");
         assert!(lite_q > 0, "LiteQDepth must be non-zero");
         let name = name.into();
         let (tx, rx): (Sender<LiveRequest>, Receiver<LiveRequest>) = bounded(lite_q);
-        let retransmits = Arc::new(AtomicU64::new(0));
         let reaped = Arc::new(AtomicU64::new(0));
         let tier = Arc::new(AsyncTier {
             name: name.clone(),
             input: tx,
             drops: AtomicU64::new(0),
-            retransmits: retransmits.clone(),
             reaped: reaped.clone(),
-            trace: trace.clone(),
             handles: parking_lot::Mutex::new(Vec::new()),
         });
         let mut handles = Vec::with_capacity(workers);
@@ -464,11 +310,7 @@ impl AsyncTier {
             let rx = rx.clone();
             let gate = gate.clone();
             let downstream = downstream.clone();
-            let retransmits = retransmits.clone();
             let reaped = reaped.clone();
-            let trace = trace.clone();
-            let downstream_trace: TierTrace =
-                trace.as_ref().map(|(sink, t, _)| (sink.clone(), t + 1, 0));
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("{name}-loop-{i}"))
@@ -477,38 +319,9 @@ impl AsyncTier {
                             gate.wait_if_stalled();
                             if req.cancel.is_cancelled() {
                                 reaped.fetch_add(1, Ordering::Relaxed);
-                                if let Some((sink, t, r)) = &trace {
-                                    sink.record(
-                                        req.id,
-                                        TraceEventKind::CancelReap {
-                                            tier: TierId(*t),
-                                            replica: ReplicaId(*r),
-                                        },
-                                    );
-                                }
                                 continue;
                             }
-                            if let Some((sink, t, r)) = &trace {
-                                sink.record(
-                                    req.id,
-                                    TraceEventKind::ServiceStart {
-                                        tier: TierId(*t),
-                                        replica: ReplicaId(*r),
-                                        visit: 0,
-                                    },
-                                );
-                            }
                             std::thread::sleep(service);
-                            if let Some((sink, t, r)) = &trace {
-                                sink.record(
-                                    req.id,
-                                    TraceEventKind::ServiceEnd {
-                                        tier: TierId(*t),
-                                        replica: ReplicaId(*r),
-                                        visit: 0,
-                                    },
-                                );
-                            }
                             match &downstream {
                                 None => {
                                     let _ = req.reply.send(LiveReply {
@@ -519,14 +332,7 @@ impl AsyncTier {
                                 Some(d) => {
                                     // Continuation: the reply bypasses this
                                     // tier; no worker is held.
-                                    submit_with_retransmit(
-                                        d,
-                                        req,
-                                        rto,
-                                        &retransmits,
-                                        &reaped,
-                                        &downstream_trace,
-                                    );
+                                    submit_with_retransmit(d, req, rto, &reaped);
                                 }
                             }
                         }
@@ -537,11 +343,6 @@ impl AsyncTier {
         Ok(tier)
     }
 
-    /// Downstream retransmissions performed by this tier's workers.
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits.load(Ordering::Relaxed)
-    }
-
     /// Takes the worker handles for joining.
     pub fn take_handles(&self) -> Vec<std::thread::JoinHandle<()>> {
         std::mem::take(&mut self.handles.lock())
@@ -550,20 +351,8 @@ impl AsyncTier {
 
 impl Tier for AsyncTier {
     fn submit(&self, req: LiveRequest) -> Result<(), LiveRequest> {
-        let id = req.id;
         match self.input.try_send(req) {
-            Ok(()) => {
-                if let Some((sink, t, r)) = &self.trace {
-                    sink.record(
-                        id,
-                        TraceEventKind::Enqueue {
-                            tier: TierId(*t),
-                            replica: ReplicaId(*r),
-                        },
-                    );
-                }
-                Ok(())
-            }
+            Ok(()) => Ok(()),
             Err(TrySendError::Full(r)) | Err(TrySendError::Disconnected(r)) => {
                 self.drops.fetch_add(1, Ordering::Relaxed);
                 Err(r)
@@ -795,82 +584,6 @@ mod tests {
         assert!(
             rx.recv_timeout(Duration::from_millis(20)).is_err(),
             "cancelled request must not reply"
-        );
-    }
-
-    #[test]
-    fn traced_tier_records_enqueue_service_and_reap() {
-        use ntier_trace::TerminalClass;
-        let sink = Arc::new(TraceSink::new());
-        let tier = SyncTier::spawn_traced(
-            "t",
-            1,
-            4,
-            Duration::from_millis(10),
-            StallGate::new(),
-            None,
-            Duration::from_millis(50),
-            Some((sink.clone(), 0, 0)),
-        )
-        .expect("spawn tier");
-        let (tx, rx) = unbounded();
-        sink.begin(0, "live");
-        tier.submit(req(0, &tx)).unwrap();
-        sink.begin(1, "live");
-        let doomed = req(1, &tx);
-        doomed.cancel.cancel();
-        tier.submit(doomed).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_secs(2)).unwrap().id, 0);
-        // Give the worker a beat to dequeue and discard the loser.
-        std::thread::sleep(Duration::from_millis(50));
-        sink.end(0, TerminalClass::Completed);
-        sink.end(1, TerminalClass::Cancelled);
-        let log = sink.log();
-        assert_eq!(log.traces.len(), 2);
-        let kinds = |id: u64| -> Vec<TraceEventKind> {
-            log.traces
-                .iter()
-                .find(|t| t.id == id)
-                .expect("trace")
-                .events
-                .iter()
-                .map(|e| e.kind)
-                .collect()
-        };
-        let at = (TierId(0), ReplicaId(0));
-        assert_eq!(
-            kinds(0),
-            vec![
-                TraceEventKind::ClientSend { attempt: 0 },
-                TraceEventKind::Enqueue {
-                    tier: at.0,
-                    replica: at.1
-                },
-                TraceEventKind::ServiceStart {
-                    tier: at.0,
-                    replica: at.1,
-                    visit: 0
-                },
-                TraceEventKind::ServiceEnd {
-                    tier: at.0,
-                    replica: at.1,
-                    visit: 0
-                },
-            ]
-        );
-        assert_eq!(
-            kinds(1),
-            vec![
-                TraceEventKind::ClientSend { attempt: 0 },
-                TraceEventKind::Enqueue {
-                    tier: at.0,
-                    replica: at.1
-                },
-                TraceEventKind::CancelReap {
-                    tier: at.0,
-                    replica: at.1
-                },
-            ]
         );
     }
 

@@ -21,9 +21,8 @@
 //!                   (probes still sick ⇒ back to Ejected)
 //! ```
 //!
-//! Everything is driven by simulation time passed in by the caller, so the
-//! same detector serves the DES engine (`ntier-core`) and the real-thread
-//! testbed (`ntier-live`). The detector draws no randomness of its own; the
+//! Everything is driven by simulation time passed in by the caller (the DES
+//! engine, `ntier-core`). The detector draws no randomness of its own; the
 //! host decides how to route trickle probes to a [`HealthDetector::probe_candidate`].
 //!
 //! Safety properties the ejection policy maintains (see DESIGN.md §15):
@@ -248,11 +247,6 @@ impl HealthDetector {
     /// The policy this detector runs.
     pub fn policy(&self) -> &HealthPolicy {
         &self.policy
-    }
-
-    /// Replica count currently tracked.
-    pub fn replicas(&self) -> usize {
-        self.signals.len()
     }
 
     /// Registers a replica added at runtime (autoscaling); it starts

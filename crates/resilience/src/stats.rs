@@ -1,8 +1,7 @@
 //! Resilience telemetry counters.
 
 /// Counters for one hop (or one tier's admission point). The DES engine
-/// keeps one per tier plus one for the client hop; the live testbed keeps
-/// one per `Tier`.
+/// keeps one per tier plus one for the client hop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
     /// Attempts abandoned by the caller's attempt timeout.

@@ -17,7 +17,7 @@
 //! * [`ring::RingSeries`] — bounded-memory windowed series via tiered
 //!   downsampling (recent 50 ms windows, older collapsed 10:1);
 //! * [`metrics`] — the streaming metrics plane: periodic
-//!   [`metrics::MetricsSnapshot`]s rendered as JSONL/CSV/Prometheus text;
+//!   [`metrics::MetricsSnapshot`]s rendered as JSONL/CSV;
 //! * [`stats`] — summary statistics (means, percentiles);
 //! * [`render`] — ASCII/CSV output used by examples and the bench harness.
 //!

@@ -1,5 +1,5 @@
 //! The streaming metrics plane: periodic engine snapshots with bounded
-//! memory, rendered as JSONL, CSV, or Prometheus text.
+//! memory, rendered as JSONL or CSV.
 //!
 //! The final run report tells you what happened after the run; the
 //! paper's method needs to see queue depth, drops and latency
@@ -230,72 +230,11 @@ impl MetricsSnapshot {
             self.recent_samples
         )
     }
-
-    /// Renders the snapshot in the Prometheus text exposition format —
-    /// what the live testbed's `/metrics` endpoint serves.
-    pub fn prometheus(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::with_capacity(512);
-        let mut gauge = |name: &str, help: &str, v: u64| {
-            let _ = write!(s, "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n");
-        };
-        gauge(
-            "ntier_time_us",
-            "Clock at snapshot, microseconds",
-            self.t_us,
-        );
-        gauge("ntier_events_total", "Events handled", self.events_handled);
-        gauge(
-            "ntier_calendar_occupancy",
-            "Scheduled-but-unhandled events",
-            self.calendar_occupancy,
-        );
-        gauge(
-            "ntier_slab_live",
-            "Live request-slab entries",
-            self.slab_live,
-        );
-        gauge("ntier_injected_total", "Requests injected", self.injected);
-        gauge(
-            "ntier_completed_total",
-            "Requests completed",
-            self.completed,
-        );
-        gauge("ntier_failed_total", "Requests failed", self.failed);
-        gauge("ntier_shed_total", "Requests shed", self.shed);
-        gauge("ntier_drops_total", "Admission drops", self.drops_total);
-        gauge("ntier_retries_total", "Retries launched", self.retries);
-        gauge("ntier_hedges_total", "Hedges launched", self.hedges);
-        gauge("ntier_latency_p50_us", "Run-wide p50 latency", self.p50_us);
-        gauge("ntier_latency_p99_us", "Run-wide p99 latency", self.p99_us);
-        gauge(
-            "ntier_recent_latency_p50_us",
-            "p50 latency over the last interval",
-            self.recent_p50_us,
-        );
-        gauge(
-            "ntier_recent_latency_p99_us",
-            "p99 latency over the last interval",
-            self.recent_p99_us,
-        );
-        for (t, tier) in self.tiers.iter().enumerate() {
-            for (r, rep) in tier.replicas.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "ntier_replica_depth{{tier=\"{t}\",replica=\"{r}\"}} {}\n\
-                     ntier_replica_drops{{tier=\"{t}\",replica=\"{r}\"}} {}\n\
-                     ntier_replica_util_ppm{{tier=\"{t}\",replica=\"{r}\"}} {}\n",
-                    rep.depth, rep.drops, rep.util_ppm
-                );
-            }
-        }
-        s
-    }
 }
 
-/// The streaming accumulator the engine (or the live testbed's wall-clock
-/// mirror) feeds: completion latencies in, periodic snapshots out, memory
-/// O(retained windows) regardless of horizon.
+/// The streaming accumulator the engine feeds: completion latencies in,
+/// periodic snapshots out, memory O(retained windows) regardless of
+/// horizon.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     interval: SimDuration,
@@ -477,17 +416,6 @@ mod tests {
         let header_cols = MetricsSnapshot::CSV_HEADER.split(',').count();
         let row_cols = reg.snapshots()[0].csv_row().split(',').count();
         assert_eq!(header_cols, row_cols);
-    }
-
-    #[test]
-    fn prometheus_text_has_metric_lines() {
-        let mut reg = MetricsRegistry::new(&MetricsConfig::paper_default());
-        reg.record_latency(SimTime::from_millis(10), SimDuration::from_millis(3));
-        let snap = reg.tick(sample_at(1, 10, 1)).clone();
-        let text = snap.prometheus();
-        assert!(text.contains("# TYPE ntier_completed_total gauge"));
-        assert!(text.contains("ntier_completed_total 1"));
-        assert!(text.contains("ntier_replica_depth{tier=\"0\",replica=\"0\"} 2"));
     }
 
     #[test]

@@ -96,12 +96,7 @@ impl QuantileSketch {
 
     /// Records one latency sample.
     pub fn record(&mut self, latency: SimDuration) {
-        self.record_micros(latency.as_micros());
-    }
-
-    /// Records one raw microsecond value (the live testbed's wall-clock
-    /// path, which has no [`SimDuration`]s).
-    pub fn record_micros(&mut self, micros: u64) {
+        let micros = latency.as_micros();
         let k = Self::key(micros);
         if k >= self.counts.len() {
             self.counts.resize((k + 1).min(MAX_KEY + 1), 0);

@@ -1,4 +1,4 @@
-//! The span/event vocabulary shared by the DES engine and the live testbed.
+//! The span/event vocabulary the DES engine records and the analyzer reads.
 //!
 //! A trace is a flat, time-ordered list of [`TraceEvent`]s for one *logical*
 //! request — all hedge attempts and client retries share the trace of the
@@ -13,7 +13,7 @@ use ntier_des::time::{SimDuration, SimTime};
 /// One timestamped occurrence within a request's life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Simulation time (DES) or microseconds since harness start (live).
+    /// Simulation time.
     pub at: SimTime,
     pub kind: TraceEventKind,
 }

@@ -10,8 +10,6 @@
 //!   buffers, post-hoc promotion (VLRT/failed/shed/cancelled always kept,
 //!   fast requests probabilistically sampled), a bounded retained ring,
 //!   and strict zero-allocation no-ops when disabled.
-//! * [`TraceSink`] — the live testbed's wall-clock mirror of the same span
-//!   vocabulary, so DES and live traces diff directly.
 //! * [`RootCause`] — walks VLRT span trees, attributes each 3 s step to a
 //!   concrete (tier, drop-window, retransmit-count), and joins utilization
 //!   series to name the millibottleneck behind the overflow.
@@ -20,7 +18,6 @@
 pub mod analyzer;
 pub mod event;
 pub mod export;
-pub mod sink;
 pub mod tracer;
 
 pub use analyzer::{
@@ -28,5 +25,4 @@ pub use analyzer::{
 };
 pub use event::{RequestTrace, TerminalClass, TraceEvent, TraceEventKind};
 pub use export::{chains_csv, chrome_trace_json, events_csv};
-pub use sink::TraceSink;
 pub use tracer::{TraceConfig, TraceHandle, TraceLog, Tracer, TRACE_NONE};

@@ -265,9 +265,8 @@ impl Tracer {
     }
 
     /// Records the logical request's outcome. First write wins; the engine
-    /// guards this with its own `resolved`/`orphan` flags, but double
-    /// terminal records are tolerated rather than asserted so that live
-    /// mirrors can share the type.
+    /// guards this with its own `resolved`/`orphan` flags, so a double
+    /// terminal record is tolerated rather than asserted.
     #[inline(always)]
     pub fn set_terminal(
         &mut self,

@@ -95,9 +95,11 @@ fn fingerprint(r: &ntier_core::RunReport) -> String {
     s
 }
 
-/// Presets used for the determinism matrix below; each closure yields a
-/// fresh unmetered spec.
-fn presets() -> Vec<(&'static str, fn() -> ExperimentSpec)> {
+/// A named preset whose closure yields a fresh unmetered spec.
+type Preset = (&'static str, fn() -> ExperimentSpec);
+
+/// Presets used for the determinism matrix below.
+fn presets() -> Vec<Preset> {
     vec![
         ("closed_50", || closed_50_spec(7)),
         ("fig3", || experiment::fig3(3)),

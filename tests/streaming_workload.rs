@@ -197,8 +197,7 @@ fn mix_on_wrong_depth_is_a_typed_error() {
         SimDuration::from_secs(1),
         1,
     )
-    .err()
-    .expect("2-tier system cannot take a mix workload");
+    .expect_err("2-tier system cannot take a mix workload");
     assert_eq!(
         err,
         WorkloadError::MixRequiresThreeTier {
@@ -303,6 +302,7 @@ fn mismatched_plan_depth_ends_the_stream_as_a_fault() {
     let mut pairs: Vec<_> = (1..=4).map(|i| arrival(i * 10, &good)).collect();
     pairs.push(arrival(50, &short));
     pairs.extend((6..=9).map(|i| arrival(i * 10, &good)));
+    let eager: Vec<_> = pairs.iter().map(|(t, r)| (*t, r.plan.share())).collect();
     let report = Engine::new(
         small_system(),
         Workload::from_source(VecSource::new(pairs)),
@@ -316,6 +316,20 @@ fn mismatched_plan_depth_ends_the_stream_as_a_fault() {
     assert_eq!(report.injected, 4, "{}", report.summary());
     assert_eq!(report.completed, 4, "{}", report.summary());
     assert!(report.is_conserved(), "{}", report.summary());
+
+    // The eager plan table reports the same misfit the same way instead of
+    // panicking mid-run, and injects none of the later arrivals.
+    let eager = Engine::new(
+        small_system(),
+        Workload::open_plans(eager),
+        SimDuration::from_secs(2),
+        1,
+    )
+    .run();
+    assert_eq!(eager.workload_fault.as_deref(), Some(fault));
+    assert_eq!(eager.injected, 4, "{}", eager.summary());
+    assert_eq!(eager.completed, 4, "{}", eager.summary());
+    assert!(eager.is_conserved(), "{}", eager.summary());
 }
 
 #[test]
