@@ -17,7 +17,6 @@
 //! carry `"mode": "quick"` and skip the baseline comparison, which is only
 //! meaningful at full length.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ntier_core::experiment::{self as exp, ExperimentSpec};
 use ntier_core::RunReport;
 use ntier_des::prelude::*;
@@ -93,7 +92,7 @@ fn best_of(reps: usize, make: impl Fn() -> ExperimentSpec) -> (f64, RunReport) {
     (best, kept.expect("reps >= 1"))
 }
 
-fn measure(c: &mut Criterion) {
+fn main() {
     let quick = quick();
     let reps = if quick { 1 } else { 3 };
     // Wall-clock gates ride on the fig1 measurements, so take more samples
@@ -371,15 +370,4 @@ fn measure(c: &mut Criterion) {
         Ok(()) => println!("(results written to BENCH_engine.json)"),
         Err(e) => eprintln!("(could not write {BENCH_JSON_PATH}: {e})"),
     }
-
-    // Keep a criterion-visible sample so `cargo bench` reports a rate line.
-    let mut g = c.benchmark_group("engine_events");
-    g.sample_size(if quick { 1 } else { 3 });
-    g.bench_function("fig1_7000", |b| {
-        b.iter(|| exp::fig1(7_000, fig1_horizon, 1).run())
-    });
-    g.finish();
 }
-
-criterion_group!(benches, measure);
-criterion_main!(benches);

@@ -1,31 +1,20 @@
-//! Shared helpers for the figure-regeneration harness.
-//!
-//! Each Criterion bench target in `benches/` (and several examples)
-//! reproduces one table or figure from the paper. The experiments themselves
-//! live in `ntier_core::experiment`; this crate hosts the presentation glue:
-//! per-second aggregation of the 50 ms telemetry windows, timeline
-//! rendering, and paper-vs-measured comparison rows.
+//! Figure-timeline rendering shared by the `vm_consolidation` and
+//! `log_flushing` examples: per-second aggregation of the 50 ms telemetry
+//! windows and the paper's three-panel (CPU / queues / VLRT) layout. The
+//! experiments themselves live in `ntier_core::experiment`.
 
-use ntier_core::experiment::{ExperimentSpec, WARMUP};
+use ntier_core::experiment::WARMUP;
 use ntier_core::report::RunReport;
-use ntier_des::time::SimDuration;
 use ntier_telemetry::{render, MONITOR_WINDOW_MS};
 use ntier_telemetry::{CounterSeries, PeakSeries};
 
-/// Runs a figure's spec list on the deterministic parallel runner, one
-/// worker per available core; reports come back in submission order, so
-/// callers can zip them against the labels they built the specs from.
-pub fn run_specs(specs: Vec<ExperimentSpec>) -> Vec<RunReport> {
-    ntier_runner::run_all(specs, ntier_runner::default_threads())
-}
+/// Windows per second of figure time.
+const WINDOWS_PER_SECOND: usize = (1_000 / MONITOR_WINDOW_MS) as usize;
 
 /// Number of 50 ms windows in the warm-up period.
-pub fn warmup_windows() -> usize {
+fn warmup_windows() -> usize {
     (WARMUP.as_millis() / MONITOR_WINDOW_MS) as usize
 }
-
-/// Windows per second of figure time.
-pub const WINDOWS_PER_SECOND: usize = (1_000 / MONITOR_WINDOW_MS) as usize;
 
 /// Figure-time seconds covered by a report (horizon minus warm-up).
 pub fn figure_seconds(report: &RunReport) -> usize {
@@ -33,13 +22,8 @@ pub fn figure_seconds(report: &RunReport) -> usize {
 }
 
 /// Per-second peaks of a per-window value vector, skipping the warm-up.
-pub fn second_peaks(values: &[f64], seconds: usize) -> Vec<f64> {
+fn second_peaks(values: &[f64], seconds: usize) -> Vec<f64> {
     aggregate(values, seconds, f64::max)
-}
-
-/// Per-second sums of a per-window value vector, skipping the warm-up.
-pub fn second_sums(values: &[f64], seconds: usize) -> Vec<f64> {
-    aggregate(values, seconds, |a, b| a + b)
 }
 
 /// Folds each figure second's windows with `f`, starting from zero (the
@@ -57,7 +41,7 @@ fn aggregate<T: Copy + Default>(values: &[T], seconds: usize, f: impl Fn(T, T) -
 }
 
 /// Per-second peak of a gauge series' per-window peaks.
-pub fn series_second_peaks(series: &PeakSeries, seconds: usize) -> Vec<f64> {
+fn series_second_peaks(series: &PeakSeries, seconds: usize) -> Vec<f64> {
     let peaks = aggregate(series.peaks(), seconds, u32::max);
     peaks.into_iter().map(f64::from).collect()
 }
@@ -108,68 +92,12 @@ pub fn print_timeline(report: &RunReport, title: &str) {
     println!("summary: {}", report.summary().replace('\n', "\n         "));
 }
 
-/// One paper-vs-measured comparison row.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// What is being compared.
-    pub metric: String,
-    /// The paper's reported value (free text: "572 req/s").
-    pub paper: String,
-    /// Our measured value.
-    pub measured: String,
-}
-
-impl Row {
-    /// Builds a row.
-    pub fn new(
-        metric: impl Into<String>,
-        paper: impl Into<String>,
-        measured: impl Into<String>,
-    ) -> Self {
-        Row {
-            metric: metric.into(),
-            paper: paper.into(),
-            measured: measured.into(),
-        }
-    }
-}
-
-/// Prints a paper-vs-measured table.
-pub fn print_comparison(figure: &str, rows: &[Row]) {
-    println!("--- {figure}: paper vs. measured ---");
-    let w = rows
-        .iter()
-        .map(|r| r.metric.len())
-        .max()
-        .unwrap_or(6)
-        .max(6);
-    println!("{:<w$}  {:>18}  {:>18}", "metric", "paper", "measured");
-    for r in rows {
-        println!("{:<w$}  {:>18}  {:>18}", r.metric, r.paper, r.measured);
-    }
-}
-
-/// Seconds → `SimDuration` shorthand used by several bench targets.
-pub fn secs(s: u64) -> SimDuration {
-    SimDuration::from_secs(s)
-}
-
-/// Saves the report's CSV bundle under `target/figures/<figure>/` (best
-/// effort: failures are printed, not fatal — bench runs should not die on a
-/// read-only filesystem).
-pub fn save_bundle(report: &RunReport, figure: &str) {
-    let dir = std::path::Path::new("target").join("figures").join(figure);
-    match ntier_core::csv::write_csv_bundle(report, &dir) {
-        Ok(()) => println!("(CSV bundle written to {})", dir.display()),
-        Err(e) => eprintln!("(could not write CSV bundle to {}: {e})", dir.display()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ntier_core::engine::{Engine, Workload};
-    use ntier_core::{presets, SystemConfig, TierSpec, Topology};
+    use ntier_core::{SystemConfig, TierSpec, Topology};
+    use ntier_des::time::SimDuration;
     use ntier_workload::RequestMix;
 
     fn tiny_report() -> RunReport {
@@ -203,29 +131,16 @@ mod tests {
     }
 
     #[test]
-    fn second_sums_and_peaks_behave() {
+    fn second_peaks_skip_the_warmup() {
         let v: Vec<f64> = (0..warmup_windows())
             .map(|_| 99.0)
             .chain((0..40).map(|i| f64::from(i % 4)))
             .collect();
-        let sums = second_sums(&v, 2);
-        let peaks = second_peaks(&v, 2);
-        assert_eq!(sums, vec![30.0, 30.0]);
-        assert_eq!(peaks, vec![3.0, 3.0]);
+        assert_eq!(second_peaks(&v, 2), vec![3.0, 3.0]);
     }
 
     #[test]
-    fn timelines_and_comparisons_print() {
-        let r = tiny_report();
-        print_timeline(&r, "smoke");
-        print_comparison(
-            "smoke",
-            &[Row::new(
-                "throughput",
-                "990 req/s",
-                format!("{:.0} req/s", r.throughput),
-            )],
-        );
-        let _ = presets::sync_three_tier();
+    fn timelines_print() {
+        print_timeline(&tiny_report(), "smoke");
     }
 }

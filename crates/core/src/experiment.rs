@@ -3,9 +3,9 @@
 //! Each `figN_*` function returns an [`ExperimentSpec`] wired exactly like
 //! the corresponding experiment: the same server ladder (NX=0..3), the same
 //! millibottleneck source and timing marks, and a workload calibrated to the
-//! paper's throughput/utilization operating points (see DESIGN.md §6). The
-//! bench harness in `crates/bench` runs these and prints paper-vs-measured
-//! rows; EXPERIMENTS.md records the outcomes.
+//! paper's throughput/utilization operating points (see DESIGN.md §6).
+//! [`claims`] pairs each figure's claims with the preset that backs them;
+//! the claims test asserts them and EXPERIMENTS.md embeds their table.
 
 use ntier_des::prelude::*;
 use ntier_interference::{Colocation, LogFlush, StallSchedule};
@@ -17,6 +17,9 @@ use crate::engine::{Engine, Workload};
 use crate::presets;
 use crate::report::RunReport;
 use crate::topology::{Balancer, Branch, Topology};
+
+mod claims;
+pub use claims::{claims, Band, Claim, Measured, Preset, Source, Unit};
 
 /// Warm-up offset applied to every millibottleneck mark: closed-loop
 /// clients ramp in over one think time (~7 s), so stalls are scheduled
@@ -255,6 +258,28 @@ pub fn fig11(seed: u64) -> ExperimentSpec {
         system,
         workload: rubbos_workload(7_000),
         horizon: SimDuration::from_secs(90),
+        seed,
+    }
+}
+
+/// §V's evaluation arc as one grid: rung `nx` of the NX=0..3 ladder
+/// ([`presets::with_nx`]) with two 1.6 s millibottlenecks at tier
+/// `stall_tier` (1 = app, 2 = db), 32 s at WL 2000. Scaled down from the
+/// figures' WL 7000 so a debug build runs it fast, with stalls long enough
+/// to cross every `MaxSysQDepth`: 286 req/s × 1.6 s ≈ 457 arrivals > 428 ≥
+/// 293 ≥ 278 ≥ 228.
+pub fn nx_ladder(nx: usize, stall_tier: usize, seed: u64) -> ExperimentSpec {
+    let stall = StallSchedule::at_marks(
+        [12u64, 24].map(SimTime::from_secs),
+        SimDuration::from_millis(1_600),
+    );
+    let mut system = presets::with_nx(nx);
+    system.tiers[stall_tier] = system.tiers[stall_tier].clone().with_stalls(stall);
+    ExperimentSpec {
+        name: "nx-ladder",
+        system,
+        workload: rubbos_workload(2_000),
+        horizon: SimDuration::from_secs(32),
         seed,
     }
 }

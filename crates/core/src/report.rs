@@ -177,7 +177,7 @@ impl RunReport {
 
     /// `true` if any mode sits within ±0.5 s of `peak_secs`.
     pub fn has_mode_near(&self, peak_secs: u64) -> bool {
-        let lo = SimDuration::from_millis(peak_secs * 1_000 - 500);
+        let lo = SimDuration::from_millis((peak_secs * 1_000).saturating_sub(500));
         let hi = SimDuration::from_millis(peak_secs * 1_000 + 500);
         self.latency_modes()
             .iter()
@@ -345,4 +345,30 @@ pub struct DropRecord {
     pub replica: ReplicaId,
     /// When it occurred.
     pub at: SimTime,
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::engine::{Engine, Workload};
+    use crate::presets;
+    use ntier_des::time::SimDuration;
+    use ntier_workload::{ClosedLoopSpec, RequestMix};
+
+    #[test]
+    fn sub_second_completions_form_a_mode_near_zero() {
+        let report = Engine::new(
+            presets::sync_three_tier(),
+            Workload::closed(ClosedLoopSpec::rubbos(100), RequestMix::rubbos_browse()),
+            SimDuration::from_secs(10),
+            7,
+        )
+        .run();
+        assert!(report.completed > 0 && report.vlrt_total == 0);
+        assert!(
+            report.has_mode_near(0),
+            "modes {:?}",
+            report.latency_modes()
+        );
+        assert!(!report.has_mode_near(3));
+    }
 }

@@ -19,7 +19,7 @@
 //! * [`metrics`] — the streaming metrics plane: periodic
 //!   [`metrics::MetricsSnapshot`]s rendered as JSONL/CSV;
 //! * [`stats`] — summary statistics (means, percentiles);
-//! * [`render`] — ASCII/CSV output used by examples and the bench harness.
+//! * [`render`] — ASCII/CSV output used by the examples and CSV export.
 //!
 //! Everything here is plain data: no clocks, no threads, no I/O besides the
 //! explicit CSV writers.

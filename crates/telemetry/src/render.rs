@@ -1,6 +1,6 @@
 //! ASCII and CSV rendering for figures.
 //!
-//! The bench harness and examples regenerate each figure as (a) an ASCII
+//! The examples regenerate each figure as (a) an ASCII
 //! chart printed to stdout and (b) a CSV with the underlying series, so
 //! results can be compared against the paper or re-plotted externally.
 

@@ -1,89 +1,25 @@
-//! Internal validation sweep: runs every figure preset and prints the
-//! headline numbers to compare against the paper (used while calibrating;
-//! kept as a fast way to regenerate the EXPERIMENTS.md table).
+//! Runs every preset behind `ntier_core::experiment::claims()` once on the
+//! deterministic parallel runner and prints the claims table — the block
+//! EXPERIMENTS.md embeds between its `claims:begin` and `claims:end`
+//! markers. Exits non-zero if a measured value leaves its band.
 //!
-//! All presets are fanned across the deterministic parallel runner — the
-//! printed numbers are identical to serial runs for every worker count.
+//! ```text
+//! cargo run -q --release --example validate_figures
+//! ```
 
 #![deny(deprecated)]
 
-use ntier_core::analysis;
-use ntier_core::experiment as exp;
-use ntier_des::prelude::*;
+use ntier_core::experiment::Measured;
 use ntier_runner::{default_threads, run_all};
 
 fn main() {
-    let seed = 42;
-
-    let fig1_labels = [("fig1a", 4_000u32), ("fig1b", 7_000), ("fig1c", 8_000)];
-    let fig1_specs = fig1_labels
-        .iter()
-        .map(|&(_, clients)| exp::fig1(clients, SimDuration::from_secs(120), seed))
-        .collect();
-    for ((label, _), r) in fig1_labels
-        .iter()
-        .zip(run_all(fig1_specs, default_threads()))
-    {
-        let modes: Vec<String> = r
-            .latency_modes()
-            .iter()
-            .map(|m| format!("{:.1}s×{}", m.peak.as_secs_f64(), m.count))
-            .collect();
-        println!(
-            "{label}: tput {:.0} req/s, top CPU {:.0}%, drops {}, VLRT {}, modes [{}]",
-            r.throughput,
-            r.highest_mean_util() * 100.0,
-            r.drops_total,
-            r.vlrt_total,
-            modes.join(", ")
-        );
+    let measured = Measured::run(|specs| run_all(specs, default_threads()));
+    print!("{}", measured.table());
+    let failures = measured.failures();
+    for f in &failures {
+        eprintln!("claim out of band: {f}");
     }
-
-    let timeline_presets = [
-        ("fig3 ", exp::fig3(seed)),
-        ("fig5 ", exp::fig5(seed)),
-        ("fig7 ", exp::fig7(seed)),
-        ("nx1my", exp::nx1_mysql_stall(seed)),
-        ("fig8 ", exp::fig8(seed)),
-        ("fig9 ", exp::fig9(seed)),
-        ("fig10", exp::fig10(seed)),
-        ("fig11", exp::fig11(seed)),
-    ];
-    let mut labels = Vec::new();
-    let mut systems = Vec::new();
-    let mut specs = Vec::new();
-    for (label, spec) in timeline_presets {
-        labels.push(label);
-        systems.push(spec.system.clone());
-        specs.push(spec);
-    }
-    for ((label, sys), r) in labels
-        .iter()
-        .zip(&systems)
-        .zip(run_all(specs, default_threads()))
-    {
-        let episodes = analysis::detect(&r, sys, SimDuration::from_secs(1));
-        let (up, down, other) = analysis::drops_by_class(&episodes);
-        let per_tier: Vec<String> = r
-            .tiers
-            .iter()
-            .map(|t| format!("{}:{} (pk {})", t.name, t.drops_total, t.peak_queue))
-            .collect();
-        println!(
-            "{label}: tput {:.0}, drops[{}], up {up} / down {down} / un {other}, VLRT {}, spawns {}",
-            r.throughput,
-            per_tier.join(", "),
-            r.vlrt_total,
-            r.tiers[0].spawns,
-        );
-    }
-
-    let fig12 = run_all(exp::fig12_grid(seed), default_threads());
-    for (i, c) in exp::FIG12_CONCURRENCIES.into_iter().enumerate() {
-        println!(
-            "fig12 @{c}: sync {:.0} req/s, async {:.0} req/s",
-            fig12[2 * i].throughput,
-            fig12[2 * i + 1].throughput
-        );
+    if !failures.is_empty() {
+        std::process::exit(1);
     }
 }

@@ -1,195 +1,73 @@
-//! End-to-end runs of the actual figure presets (paper-scale workloads),
-//! asserting the headline property of each figure. These are the slowest
-//! tests in the suite; each runs one full experiment.
+//! One test per paper figure: runs the presets behind that figure's
+//! entries of `experiment::claims()` and asserts each band and request
+//! conservation. `tests/claims.rs` checks the whole list at once and the
+//! EXPERIMENTS.md table; these name the figure that regressed.
 
 #![deny(deprecated)]
 
-use ntier_repro::core::analysis::{self, CtqoClass};
-use ntier_repro::core::experiment as exp;
-use ntier_repro::des::prelude::*;
+use ntier_repro::core::experiment::Measured;
+use ntier_repro::runner::{default_threads, run_all};
+
+fn check(selectors: &[&str]) {
+    let m = Measured::only(selectors, |specs| run_all(specs, default_threads()));
+    let failures = m.failures();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    for (preset, report) in &m.runs {
+        assert!(report.is_conserved(), "{preset:?}\n{}", report.summary());
+    }
+}
 
 #[test]
 fn fig1a_operating_point_and_multimodality() {
-    let r = exp::fig1(4_000, SimDuration::from_secs(60), 42).run();
-    assert!(
-        (520.0..620.0).contains(&r.throughput),
-        "tput {}",
-        r.throughput
-    );
-    let util = r.highest_mean_util();
-    assert!((0.38..0.50).contains(&util), "util {util}");
-    assert!(r.drops_total > 0, "CTQO must be reproducible at ~43% CPU");
-    assert!(r.has_mode_near(3), "modes {:?}", r.latency_modes());
-    assert!(r.is_conserved());
+    check(&["fig1a.", "fig1b.", "fig1c."]);
 }
 
 #[test]
 fn fig3_upstream_ctqo_with_apache_process_spawn() {
-    let spec = exp::fig3(42);
-    let system = spec.system.clone();
-    let r = spec.run();
-    assert!(r.tiers[0].drops_total > 0, "{}", r.summary());
-    assert_eq!(r.tiers[0].spawns, 1, "second httpd process must spawn");
-    assert_eq!(r.tiers[0].peak_queue, 428, "MaxSysQDepth step 278 -> 428");
-    assert_eq!(r.tiers[2].drops_total, 0, "MySQL shielded by the pool");
-    let episodes = analysis::detect(&r, &system, SimDuration::from_secs(1));
-    let (up, _, _) = analysis::drops_by_class(&episodes);
-    assert!(up > 0);
-}
-
-#[test]
-fn fig5_io_millibottleneck_cascades_to_apache() {
-    let spec = exp::fig5(42);
-    let system = spec.system.clone();
-    let r = spec.run();
-    assert_eq!(system.stalled_tier(), Some(2));
-    assert!(r.tiers[0].drops_total > 0, "{}", r.summary());
-    assert_eq!(r.tiers[2].drops_total, 0);
-    assert!(r.vlrt_total > 0);
-    let episodes = analysis::detect(&r, &system, SimDuration::from_secs(1));
-    assert!(episodes.iter().all(|e| e.class == CtqoClass::Upstream));
-}
-
-#[test]
-fn fig7_nx1_downstream_ctqo_at_tomcat() {
-    let r = exp::fig7(42).run();
-    assert_eq!(r.tiers[0].drops_total, 0, "{}", r.summary());
-    assert!(r.tiers[1].drops_total > 0);
-    assert_eq!(
-        r.tiers[1].peak_queue, 293,
-        "MaxSysQDepth(Tomcat) = 165 + 128"
-    );
-    assert_eq!(r.tiers[2].drops_total, 0);
-}
-
-#[test]
-fn fig8_nx2_downstream_ctqo_at_mysql() {
-    let r = exp::fig8(42).run();
-    assert_eq!(
-        r.tiers[0].drops_total + r.tiers[1].drops_total,
-        0,
-        "{}",
-        r.summary()
-    );
-    assert!(r.tiers[2].drops_total > 0);
-    assert_eq!(
-        r.tiers[2].peak_queue, 228,
-        "MaxSysQDepth(MySQL) = 100 + 128"
-    );
-}
-
-#[test]
-fn fig9_nx2_batch_release_floods_mysql() {
-    let spec = exp::fig9(42);
-    let system = spec.system.clone();
-    let r = spec.run();
-    assert_eq!(system.stalled_tier(), Some(1), "stall is in XTomcat");
-    assert!(r.tiers[2].drops_total > 0, "{}", r.summary());
-    let episodes = analysis::detect(&r, &system, SimDuration::from_secs(1));
-    assert!(episodes.iter().all(|e| e.class == CtqoClass::Downstream));
-}
-
-#[test]
-fn fig10_nx3_absorbs_cpu_millibottlenecks() {
-    let r = exp::fig10(42).run();
-    assert_eq!(r.drops_total, 0, "{}", r.summary());
-    assert_eq!(r.vlrt_total, 0);
-    // queues did grow during stalls, within LiteQDepth
-    assert!(r.tiers[1].peak_queue > 200, "{}", r.summary());
-}
-
-#[test]
-fn fig11_nx3_absorbs_io_millibottlenecks() {
-    let r = exp::fig11(42).run();
-    assert_eq!(r.drops_total, 0, "{}", r.summary());
-    assert_eq!(r.vlrt_total, 0);
-    assert!(r.tiers[2].peak_queue > 200 && r.tiers[2].peak_queue <= 2_000);
-}
-
-#[test]
-fn nx1_mysql_stall_is_upstream_at_tomcat() {
-    let spec = exp::nx1_mysql_stall(42);
-    let system = spec.system.clone();
-    let r = spec.run();
-    assert_eq!(r.tiers[0].drops_total, 0);
-    assert!(r.tiers[1].drops_total > 0, "{}", r.summary());
-    assert_eq!(r.tiers[2].drops_total, 0);
-    let episodes = analysis::detect(&r, &system, SimDuration::from_secs(1));
-    assert!(episodes.iter().all(|e| e.class == CtqoClass::Upstream));
-}
-
-#[test]
-fn fig12_sync_collapses_async_stays_flat() {
-    let sync_lo = exp::fig12_sync(100, 42).run().throughput;
-    let sync_hi = exp::fig12_sync(1_600, 42).run().throughput;
-    let async_lo = exp::fig12_async(100, 42).run().throughput;
-    let async_hi = exp::fig12_async(1_600, 42).run().throughput;
-    // Paper: 1159 -> 374 (≈3.1x collapse); async stays high.
-    let collapse = sync_lo / sync_hi;
-    assert!((2.0..6.0).contains(&collapse), "collapse {collapse:.2}");
-    assert!(
-        async_hi > async_lo * 0.9,
-        "async must stay flat: {async_lo} -> {async_hi}"
-    );
-    assert!(
-        async_hi > sync_hi * 2.0,
-        "async must win at high concurrency"
-    );
-}
-
-#[test]
-fn hedging_frontier_smoke_both_regimes() {
-    // The hedging-frontier arms of examples/hedging_frontier.rs, at the
-    // smoke level: the baseline plant shows the RTO modes, hedging with
-    // cancellation erases most of that tail at the moderate point, and the
-    // un-budgeted no-cancel config is worse than useless at high load.
-    let base = exp::hedging_frontier(
-        exp::HedgingVariant::Baseline,
-        exp::HedgingLoad::Moderate,
-        42,
-    )
-    .run();
-    let hedged = exp::hedging_frontier(
-        exp::HedgingVariant::HedgedCancelling,
-        exp::HedgingLoad::Moderate,
-        42,
-    )
-    .run();
-    assert!(base.has_mode_near(3), "modes {:?}", base.latency_modes());
-    assert!(
-        hedged.vlrt_fraction() < base.vlrt_fraction() / 4.0,
-        "hedged {:.4} vs base {:.4}",
-        hedged.vlrt_fraction(),
-        base.vlrt_fraction()
-    );
-    assert!(
-        hedged.resilience.wasted_work_saved > 0,
-        "{}",
-        hedged.summary()
-    );
-    for r in [&base, &hedged] {
-        assert!(r.is_conserved());
-    }
+    check(&["fig3."]);
 }
 
 #[test]
 fn fig4_narrative_static_requests_also_become_vlrt() {
-    // Fig. 4's point: during upstream CTQO, even static requests — served
-    // entirely by the web tier, never touching the stalled Tomcat — queue
-    // behind blocked threads at Apache and get dropped. The per-class
-    // report makes this directly checkable.
-    let r = exp::fig3(42).run();
-    let staticc = r.class("static").expect("static class present");
-    assert!(staticc.completed > 0);
-    assert!(
-        staticc.vlrt > 0,
-        "static requests must show VLRT during upstream CTQO: {staticc:?}"
-    );
-    assert!(staticc.drops > 0, "{staticc:?}");
-    // ...while in the NX=3 run no class has any VLRT.
-    let r = exp::fig10(42).run();
-    for class in &r.classes {
-        assert_eq!(class.vlrt, 0, "{class:?}");
-        assert_eq!(class.drops, 0, "{class:?}");
-    }
+    check(&["fig4."]);
+}
+
+#[test]
+fn fig5_io_millibottleneck_cascades_to_apache() {
+    check(&["fig5."]);
+}
+
+#[test]
+fn fig7_nx1_downstream_ctqo_at_tomcat() {
+    check(&["fig7."]);
+}
+
+#[test]
+fn nx1_mysql_stall_is_upstream_at_tomcat() {
+    check(&["sec5b."]);
+}
+
+#[test]
+fn fig8_nx2_downstream_ctqo_at_mysql() {
+    check(&["fig8."]);
+}
+
+#[test]
+fn fig9_nx2_batch_release_floods_mysql() {
+    check(&["fig9."]);
+}
+
+#[test]
+fn fig10_nx3_absorbs_cpu_millibottlenecks() {
+    check(&["fig10."]);
+}
+
+#[test]
+fn fig11_nx3_absorbs_io_millibottlenecks() {
+    check(&["fig11."]);
+}
+
+#[test]
+fn fig12_sync_collapses_async_stays_flat() {
+    check(&["fig12."]);
 }

@@ -78,6 +78,32 @@ fn hedged_cancelling_beats_hardened_at_fig1_operating_point() {
     assert_eq!(hardened.resilience.wasted_work_saved, 0);
 }
 
+/// The hedging-frontier arms of `examples/hedging_frontier.rs` on seed 42,
+/// at the smoke level: the baseline plant shows the RTO modes, hedging with
+/// cancellation erases most of that tail at the moderate point and reclaims
+/// the work of the attempts it revokes.
+#[test]
+fn hedging_frontier_smoke_both_regimes() {
+    let base = hedging_frontier(HedgingVariant::Baseline, HedgingLoad::Moderate, 42).run();
+    let hedged =
+        hedging_frontier(HedgingVariant::HedgedCancelling, HedgingLoad::Moderate, 42).run();
+    assert!(base.has_mode_near(3), "modes {:?}", base.latency_modes());
+    assert!(
+        hedged.vlrt_fraction() < base.vlrt_fraction() / 4.0,
+        "hedged {:.4} vs base {:.4}",
+        hedged.vlrt_fraction(),
+        base.vlrt_fraction()
+    );
+    assert!(
+        hedged.resilience.wasted_work_saved > 0,
+        "{}",
+        hedged.summary()
+    );
+    for r in [&base, &hedged] {
+        assert!(r.is_conserved());
+    }
+}
+
 /// The Poloczek & Ciucu flip, seed-pinned at ~88% load: un-budgeted
 /// hedging without cancellation multiplies effective load and *raises* p99
 /// above the no-hedge baseline, while the budgeted + cancelling caller on

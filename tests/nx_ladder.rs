@@ -1,169 +1,67 @@
-//! The paper's §V evaluation arc as assertions: the same millibottlenecks,
-//! four architectures, and the drop site must move exactly as reported.
-//!
-//! Scaled to WL 2000 (≈286 req/s) with proportionally longer stalls so the
-//! debug-build test stays fast while crossing every `MaxSysQDepth`
-//! threshold: 286 req/s × 1.6 s ≈ 457 arrivals > 428 ≥ 293 ≥ 278 ≥ 228.
+//! The paper's §V evaluation arc, one test per rung and stall site: runs
+//! the `experiment::nx_ladder` presets behind the `ladder.*` entries of
+//! `experiment::claims()` and asserts each band and request conservation.
 
 #![deny(deprecated)]
 
-use ntier_repro::core::analysis::{self, CtqoClass};
-use ntier_repro::core::engine::{Engine, Workload};
-use ntier_repro::core::{presets, RunReport, SystemConfig};
-use ntier_repro::des::prelude::*;
-use ntier_repro::interference::StallSchedule;
-use ntier_repro::workload::{ClosedLoopSpec, RequestMix};
+use ntier_repro::core::experiment::Measured;
+use ntier_repro::runner::{default_threads, run_all};
 
-const WL: u32 = 2_000;
-
-fn run(nx: usize, stall_tier: usize) -> (RunReport, SystemConfig) {
-    let stall = StallSchedule::at_marks(
-        [12u64, 24].map(SimTime::from_secs),
-        SimDuration::from_millis(1_600),
-    );
-    let mut system = presets::with_nx(nx);
-    system.tiers[stall_tier] = system.tiers[stall_tier].clone().with_stalls(stall);
-    let report = Engine::new(
-        system.clone(),
-        Workload::Closed {
-            spec: ClosedLoopSpec::rubbos(WL),
-            mix: RequestMix::rubbos_browse(),
-        },
-        SimDuration::from_secs(32),
-        5,
-    )
-    .run();
-    (report, system)
-}
-
-fn drop_tiers(report: &RunReport) -> Vec<usize> {
-    report
-        .tiers
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.drops_total > 0)
-        .map(|(i, _)| i)
-        .collect()
+fn check(selectors: &[&str]) {
+    let m = Measured::only(selectors, |specs| run_all(specs, default_threads()));
+    let failures = m.failures();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    for (preset, report) in &m.runs {
+        assert!(report.is_conserved(), "{preset:?}\n{}", report.summary());
+    }
 }
 
 #[test]
 fn nx0_app_stall_drops_upstream_at_apache() {
-    let (report, system) = run(0, 1);
-    assert!(report.tiers[0].drops_total > 0, "{}", report.summary());
-    let episodes = analysis::detect(&report, &system, SimDuration::from_secs(1));
-    let (up, _, _) = analysis::drops_by_class(&episodes);
-    assert!(up > 0, "expected upstream CTQO\n{}", report.summary());
-    // MySQL is shielded by the 50-connection pool.
-    assert_eq!(report.tiers[2].drops_total, 0);
-    assert!(report.vlrt_total > 0);
+    check(&["ladder.nx0-app."]);
 }
 
 #[test]
 fn nx0_db_stall_cascades_all_the_way_to_apache() {
-    let (report, system) = run(0, 2);
-    assert!(report.tiers[0].drops_total > 0, "{}", report.summary());
-    let episodes = analysis::detect(&report, &system, SimDuration::from_secs(1));
-    assert!(
-        episodes.iter().all(|e| e.class == CtqoClass::Upstream),
-        "{episodes:?}"
-    );
+    check(&["ladder.nx0-db."]);
 }
 
 #[test]
 fn nx1_app_stall_moves_drops_to_tomcat() {
-    let (report, _) = run(1, 1);
-    assert_eq!(
-        report.tiers[0].drops_total,
-        0,
-        "Nginx must not drop\n{}",
-        report.summary()
-    );
-    assert!(report.tiers[1].drops_total > 0, "{}", report.summary());
-    assert_eq!(drop_tiers(&report), vec![1]);
+    check(&["ladder.nx1-app."]);
 }
 
 #[test]
 fn nx1_db_stall_pushes_back_to_tomcat_not_nginx() {
-    let (report, system) = run(1, 2);
-    assert_eq!(report.tiers[0].drops_total, 0, "{}", report.summary());
-    assert!(report.tiers[1].drops_total > 0, "{}", report.summary());
-    assert_eq!(report.tiers[2].drops_total, 0, "pool caps MySQL inflow");
-    let episodes = analysis::detect(&report, &system, SimDuration::from_secs(1));
-    assert!(episodes.iter().all(|e| e.class == CtqoClass::Upstream));
-}
-
-#[test]
-fn nx2_db_stall_drops_at_mysql_downstream() {
-    let (report, system) = run(2, 2);
-    assert_eq!(report.tiers[0].drops_total, 0, "{}", report.summary());
-    assert_eq!(report.tiers[1].drops_total, 0, "{}", report.summary());
-    assert!(report.tiers[2].drops_total > 0, "{}", report.summary());
-    let episodes = analysis::detect(&report, &system, SimDuration::from_secs(1));
-    assert!(episodes.iter().all(|e| e.class == CtqoClass::Downstream));
-    // MySQL queue must have hit MaxSysQDepth(MySQL) = 228 to drop.
-    assert!(report.tiers[2].peak_queue >= 228);
+    check(&["ladder.nx1-db."]);
 }
 
 #[test]
 fn nx2_app_stall_batch_floods_mysql() {
-    let (report, system) = run(2, 1);
-    assert_eq!(report.tiers[0].drops_total, 0, "{}", report.summary());
-    assert_eq!(
-        report.tiers[1].drops_total, 0,
-        "XTomcat buffers in LiteQDepth"
-    );
-    assert!(report.tiers[2].drops_total > 0, "{}", report.summary());
-    let episodes = analysis::detect(&report, &system, SimDuration::from_secs(1));
-    assert!(episodes.iter().all(|e| e.class == CtqoClass::Downstream));
+    check(&["ladder.nx2-app."]);
+}
+
+#[test]
+fn nx2_db_stall_drops_at_mysql_downstream() {
+    check(&["ladder.nx2-db."]);
 }
 
 #[test]
 fn nx3_absorbs_app_stall_with_zero_drops() {
-    let (report, _) = run(3, 1);
-    assert_eq!(report.drops_total, 0, "{}", report.summary());
-    assert_eq!(report.vlrt_total, 0);
-    // the burst was real: queues did grow during the stall
-    assert!(report.tiers[1].peak_queue > 100, "{}", report.summary());
+    check(&["ladder.nx3-app."]);
 }
 
 #[test]
 fn nx3_absorbs_db_stall_with_zero_drops() {
-    let (report, _) = run(3, 2);
-    assert_eq!(report.drops_total, 0, "{}", report.summary());
-    assert_eq!(report.vlrt_total, 0);
-    assert!(report.tiers[2].peak_queue > 100, "{}", report.summary());
-    // ...and stays within XMySQL's wait queue
-    assert!(report.tiers[2].peak_queue <= 2_000);
+    check(&["ladder.nx3-db."]);
 }
 
 #[test]
 fn multimodality_appears_only_with_drops() {
-    let (sync_report, _) = run(0, 1);
-    let (async_report, _) = run(3, 1);
-    assert!(
-        sync_report.latency_modes().len() >= 2,
-        "{:?}",
-        sync_report.latency_modes()
-    );
-    assert_eq!(
-        async_report.latency_modes().len(),
-        1,
-        "{:?}",
-        async_report.latency_modes()
-    );
+    check(&["ladder.nx0-app.modes", "ladder.nx3-app.modes"]);
 }
 
 #[test]
 fn throughput_is_comparable_across_the_ladder() {
-    // Replacing tiers changes *who drops*, not the sustained throughput at
-    // this moderate utilization.
-    let (r0, _) = run(0, 1);
-    let (r3, _) = run(3, 1);
-    let ratio = r0.throughput / r3.throughput;
-    assert!(
-        (0.9..1.1).contains(&ratio),
-        "{} vs {}",
-        r0.throughput,
-        r3.throughput
-    );
+    check(&["ladder.throughput"]);
 }
