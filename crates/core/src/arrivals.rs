@@ -73,12 +73,18 @@ impl<S: ArrivalSource> ArrivalSource for PlanStamped<S> {
 pub struct MixPlans<S> {
     inner: S,
     mix: RequestMix,
+    /// Reused sample, so a draw allocates nothing of its own.
+    sample: SampledRequest,
 }
 
 impl<S> MixPlans<S> {
     /// Compiles one `mix` sample per arrival of `inner`.
     pub fn new(inner: S, mix: RequestMix) -> Self {
-        MixPlans { inner, mix }
+        MixPlans {
+            inner,
+            mix,
+            sample: SampledRequest::default(),
+        }
     }
 }
 
@@ -87,12 +93,12 @@ impl<S: ArrivalSource> ArrivalSource for MixPlans<S> {
 
     fn next_arrival(&mut self, rng: &mut SimRng) -> Option<(SimTime, SourcedRequest)> {
         let (t, _) = self.inner.next_arrival(rng)?;
-        let req = self.mix.sample(rng);
+        self.mix.sample_into(rng, &mut self.sample);
         Some((
             t,
             SourcedRequest {
-                class: req.class,
-                plan: Plan::compile(&req),
+                class: self.sample.class,
+                plan: Plan::compile(&self.sample),
             },
         ))
     }

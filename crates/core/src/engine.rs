@@ -47,7 +47,7 @@
 //! use ntier_core::engine::{Engine, Workload};
 //! use ntier_core::presets;
 //! use ntier_des::prelude::*;
-//! use ntier_workload::{ClosedLoopSpec, RequestMix};
+//! use ntier_workload::{ClosedLoopSpec, RequestMix, SampledRequest};
 //!
 //! let system = presets::sync_three_tier();
 //! let workload = Workload::Closed {
@@ -75,12 +75,12 @@ use ntier_telemetry::{
 };
 use ntier_trace::{TerminalClass, TraceEventKind, TraceHandle, Tracer, TRACE_NONE};
 use ntier_workload::source::ArrivalSource;
-use ntier_workload::{ClosedLoopSpec, RequestMix};
+use ntier_workload::{ClosedLoopSpec, RequestMix, SampledRequest};
 
 use crate::arrivals::SourcedRequest;
 use crate::config::{SystemConfig, TierKind, TierSpec};
 use crate::plan::Plan;
-use crate::report::{ClassReport, DropRecord, ReplicaReport, RunReport, TierReport};
+use crate::report::{ClassReport, DropRecord, EventCounts, ReplicaReport, RunReport, TierReport};
 use crate::topology::Balancer;
 
 /// The workload driving a run.
@@ -340,6 +340,32 @@ enum Event {
     MetricsTick,
 }
 
+impl Event {
+    /// This event's index into [`EventCounts::KINDS`].
+    fn kind(&self) -> usize {
+        match self {
+            Event::ClientSend { .. } => 0,
+            Event::Inject { .. } => 1,
+            Event::Arrival { .. } => 2,
+            Event::SliceDone { .. } => 3,
+            Event::ReplyArrive { .. } => 4,
+            Event::SpawnDone { .. } => 5,
+            Event::ArmReply { .. } => 6,
+            Event::AttemptTimeout { .. } => 7,
+            Event::RetryFire { .. } => 8,
+            Event::FaultBegin { .. } => 9,
+            Event::FaultEnd { .. } => 10,
+            Event::HedgeFire { .. } => 11,
+            Event::LogicalDeadline { .. } => 12,
+            Event::CancelArrive { .. } => 13,
+            Event::ControllerTick => 14,
+            Event::HealthTick => 15,
+            Event::ReplicaReady { .. } => 16,
+            Event::MetricsTick => 17,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     req: ReqId,
@@ -463,23 +489,51 @@ impl DropLog {
     }
 }
 
+/// One attempt's position and holdings at one tier.
+#[derive(Debug, Clone, Copy)]
+struct TierCursor {
+    /// Index of the slice being (or about to be) executed.
+    slice_idx: usize,
+    /// The visit currently active here.
+    active_visit: u16,
+    /// The next visit here to consume when the caller calls down.
+    next_visit: u16,
+    occupying: Occupancy,
+    /// Whether this attempt currently holds a pooled connection here.
+    conn_held: bool,
+    /// When the in-flight message was admitted here (backlog entry or
+    /// visit start) — feeds the AIMD limiter's latency samples.
+    arrived_at: SimTime,
+    /// The replica the balancer chose here for the current in-flight
+    /// message. Kernel SYN retransmits reuse this pin (L4 5-tuple
+    /// affinity); fresh sends and app-level retries re-pick.
+    replica: u8,
+}
+
+impl TierCursor {
+    /// A fresh attempt's cursor: nothing held, nothing visited.
+    const START: TierCursor = TierCursor {
+        slice_idx: 0,
+        active_visit: 0,
+        next_visit: 0,
+        occupying: Occupancy::None,
+        conn_held: false,
+        arrived_at: SimTime::ZERO,
+        replica: 0,
+    };
+}
+
 #[derive(Debug)]
 struct RequestState {
     injected_at: SimTime,
     client: Option<u32>,
     class: &'static str,
     plan: Plan,
-    /// Index of the slice being (or about to be) executed, per tier.
-    slice_idx: Vec<usize>,
-    /// The visit currently active at each tier.
-    active_visit: Vec<u16>,
-    /// The next downstream visit index to consume, per tier.
-    next_visit: Vec<u16>,
+    /// Where this attempt stands at each tier, indexed by tier. Sized once
+    /// when the slot is created and reset with one `fill` on reuse.
+    cursors: Vec<TierCursor>,
     retrans: RetransmitState,
     drops: DropLog,
-    occupying: Vec<Occupancy>,
-    /// Whether this request currently holds a pooled connection at tier i.
-    conn_held: Vec<bool>,
     /// 0-based client attempt index (retries clone the plan with +1).
     attempt: u32,
     /// App-level retries of the current in-flight message (inner-hop caller
@@ -488,13 +542,6 @@ struct RequestState {
     /// Index into `Engine::logicals` when this attempt belongs to a hedged
     /// logical request; [`LOGICAL_NONE`] otherwise.
     logical: u32,
-    /// When the in-flight message was admitted at each tier (backlog entry
-    /// or visit start) — feeds the AIMD limiter's latency samples.
-    arrived_at: Vec<SimTime>,
-    /// The replica the balancer chose at each tier for the current
-    /// in-flight message. Kernel SYN retransmits reuse this pin (L4
-    /// 5-tuple affinity); fresh sends and app-level retries re-pick.
-    replica: Vec<u8>,
     /// `Some(parent)` when this request is one *arm* of `parent`'s
     /// scatter-gather fan-out: it never counts in the run totals, and its
     /// terminal outcome feeds the parent's quorum instead of a client.
@@ -747,7 +794,11 @@ pub struct Engine {
     /// Caller-wide token bucket metering hedge launches.
     hedge_bucket: Option<TokenBucket>,
     events_handled: u64,
+    events_by_kind: EventCounts,
     rng_mix: SimRng,
+    /// The closed/open mixes' reused sample: drawing a request allocates
+    /// nothing once its query buffer has grown to the mix's widest class.
+    sample: SampledRequest,
     rng_clients: SimRng,
     latency: LatencyHistogram,
     vlrt_by_completion: CounterSeries,
@@ -995,7 +1046,9 @@ impl Engine {
             free_logicals: Vec::new(),
             hedge_bucket,
             events_handled: 0,
+            events_by_kind: EventCounts::default(),
             rng_mix: root.fork("mix"),
+            sample: SampledRequest::default(),
             rng_clients: root.fork("clients"),
             latency,
             vlrt_by_completion: CounterSeries::paper_default_for(horizon),
@@ -1157,6 +1210,7 @@ impl Engine {
     }
 
     fn handle(&mut self, ev: Event) {
+        self.events_by_kind.add(ev.kind());
         match ev {
             Event::ClientSend { client } => self.inject(Some(client), 0),
             Event::Inject { idx } => self.inject(None, idx),
@@ -1470,18 +1524,12 @@ impl Engine {
             r.client = client;
             r.class = class;
             r.plan = plan;
-            r.slice_idx.fill(0);
-            r.active_visit.fill(0);
-            r.next_visit.fill(0);
+            r.cursors.fill(TierCursor::START);
             r.retrans = RetransmitState::new();
             r.drops.clear();
-            r.occupying.fill(Occupancy::None);
-            r.conn_held.fill(false);
             r.attempt = attempt;
             r.hop_attempts = 0;
             r.logical = LOGICAL_NONE;
-            r.arrived_at.fill(SimTime::ZERO);
-            r.replica.fill(0);
             r.arm_parent = None;
             r.arm_root = 0;
             r.fan_awaiting = 0;
@@ -1500,18 +1548,12 @@ impl Engine {
                 client,
                 class,
                 plan,
-                slice_idx: vec![0; n],
-                active_visit: vec![0; n],
-                next_visit: vec![0; n],
+                cursors: vec![TierCursor::START; n],
                 retrans: RetransmitState::new(),
                 drops: DropLog::new(),
-                occupying: vec![Occupancy::None; n],
-                conn_held: vec![false; n],
                 attempt,
                 hop_attempts: 0,
                 logical: LOGICAL_NONE,
-                arrived_at: vec![SimTime::ZERO; n],
-                replica: vec![0; n],
                 arm_parent: None,
                 arm_root: 0,
                 fan_awaiting: 0,
@@ -1658,8 +1700,8 @@ impl Engine {
             }
             let (class, plan) = match &self.workload {
                 Workload::Closed { mix, .. } | Workload::Open { mix, .. } => {
-                    let s = mix.sample(&mut self.rng_mix);
-                    (s.class, Plan::compile(&s))
+                    mix.sample_into(&mut self.rng_mix, &mut self.sample);
+                    (self.sample.class, Plan::compile(&self.sample))
                 }
                 Workload::OpenPlans { arrivals } => ("custom", arrivals[idx as usize].1.share()),
                 Workload::Source(_) => unreachable!("handled above"),
@@ -1719,7 +1761,8 @@ impl Engine {
         self.send(id, 0, 0);
     }
 
-    /// Checks that `plan` fits the system: one entry per tier and, on
+    /// Checks that `plan` fits the system: one entry per tier, no more
+    /// visits at a tier than a visit index (`u16`) can count and, on
     /// fan-out topologies, the shape's call structure.
     fn check_plan(&self, plan: &Plan) -> Result<(), String> {
         if plan.depth() != self.tiers.len() {
@@ -1727,6 +1770,13 @@ impl Engine {
                 "plan depth {} does not match the system's {} tiers",
                 plan.depth(),
                 self.tiers.len()
+            ));
+        }
+        if let Some(t) = (0..plan.depth()).find(|&t| plan.visits(t) > usize::from(u16::MAX)) {
+            return Err(format!(
+                "plan makes {} visits at tier {t}; at most {} fit",
+                plan.visits(t),
+                u16::MAX
             ));
         }
         if self.has_fanout {
@@ -1876,8 +1926,9 @@ impl Engine {
             let h = l.trace;
             self.tracer.set_terminal(h, self.now, class, latency);
         }
-        let attempts = self.logicals[lid as usize].attempts.clone();
-        for att in attempts {
+        // Orphaning and chasing leave `attempts` alone, so scan it in place.
+        for k in 0..self.logicals[lid as usize].attempts.len() {
+            let att = self.logicals[lid as usize].attempts[k];
             if let Some(i) = self.live(att) {
                 self.hot[i].orphan = true;
                 if cancel.is_some() {
@@ -1943,7 +1994,7 @@ impl Engine {
     /// generation bump.
     fn reap_attempt(&mut self, req: ReqId, tier: usize) {
         let i = self.live_expect(req);
-        let rep = self.requests[i].replica[tier] as usize;
+        let rep = self.requests[i].cursors[tier].replica as usize;
         self.tracer.record(
             self.requests[i].trace,
             self.now,
@@ -1968,7 +2019,7 @@ impl Engine {
         if let Some(tok) = parked_token {
             let (_, target, _) = self.parked.remove(&tok).expect("token just seen");
             let pool_tier = self.cfg.shape.parent[target].expect("pooled hop has a caller");
-            let pool_rep = self.requests[i].replica[pool_tier] as usize;
+            let pool_rep = self.requests[i].cursors[pool_tier].replica as usize;
             let removed = self.tiers[pool_tier].replicas[pool_rep]
                 .conn_pool
                 .as_mut()
@@ -2087,44 +2138,47 @@ impl Engine {
             };
         }
         // Some replicas are drained, retired or ejected: every policy works
-        // from the same eligibility mask, built once per pick.
-        let mut mask: Vec<bool> = node.replicas.iter().map(Replica::is_eligible).collect();
-        if !mask.iter().any(|&m| m) {
-            // The detector never ejects the last healthy replica, but a
-            // controller drain can race an ejection into an empty mask.
-            // Fresh work then has to go *somewhere*: an ejected-but-active
-            // replica is the least-bad destination (a draining one is on
-            // its way out and would strand the pin).
-            for (r, rep) in node.replicas.iter().enumerate() {
-                mask[r] = rep.life == ReplicaLife::Active;
+        // over the same eligible set, scanned in place in index order.
+        // The detector never ejects the last healthy replica, but a
+        // controller drain can race an ejection into an empty set. Fresh
+        // work then has to go *somewhere*: an ejected-but-active replica is
+        // the least-bad destination (a draining one is on its way out and
+        // would strand the pin).
+        let any_eligible = node.replicas.iter().any(Replica::is_eligible);
+        let ok = move |rep: &Replica| {
+            if any_eligible {
+                rep.is_eligible()
+            } else {
+                rep.life == ReplicaLife::Active
             }
-        }
-        let eligible: Vec<usize> = mask
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m)
-            .map(|(r, _)| r)
-            .collect();
-        debug_assert!(
-            !eligible.is_empty(),
-            "replica 0 is never drained, so at least one replica is active"
-        );
-        if eligible.len() == 1 {
-            return eligible[0] as u8;
+        };
+        let reps = &node.replicas;
+        let eligible = || {
+            reps.iter()
+                .enumerate()
+                .filter(move |(_, rep)| ok(rep))
+                .map(|(r, _)| r)
+        };
+        let first = eligible()
+            .next()
+            .expect("replica 0 is never drained, so at least one replica is active");
+        let m = eligible().count();
+        if m == 1 {
+            return first as u8;
         }
         match self.cfg.tiers[tier].balancer {
             Balancer::RoundRobin => loop {
                 let r = node.rr_next as usize % n;
                 node.rr_next = node.rr_next.wrapping_add(1);
-                if mask[r] {
+                if ok(&node.replicas[r]) {
                     return r as u8;
                 }
             },
             Balancer::LeastOutstanding => {
-                let mut best = eligible[0];
-                let mut best_depth = node.replicas[best].depth();
-                for &r in &eligible[1..] {
-                    let d = node.replicas[r].depth();
+                let mut best = first;
+                let mut best_depth = reps[best].depth();
+                for r in eligible().skip(1) {
+                    let d = reps[r].depth();
                     let take = usize::from(d < best_depth);
                     best = take * r + (1 - take) * best;
                     best_depth = take * d + (1 - take) * best_depth;
@@ -2132,10 +2186,10 @@ impl Engine {
                 best as u8
             }
             Balancer::Jsq => {
-                let mut best = eligible[0];
-                let mut best_len = node.replicas[best].backlog.len();
-                for &r in &eligible[1..] {
-                    let l = node.replicas[r].backlog.len();
+                let mut best = first;
+                let mut best_len = reps[best].backlog.len();
+                for r in eligible().skip(1) {
+                    let l = reps[r].backlog.len();
                     let take = usize::from(l < best_len);
                     best = take * r + (1 - take) * best;
                     best_len = take * l + (1 - take) * best_len;
@@ -2143,12 +2197,12 @@ impl Engine {
                 best as u8
             }
             Balancer::P2c => {
-                let m = eligible.len() as u64;
-                let ai = node.rng.below(m) as usize;
-                let mut bi = node.rng.below(m - 1) as usize;
+                let ai = node.rng.below(m as u64) as usize;
+                let mut bi = node.rng.below(m as u64 - 1) as usize;
                 bi += usize::from(bi >= ai);
-                let (a, b) = (eligible[ai], eligible[bi]);
-                let take = usize::from(node.replicas[b].depth() < node.replicas[a].depth());
+                let pick = |k| eligible().nth(k).expect("k < eligible count");
+                let (a, b) = (pick(ai), pick(bi));
+                let take = usize::from(reps[b].depth() < reps[a].depth());
                 (take * b + (1 - take) * a) as u8
             }
         }
@@ -2157,7 +2211,7 @@ impl Engine {
     /// Resolves the kernel-pinned replica for a SYN retransmit; fails with
     /// [`ReplicaGone`] when the pin outlived the instance.
     fn pinned_replica(&self, i: usize, tier: usize) -> Result<usize, ReplicaGone> {
-        let rep = self.requests[i].replica[tier] as usize;
+        let rep = self.requests[i].cursors[tier].replica as usize;
         if self.tiers[tier].replicas[rep].life == ReplicaLife::Retired {
             Err(ReplicaGone { tier, replica: rep })
         } else {
@@ -2180,13 +2234,13 @@ impl Engine {
                     // closed endpoint and the connection re-balances with a
                     // fresh pin instead of indexing a dead replica.
                     let r = self.pick_replica(tier);
-                    self.requests[i].replica[tier] = r;
+                    self.requests[i].cursors[tier].replica = r;
                     r as usize
                 }
             }
         } else {
             let r = self.pick_replica(tier);
-            self.requests[i].replica[tier] = r;
+            self.requests[i].cursors[tier].replica = r;
             r as usize
         };
         // Injected faults act at the admission point: a crashed tier
@@ -2277,7 +2331,7 @@ impl Engine {
         }
         match admit {
             Admit::Start(occ) => {
-                self.requests[i].occupying[tier] = occ;
+                self.requests[i].cursors[tier].occupying = occ;
                 self.on_admitted(req, tier);
                 self.record_queue(tier, rep);
                 self.begin_visit(req, tier, visit);
@@ -2305,7 +2359,7 @@ impl Engine {
         let i = self.live_expect(req);
         self.requests[i].retrans = RetransmitState::new();
         self.requests[i].hop_attempts = 0;
-        self.requests[i].arrived_at[tier] = self.now;
+        self.requests[i].cursors[tier].arrived_at = self.now;
         if tier > 0 {
             let now = self.now;
             if let Some(br) = self.tiers[tier].hop_breaker.as_mut() {
@@ -2321,19 +2375,20 @@ impl Engine {
             self.now,
             TraceEventKind::ServiceStart {
                 tier: TierId::from(tier),
-                replica: ReplicaId::from(self.requests[i].replica[tier] as usize),
+                replica: ReplicaId::from(self.requests[i].cursors[tier].replica as usize),
                 visit,
             },
         );
-        self.requests[i].slice_idx[tier] = 0;
-        self.requests[i].active_visit[tier] = visit;
+        let c = &mut self.requests[i].cursors[tier];
+        c.slice_idx = 0;
+        c.active_visit = visit;
         self.exec_slice(req, tier, visit, 0);
     }
 
     fn exec_slice(&mut self, req: ReqId, tier: usize, visit: u16, slice: usize) {
         let i = self.live_expect(req);
         let demand = self.requests[i].plan.slices_at(tier, visit as usize)[slice];
-        let rep = self.requests[i].replica[tier] as usize;
+        let rep = self.requests[i].cursors[tier].replica as usize;
         let rt = &mut self.tiers[tier].replicas[rep];
         let active = match &rt.state {
             TierState::Sync(pg) => pg.busy(),
@@ -2372,7 +2427,7 @@ impl Engine {
         let Some(i) = self.live(req) else {
             return;
         };
-        let slice = self.requests[i].slice_idx[tier];
+        let slice = self.requests[i].cursors[tier].slice_idx;
         let total = self.requests[i].plan.slices_at(tier, visit as usize).len();
         if slice + 1 == total {
             self.finish_visit(req, tier, visit);
@@ -2391,9 +2446,10 @@ impl Engine {
             return;
         }
         let target = self.cfg.shape.children[tier][0];
-        let target_visit = self.requests[i].next_visit[target];
-        self.requests[i].next_visit[target] = target_visit + 1;
-        let rep = self.requests[i].replica[tier] as usize;
+        let c = &mut self.requests[i].cursors[target];
+        let target_visit = c.next_visit;
+        c.next_visit += 1;
+        let rep = self.requests[i].cursors[tier].replica as usize;
         if self.tiers[tier].replicas[rep].conn_pool.is_some() {
             let token = self.next_token;
             self.next_token += 1;
@@ -2404,7 +2460,7 @@ impl Engine {
                 .acquire(token);
             match lease {
                 Lease::Granted => {
-                    self.requests[i].conn_held[tier] = true;
+                    self.requests[i].cursors[tier].conn_held = true;
                     self.send(req, target, target_visit);
                 }
                 Lease::Queued => {
@@ -2465,9 +2521,9 @@ impl Engine {
             return;
         }
         let fan = self.requests[i].fan_node as usize;
-        let next = self.requests[i].slice_idx[fan] + 1;
-        self.requests[i].slice_idx[fan] = next;
-        let visit = self.requests[i].active_visit[fan];
+        let c = &mut self.requests[i].cursors[fan];
+        c.slice_idx += 1;
+        let (next, visit) = (c.slice_idx, c.active_visit);
         self.exec_slice(parent, fan, visit, next);
     }
 
@@ -2489,7 +2545,7 @@ impl Engine {
 
     fn finish_visit(&mut self, req: ReqId, tier: usize, visit: u16) {
         let i = self.live_expect(req);
-        let rep = self.requests[i].replica[tier] as usize;
+        let rep = self.requests[i].cursors[tier].replica as usize;
         let released_thread = {
             match &mut self.tiers[tier].replicas[rep].state {
                 TierState::Sync(pg) => {
@@ -2511,20 +2567,24 @@ impl Engine {
                 visit,
             },
         );
-        self.requests[i].occupying[tier] = Occupancy::None;
+        self.requests[i].cursors[tier].occupying = Occupancy::None;
         // A finished visit at the monitored tier is a passive reply signal:
         // residence time (admission → visit done) feeds the detector's
         // latency EWMA and its phi-accrual inter-reply clock.
         if let Some(hr) = self.health.as_mut() {
             if hr.tier == tier {
-                let sample = self.now.saturating_since(self.requests[i].arrived_at[tier]);
+                let sample = self
+                    .now
+                    .saturating_since(self.requests[i].cursors[tier].arrived_at);
                 hr.det.on_reply(rep, self.now, sample);
             }
         }
         // Feed the per-tier residence time (admission → visit done) to the
         // AIMD limiter: congestion shows up as inflated residence.
         if self.tiers[tier].aimd.is_some() {
-            let sample = self.now.saturating_since(self.requests[i].arrived_at[tier]);
+            let sample = self
+                .now
+                .saturating_since(self.requests[i].cursors[tier].arrived_at);
             self.tiers[tier]
                 .aimd
                 .as_mut()
@@ -2568,14 +2628,15 @@ impl Engine {
         };
         // A reply from downstream frees the caller's pooled connection; a
         // parked call (its thread already held) inherits it and fires.
-        if self.requests[i].conn_held[tier] {
-            self.requests[i].conn_held[tier] = false;
-            let rep = self.requests[i].replica[tier] as usize;
+        let c = &mut self.requests[i].cursors[tier];
+        if c.conn_held {
+            c.conn_held = false;
+            let rep = c.replica as usize;
             self.release_conn(tier, rep);
         }
-        let next = self.requests[i].slice_idx[tier] + 1;
-        self.requests[i].slice_idx[tier] = next;
-        let visit = self.requests[i].active_visit[tier];
+        let c = &mut self.requests[i].cursors[tier];
+        c.slice_idx += 1;
+        let (next, visit) = (c.slice_idx, c.active_visit);
         self.exec_slice(req, tier, visit, next);
     }
 
@@ -2593,7 +2654,7 @@ impl Engine {
             // A parked waiter holds its upstream thread, which keeps the
             // request live until the connection arrives.
             let i = self.live_expect(r2);
-            self.requests[i].conn_held[tier] = true;
+            self.requests[i].cursors[tier].conn_held = true;
             self.send(r2, target, visit);
         }
     }
@@ -2620,7 +2681,7 @@ impl Engine {
             // A backlogged request can only leave the backlog through this
             // pop, so its handle is live by construction.
             let i = self.live_expect(p.req);
-            self.requests[i].occupying[tier] = Occupancy::Thread;
+            self.requests[i].cursors[tier].occupying = Occupancy::Thread;
             self.begin_visit(p.req, tier, p.visit);
         }
     }
@@ -3050,19 +3111,19 @@ impl Engine {
         // Node ids are preorder, so the reverse walk still releases
         // downstream holdings before their callers' pooled connections.
         for tier in (0..self.tiers.len()).rev() {
-            let rep = self.requests[i].replica[tier] as usize;
-            if self.requests[i].conn_held[tier] {
-                self.requests[i].conn_held[tier] = false;
+            let rep = self.requests[i].cursors[tier].replica as usize;
+            if self.requests[i].cursors[tier].conn_held {
+                self.requests[i].cursors[tier].conn_held = false;
                 self.release_conn(tier, rep);
             }
-            let occ = self.requests[i].occupying[tier];
+            let occ = self.requests[i].cursors[tier].occupying;
             match occ {
                 Occupancy::Thread => {
                     match &mut self.tiers[tier].replicas[rep].state {
                         TierState::Sync(pg) => pg.release(),
                         TierState::Async(_) => unreachable!("thread occupancy on async tier"),
                     }
-                    self.requests[i].occupying[tier] = Occupancy::None;
+                    self.requests[i].cursors[tier].occupying = Occupancy::None;
                     self.drain_backlog(tier, rep);
                     self.record_queue(tier, rep);
                 }
@@ -3071,7 +3132,7 @@ impl Engine {
                         TierState::Async(el) => el.complete(),
                         TierState::Sync(_) => unreachable!("admission occupancy on sync tier"),
                     }
-                    self.requests[i].occupying[tier] = Occupancy::None;
+                    self.requests[i].cursors[tier].occupying = Occupancy::None;
                     self.record_queue(tier, rep);
                 }
                 Occupancy::None => {}
@@ -3095,17 +3156,16 @@ impl Engine {
         let lid = self.requests[i].logical;
         if lid != LOGICAL_NONE {
             self.logicals[lid as usize].resolved = true;
-            let losers: Vec<ReqId> = self.logicals[lid as usize]
-                .attempts
-                .iter()
-                .copied()
-                .filter(|a| *a != req)
-                .collect();
             let cancel = self.cfg.tiers[0]
                 .caller_policy
                 .as_ref()
                 .and_then(|p| p.cancel);
-            for loser in losers {
+            // Orphaning and chasing leave `attempts` alone, so scan it in place.
+            for k in 0..self.logicals[lid as usize].attempts.len() {
+                let loser = self.logicals[lid as usize].attempts[k];
+                if loser == req {
+                    continue;
+                }
                 if let Some(j) = self.live(loser) {
                     self.hot[j].orphan = true;
                     if cancel.is_some() {
@@ -3335,6 +3395,7 @@ impl Engine {
         RunReport {
             horizon: self.horizon,
             events: self.events_handled,
+            events_by_kind: self.events_by_kind,
             injected: self.injected,
             completed: self.completed,
             failed: self.failed,
@@ -3369,6 +3430,54 @@ mod tests {
     use crate::topology::Topology;
     use ntier_interference::StallSchedule;
     use ntier_workload::BurstSchedule;
+
+    #[test]
+    fn event_kinds_index_their_names() {
+        let req = ReqId { slot: 0, gen: 0 };
+        let every_kind = [
+            Event::ClientSend { client: 0 },
+            Event::Inject { idx: 0 },
+            Event::Arrival {
+                req,
+                tier: 0,
+                visit: 0,
+            },
+            Event::SliceDone {
+                req,
+                tier: 0,
+                visit: 0,
+            },
+            Event::ReplyArrive { req, tier: 0 },
+            Event::SpawnDone {
+                tier: 0,
+                replica: 0,
+            },
+            Event::ArmReply { parent: req },
+            Event::AttemptTimeout { req },
+            Event::RetryFire { ticket: 0 },
+            Event::FaultBegin { idx: 0 },
+            Event::FaultEnd { idx: 0 },
+            Event::HedgeFire {
+                logical: 0,
+                lgen: 0,
+            },
+            Event::LogicalDeadline {
+                logical: 0,
+                lgen: 0,
+            },
+            Event::CancelArrive { req, tier: 0 },
+            Event::ControllerTick,
+            Event::HealthTick,
+            Event::ReplicaReady { tier: 0 },
+            Event::MetricsTick,
+        ];
+        assert_eq!(every_kind.len(), EventCounts::KINDS.len());
+        for ev in every_kind {
+            let debug = format!("{ev:?}");
+            let variant = debug.split(' ').next().expect("non-empty");
+            assert_eq!(EventCounts::KINDS[ev.kind()], variant);
+        }
+    }
 
     fn tiny_sync_system() -> SystemConfig {
         Topology::three_tier(

@@ -67,5 +67,5 @@ pub use config::{SystemConfig, TierKind, TierSpec};
 pub use engine::{Engine, ReplicaGone, Workload, WorkloadError, WorkloadSource};
 pub use experiment::ExperimentSpec;
 pub use plan::Plan;
-pub use report::{ReplicaReport, RunReport, TierReport};
+pub use report::{EventCounts, ReplicaReport, RunReport, TierReport};
 pub use topology::{Balancer, Branch, Topology, TopologyBuilder, TopologyError, TopologyShape};

@@ -20,7 +20,28 @@
 //!
 //! Arbitrary-depth chains are built with [`Plan::pipeline`] or
 //! [`Plan::from_tier_plans`].
+//!
+//! # Buffer layout
+//!
+//! A plan is one immutable `[SimDuration]` buffer behind a single [`Arc`],
+//! written front to back by one encoder, so building a plan is exactly one
+//! heap allocation and sharing it is a reference-count bump. With `n`
+//! tiers and `V` visits in all, the words are:
+//!
+//! | words | meaning |
+//! |---|---|
+//! | `0` | the depth `n` |
+//! | `1 ..= n + 1` | visit table: tier `t` owns global visits `w[1 + t] .. w[2 + t]` |
+//! | `n + 2 ..= n + 2 + V` | slice table: global visit `g` owns words `w[n + 2 + g] .. w[n + 3 + g]` |
+//! | the rest | every visit's slices, tier by tier, visit by visit |
+//!
+//! Table words hold plain counts and indexes in the microsecond field, so
+//! [`Plan::slices_at`] lends a slice straight out of the same buffer.
+//! The encoding is canonical: two plans are equal exactly when their
+//! tiers, visits and slices are.
 
+use std::fmt;
+use std::iter;
 use std::sync::Arc;
 
 use ntier_des::time::SimDuration;
@@ -34,7 +55,8 @@ pub const APP_PRE_QUERY_FRACTION: f64 = 0.05;
 /// Fraction of the web demand spent before forwarding a dynamic request.
 pub const WEB_PRE_FORWARD_FRACTION: f64 = 0.7;
 
-/// The visits one request makes at one tier.
+/// The visits one request makes at one tier: the nested input form that
+/// [`Plan::from_tier_plans`] encodes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TierPlan {
     /// `visits[v]` is the slice list of visit `v`, in arrival order.
@@ -63,26 +85,100 @@ impl TierPlan {
     pub fn calls(&self) -> usize {
         self.visits.iter().map(|v| v.len() - 1).sum()
     }
-
-    /// Total CPU demand at this tier.
-    pub fn demand(&self) -> SimDuration {
-        self.visits
-            .iter()
-            .flatten()
-            .fold(SimDuration::ZERO, |a, b| a + *b)
-    }
 }
 
 /// The compiled execution plan of one request across the whole chain.
 ///
-/// The tier list is behind an [`Arc`], so cloning a plan (retries, open-plan
-/// arrival tables) is a reference-count bump rather than a deep copy.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One buffer behind an [`Arc`] (see the [module docs](self) for the
+/// layout): cloning a plan (retries, open-plan arrival tables) is a
+/// reference-count bump rather than a deep copy.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Plan {
-    tiers: Arc<[TierPlan]>,
+    buf: Arc<[SimDuration]>,
+}
+
+/// A table word: a count or buffer index stored in a slot's microseconds.
+fn word(k: usize) -> SimDuration {
+    SimDuration::from_micros(k as u64)
+}
+
+/// Splits `d` into two halves around a call point, the odd microsecond
+/// going to the second half.
+fn halves(d: SimDuration) -> [SimDuration; 2] {
+    let half = SimDuration::from_micros(d.as_micros() / 2);
+    [half, d - half]
+}
+
+/// Fills a freshly allocated plan buffer front to back; see
+/// [`Plan::encode`].
+struct Writer<'a> {
+    buf: &'a mut [SimDuration],
+    depth: usize,
+    tiers: usize,
+    visits: usize,
+    next_slice: usize,
+}
+
+impl Writer<'_> {
+    /// Starts the next tier; the visits that follow belong to it.
+    fn tier(&mut self) {
+        self.buf[1 + self.tiers] = word(self.visits);
+        self.tiers += 1;
+    }
+
+    /// Starts the next visit of the current tier with `slices`.
+    fn visit(&mut self, slices: impl IntoIterator<Item = SimDuration>) {
+        self.buf[self.depth + 2 + self.visits] = word(self.next_slice);
+        self.visits += 1;
+        for s in slices {
+            self.buf[self.next_slice] = s;
+            self.next_slice += 1;
+        }
+    }
 }
 
 impl Plan {
+    /// The one encoder behind every constructor: sizes the buffer for
+    /// `depth` tiers, `visits` visits and `slices` slices, allocates it
+    /// once, and lets `write` fill it tier by tier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `write` does not produce exactly the declared counts.
+    fn encode(depth: usize, visits: usize, slices: usize, write: impl FnOnce(&mut Writer)) -> Plan {
+        let header = depth + visits + 3;
+        // `repeat_n` has an exact length, so the collect sizes the `Arc`
+        // allocation up front instead of staging through a `Vec`.
+        let mut buf: Arc<[SimDuration]> =
+            iter::repeat_n(SimDuration::ZERO, header + slices).collect();
+        let b = Arc::get_mut(&mut buf).expect("a fresh buffer is unshared");
+        b[0] = word(depth);
+        let mut w = Writer {
+            buf: b,
+            depth,
+            tiers: 0,
+            visits: 0,
+            next_slice: header,
+        };
+        write(&mut w);
+        assert!(
+            w.tiers == depth && w.visits == visits && w.next_slice == header + slices,
+            "plan encoder wrote {} tiers, {} visits, {} slices; declared {depth}, {visits}, {slices}",
+            w.tiers,
+            w.visits,
+            w.next_slice - header
+        );
+        w.buf[1 + depth] = word(visits);
+        w.buf[header - 1] = word(header + slices);
+        Plan { buf }
+    }
+
+    /// Table word `k` as an index.
+    #[inline]
+    fn at(&self, k: usize) -> usize {
+        self.buf[k].as_micros() as usize
+    }
+
     /// Builds a plan from per-tier visit lists, validating the chain
     /// invariant: the number of calls issued from tier `i` equals the
     /// number of visits at tier `i+1`, and tier 0 is visited exactly once.
@@ -106,57 +202,61 @@ impl Plan {
             0,
             "the last tier cannot call further downstream"
         );
-        Plan {
-            tiers: tiers.into(),
-        }
+        let visits = tiers.iter().map(|t| t.visits.len()).sum();
+        let slices = tiers.iter().flat_map(|t| &t.visits).map(Vec::len).sum();
+        Plan::encode(tiers.len(), visits, slices, |w| {
+            for t in &tiers {
+                w.tier();
+                for v in &t.visits {
+                    w.visit(v.iter().copied());
+                }
+            }
+        })
     }
 
     /// Compiles a RUBBoS-style sampled request into a 3-tier plan.
     pub fn compile(req: &SampledRequest) -> Plan {
         match req.kind {
-            RequestKind::Static => Plan {
-                tiers: Arc::from(vec![
-                    TierPlan::single(vec![req.web_demand]),
-                    TierPlan::skipped(),
-                    TierPlan::skipped(),
-                ]),
-            },
+            RequestKind::Static => Plan::encode(3, 1, 1, |w| {
+                w.tier();
+                w.visit([req.web_demand]);
+                w.tier();
+                w.tier();
+            }),
             RequestKind::Dynamic => {
                 let web_us = req.web_demand.as_micros();
                 let pre_web = (web_us as f64 * WEB_PRE_FORWARD_FRACTION).round() as u64;
-                let web = TierPlan::single(vec![
+                let web = [
                     SimDuration::from_micros(pre_web),
                     SimDuration::from_micros(web_us - pre_web),
-                ]);
+                ];
                 let queries = req.db_demands.len();
                 let app_us = req.app_demand.as_micros();
-                let mut app_slices = Vec::with_capacity(queries + 1);
-                if queries == 0 {
-                    app_slices.push(req.app_demand);
-                } else {
-                    let pre = (app_us as f64 * APP_PRE_QUERY_FRACTION).round() as u64;
-                    app_slices.push(SimDuration::from_micros(pre));
-                    let rest = app_us - pre;
-                    let per = rest / queries as u64;
-                    for i in 0..queries {
+                let app_slices = if queries == 0 { 1 } else { queries + 1 };
+                Plan::encode(3, 2 + queries, 2 + app_slices + queries, |w| {
+                    w.tier();
+                    w.visit(web);
+                    w.tier();
+                    if queries == 0 {
+                        w.visit([req.app_demand]);
+                    } else {
+                        let pre = (app_us as f64 * APP_PRE_QUERY_FRACTION).round() as u64;
+                        let rest = app_us - pre;
+                        let per = rest / queries as u64;
                         // give the remainder to the last slice
-                        let d = if i == queries - 1 {
-                            rest - per * (queries as u64 - 1)
-                        } else {
-                            per
-                        };
-                        app_slices.push(SimDuration::from_micros(d));
+                        let last = rest - per * (queries as u64 - 1);
+                        w.visit(
+                            iter::once(pre)
+                                .chain(iter::repeat_n(per, queries - 1))
+                                .chain(iter::once(last))
+                                .map(SimDuration::from_micros),
+                        );
                     }
-                }
-                Plan {
-                    tiers: Arc::from(vec![
-                        web,
-                        TierPlan::single(app_slices),
-                        TierPlan {
-                            visits: req.db_demands.iter().map(|d| vec![*d]).collect(),
-                        },
-                    ]),
-                }
+                    w.tier();
+                    for d in &req.db_demands {
+                        w.visit([*d]);
+                    }
+                })
             }
         }
     }
@@ -170,19 +270,16 @@ impl Plan {
     pub fn pipeline(demands: &[SimDuration]) -> Plan {
         assert!(!demands.is_empty(), "a pipeline needs at least one tier");
         let n = demands.len();
-        let tiers = demands
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
+        Plan::encode(n, n, 2 * n - 1, |w| {
+            for (i, d) in demands.iter().enumerate() {
+                w.tier();
                 if i == n - 1 {
-                    TierPlan::single(vec![*d])
+                    w.visit([*d]);
                 } else {
-                    let half = SimDuration::from_micros(d.as_micros() / 2);
-                    TierPlan::single(vec![half, *d - half])
+                    w.visit(halves(*d));
                 }
-            })
-            .collect();
-        Plan { tiers }
+            }
+        })
     }
 
     /// A plan spanning an arbitrary tree [`TopologyShape`]: every node runs
@@ -202,19 +299,18 @@ impl Plan {
             shape.len(),
             "one demand per topology node required"
         );
-        let tiers = demands
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
+        let n = demands.len();
+        let callers = shape.children.iter().filter(|c| !c.is_empty()).count();
+        Plan::encode(n, n, n + callers, |w| {
+            for (i, d) in demands.iter().enumerate() {
+                w.tier();
                 if shape.children[i].is_empty() {
-                    TierPlan::single(vec![*d])
+                    w.visit([*d]);
                 } else {
-                    let half = SimDuration::from_micros(d.as_micros() / 2);
-                    TierPlan::single(vec![half, *d - half])
+                    w.visit(halves(*d));
                 }
-            })
-            .collect();
-        Plan { tiers }
+            }
+        })
     }
 
     /// Validates this plan against a call-graph shape: the root is visited
@@ -224,19 +320,19 @@ impl Plan {
     /// visits); leaves call no further. Chains reduce to the
     /// [`Plan::from_tier_plans`] invariant.
     pub fn matches_shape(&self, shape: &TopologyShape) -> Result<(), String> {
-        if self.tiers.len() != shape.len() {
+        if self.depth() != shape.len() {
             return Err(format!(
                 "plan depth {} does not match the topology's {} nodes",
-                self.tiers.len(),
+                self.depth(),
                 shape.len()
             ));
         }
-        if self.tiers[0].visits.len() != 1 {
+        if self.visits(0) != 1 {
             return Err("the root node must be visited exactly once".into());
         }
-        for i in 0..self.tiers.len() {
+        for i in 0..self.depth() {
             let kids = &shape.children[i];
-            let calls = self.tiers[i].calls();
+            let calls = self.calls_from(i);
             match kids.len() {
                 0 => {
                     if calls != 0 {
@@ -244,7 +340,7 @@ impl Plan {
                     }
                 }
                 1 => {
-                    let visits = self.tiers[kids[0]].visits.len();
+                    let visits = self.visits(kids[0]);
                     if calls != visits {
                         return Err(format!(
                             "node {i} issues {calls} calls but its child {} has {visits} visits",
@@ -259,7 +355,7 @@ impl Plan {
                         ));
                     }
                     for &c in kids {
-                        let visits = self.tiers[c].visits.len();
+                        let visits = self.visits(c);
                         if visits != 1 {
                             return Err(format!(
                                 "scatter arm {c} must be visited exactly once, got {visits}"
@@ -272,18 +368,18 @@ impl Plan {
         Ok(())
     }
 
-    /// Shares the underlying tier storage (`Arc` bump, no deep copy).
+    /// Shares the underlying buffer (`Arc` bump, no deep copy).
     /// Identical to [`Clone::clone`]; spelled out for hot-path call sites.
     #[inline]
     pub fn share(&self) -> Plan {
         Plan {
-            tiers: Arc::clone(&self.tiers),
+            buf: Arc::clone(&self.buf),
         }
     }
 
-    /// A deep copy with every CPU slice multiplied by `factor` — the
-    /// structure (visits, call points) is unchanged, only the demands
-    /// scale. Used to apply heavy-tailed per-request demand multipliers.
+    /// A copy with every CPU slice multiplied by `factor` — the structure
+    /// (visits, call points) is unchanged, only the demands scale. Used to
+    /// apply heavy-tailed per-request demand multipliers.
     ///
     /// # Panics
     ///
@@ -293,50 +389,55 @@ impl Plan {
             factor.is_finite() && factor >= 0.0,
             "scale factor must be finite and non-negative"
         );
-        let tiers = self
-            .tiers
-            .iter()
-            .map(|t| TierPlan {
-                visits: t
-                    .visits
-                    .iter()
-                    .map(|v| {
-                        v.iter()
-                            .map(|s| {
-                                SimDuration::from_micros(
-                                    (s.as_micros() as f64 * factor).round() as u64
-                                )
-                            })
-                            .collect()
-                    })
-                    .collect(),
-            })
-            .collect();
-        Plan { tiers }
+        let n = self.depth();
+        let visits = self.at(1 + n);
+        let slices = self.buf.len() - self.at(n + 2);
+        Plan::encode(n, visits, slices, |w| {
+            for t in 0..n {
+                w.tier();
+                for v in 0..self.visits(t) {
+                    w.visit(self.slices_at(t, v).iter().map(|s| {
+                        SimDuration::from_micros((s.as_micros() as f64 * factor).round() as u64)
+                    }));
+                }
+            }
+        })
     }
 
     /// Number of tiers in the chain.
+    #[inline]
     pub fn depth(&self) -> usize {
-        self.tiers.len()
+        self.at(0)
+    }
+
+    /// Number of visits the request makes at `tier` (0 beyond the chain).
+    #[inline]
+    pub(crate) fn visits(&self, tier: usize) -> usize {
+        if tier < self.depth() {
+            self.at(2 + tier) - self.at(1 + tier)
+        } else {
+            0
+        }
     }
 
     /// `true` if the request never leaves tier 0.
     pub fn is_static(&self) -> bool {
-        self.tiers.len() < 2 || self.tiers[1].visits.is_empty()
+        self.visits(1) == 0
     }
 
     /// Number of visits to the last tier of a 3-tier plan (database
     /// queries); general chains report the last tier's visit count.
     pub fn queries(&self) -> usize {
-        self.tiers.last().map(|t| t.visits.len()).unwrap_or(0)
+        self.visits(self.depth() - 1)
     }
 
     /// Total CPU demand across all tiers (compilation conserves the sampled
     /// demands).
     pub fn total_demand(&self) -> SimDuration {
-        self.tiers
+        let first = self.at(self.depth() + 2);
+        self.buf[first..]
             .iter()
-            .fold(SimDuration::ZERO, |a, t| a + t.demand())
+            .fold(SimDuration::ZERO, |a, b| a + *b)
     }
 
     /// Slices of visit `visit` at `tier`.
@@ -344,13 +445,37 @@ impl Plan {
     /// # Panics
     ///
     /// Panics on an out-of-range tier or visit.
+    #[inline]
     pub fn slices_at(&self, tier: usize, visit: usize) -> &[SimDuration] {
-        &self.tiers[tier].visits[visit]
+        assert!(
+            visit < self.visits(tier),
+            "no visit {visit} at tier {tier} of a depth-{} plan",
+            self.depth()
+        );
+        let g = self.depth() + 2 + self.at(1 + tier) + visit;
+        &self.buf[self.at(g)..self.at(g + 1)]
     }
 
     /// Number of downstream calls made from `tier` across all its visits.
     pub fn calls_from(&self, tier: usize) -> usize {
-        self.tiers.get(tier).map(TierPlan::calls).unwrap_or(0)
+        let n = self.depth();
+        if tier < n {
+            // The tier's slices span its visits' slice-table entries.
+            let slices = self.at(n + 2 + self.at(2 + tier)) - self.at(n + 2 + self.at(1 + tier));
+            slices - self.visits(tier)
+        } else {
+            0
+        }
+    }
+}
+
+impl fmt::Debug for Plan {
+    /// The nested view the buffer encodes: per tier, each visit's slices.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let tiers: Vec<Vec<&[SimDuration]>> = (0..self.depth())
+            .map(|t| (0..self.visits(t)).map(|v| self.slices_at(t, v)).collect())
+            .collect();
+        f.debug_struct("Plan").field("tiers", &tiers).finish()
     }
 }
 
@@ -562,6 +687,236 @@ mod tests {
         ]);
         let err = p.matches_shape(&shape).unwrap_err();
         assert!(err.contains("exactly one call"), "{err}");
+    }
+
+    /// The nested form a plan buffer encodes: `r[t][v]` is the slice list
+    /// of visit `v` at tier `t`.
+    type Nested = Vec<Vec<Vec<SimDuration>>>;
+
+    fn us(v: &[u64]) -> Vec<SimDuration> {
+        v.iter().map(|d| SimDuration::from_micros(*d)).collect()
+    }
+
+    /// Reference compile: the nested construction, written out directly.
+    fn ref_compile(req: &SampledRequest) -> Nested {
+        if req.kind == RequestKind::Static {
+            return vec![vec![vec![req.web_demand]], vec![], vec![]];
+        }
+        let web = req.web_demand.as_micros();
+        let pre_web = (web as f64 * WEB_PRE_FORWARD_FRACTION).round() as u64;
+        let app = req.app_demand.as_micros();
+        let q = req.db_demands.len() as u64;
+        let mut app_slices = Vec::new();
+        if q == 0 {
+            app_slices.push(app);
+        } else {
+            let pre = (app as f64 * APP_PRE_QUERY_FRACTION).round() as u64;
+            let rest = app - pre;
+            app_slices.push(pre);
+            for i in 0..q {
+                app_slices.push(if i == q - 1 {
+                    rest - rest / q * (q - 1)
+                } else {
+                    rest / q
+                });
+            }
+        }
+        vec![
+            vec![us(&[pre_web, web - pre_web])],
+            vec![us(&app_slices)],
+            req.db_demands.iter().map(|d| vec![*d]).collect(),
+        ]
+    }
+
+    /// Reference pipeline node: one visit, halved around a call if it calls.
+    fn ref_node(d: u64, calls: bool) -> Vec<Vec<SimDuration>> {
+        if calls {
+            vec![us(&[d / 2, d - d / 2])]
+        } else {
+            vec![us(&[d])]
+        }
+    }
+
+    fn ref_scaled(r: &Nested, factor: f64) -> Nested {
+        r.iter()
+            .map(|t| {
+                t.iter()
+                    .map(|v| {
+                        v.iter()
+                            .map(|s| {
+                                SimDuration::from_micros(
+                                    (s.as_micros() as f64 * factor).round() as u64
+                                )
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A valid chain: tier 0 visited once, every visit above the last tier
+    /// making `pool`'s next call count, slices drawn from `pool` in turn.
+    fn ref_chain(depth: usize, pool: &[(usize, u64)]) -> Nested {
+        let mut k = 0;
+        let mut next = || {
+            k += 1;
+            pool[(k - 1) % pool.len()]
+        };
+        let mut visits = 1;
+        (0..depth)
+            .map(|t| {
+                let tier: Vec<Vec<SimDuration>> = (0..visits)
+                    .map(|_| {
+                        let calls = if t + 1 == depth { 0 } else { next().0 };
+                        (0..=calls)
+                            .map(|_| SimDuration::from_micros(next().1))
+                            .collect()
+                    })
+                    .collect();
+                visits = tier.iter().map(|v| v.len() - 1).sum();
+                tier
+            })
+            .collect()
+    }
+
+    /// A tree whose node `i + 1` hangs under `picks[i] % (i + 1)`.
+    fn shape_from(picks: &[usize]) -> TopologyShape {
+        let n = picks.len() + 1;
+        let mut children = vec![Vec::new(); n];
+        let mut parent = vec![None; n];
+        for (i, p) in picks.iter().enumerate() {
+            let p = p % (i + 1);
+            children[p].push(i + 1);
+            parent[i + 1] = Some(p);
+        }
+        let quorum = children.iter().map(Vec::len).collect();
+        TopologyShape {
+            children,
+            parent,
+            quorum,
+        }
+    }
+
+    /// Reference [`Plan::matches_shape`] over the nested form.
+    fn ref_fits(r: &Nested, shape: &TopologyShape) -> bool {
+        let calls = |t: usize| r[t].iter().map(|v| v.len() - 1).sum::<usize>();
+        r.len() == shape.len()
+            && r[0].len() == 1
+            && (0..r.len()).all(|i| match shape.children[i].as_slice() {
+                [] => calls(i) == 0,
+                [c] => calls(i) == r[*c].len(),
+                kids => calls(i) == 1 && kids.iter().all(|c| r[*c].len() == 1),
+            })
+    }
+
+    /// Every public accessor of `p` agrees with the reference `r`.
+    fn check(p: &Plan, r: &Nested) {
+        prop_assert_eq!(p.depth(), r.len());
+        for t in 0..r.len() + 2 {
+            let visits: &[Vec<SimDuration>] = r.get(t).map_or(&[], Vec::as_slice);
+            let calls: usize = visits.iter().map(|s| s.len() - 1).sum();
+            prop_assert_eq!(p.visits(t), visits.len(), "visits at tier {}", t);
+            prop_assert_eq!(p.calls_from(t), calls, "calls from tier {}", t);
+            for (v, slices) in visits.iter().enumerate() {
+                prop_assert_eq!(p.slices_at(t, v), &slices[..]);
+            }
+        }
+        prop_assert_eq!(p.queries(), r[r.len() - 1].len());
+        prop_assert_eq!(p.is_static(), r.len() < 2 || r[1].is_empty());
+        let total = r
+            .iter()
+            .flatten()
+            .flatten()
+            .fold(SimDuration::ZERO, |a, b| a + *b);
+        prop_assert_eq!(p.total_demand(), total);
+        prop_assert_eq!(p.share(), p.clone());
+    }
+
+    /// [`check`], plus: a chain plan equals its [`Plan::from_tier_plans`]
+    /// encoding (the buffer is canonical), and `matches_shape` agrees with
+    /// the reference on every given shape.
+    fn check_chain(p: &Plan, r: &Nested, shapes: &[TopologyShape]) {
+        check(p, r);
+        let tiers = r.iter().map(|t| TierPlan { visits: t.clone() }).collect();
+        prop_assert_eq!(&Plan::from_tier_plans(tiers), p);
+        for s in shapes {
+            prop_assert_eq!(p.matches_shape(s).is_ok(), ref_fits(r, s), "{:?}", s);
+        }
+    }
+
+    proptest! {
+        /// The flat buffer agrees with the nested reference on random
+        /// compiled requests, static and dynamic, and on their scalings.
+        #[test]
+        fn compile_matches_nested_reference(
+            dynamic in any::<bool>(),
+            web in 0u64..10_000,
+            app in 0u64..10_000,
+            dbs in proptest::collection::vec(0u64..5_000, 0..9),
+            factor in 0.0f64..4.0,
+        ) {
+            let req = SampledRequest {
+                class: "x",
+                kind: if dynamic { RequestKind::Dynamic } else { RequestKind::Static },
+                web_demand: SimDuration::from_micros(web),
+                app_demand: if dynamic { SimDuration::from_micros(app) } else { SimDuration::ZERO },
+                db_demands: if dynamic { us(&dbs) } else { Vec::new() },
+            };
+            let r = ref_compile(&req);
+            let fan = shape_from(&[0, 0]);
+            let shapes = [TopologyShape::linear(3), fan, TopologyShape::linear(2)];
+            let p = Plan::compile(&req);
+            check_chain(&p, &r, &shapes);
+            check_chain(&p.scaled(factor), &ref_scaled(&r, factor), &shapes);
+        }
+
+        /// Pipelines and random tree pipelines agree with the reference,
+        /// including `matches_shape` against their own and foreign shapes.
+        #[test]
+        fn pipelines_match_nested_reference(
+            demands in proptest::collection::vec(0u64..10_000, 1..8),
+            picks in proptest::collection::vec(0usize..8, 0..7),
+            other in proptest::collection::vec(0usize..8, 0..7),
+            factor in 0.0f64..4.0,
+        ) {
+            let n = demands.len();
+            let chain: Nested = demands.iter().enumerate().map(|(i, d)| ref_node(*d, i + 1 < n)).collect();
+            let p = Plan::pipeline(&us(&demands));
+            let linear = [TopologyShape::linear(n), shape_from(&other)];
+            check_chain(&p, &chain, &linear);
+            check_chain(&p.scaled(factor), &ref_scaled(&chain, factor), &linear);
+
+            let shape = shape_from(&picks);
+            let tree_demands: Vec<u64> = (0..shape.len()).map(|i| demands[i % n]).collect();
+            let tree: Nested = tree_demands
+                .iter()
+                .enumerate()
+                .map(|(i, d)| ref_node(*d, !shape.children[i].is_empty()))
+                .collect();
+            let t = Plan::tree_pipeline(&shape, &us(&tree_demands));
+            check(&t, &tree);
+            check(&t.scaled(factor), &ref_scaled(&tree, factor));
+            let foreign = shape_from(&other);
+            for s in [&shape, &TopologyShape::linear(shape.len()), &foreign] {
+                prop_assert_eq!(t.matches_shape(s).is_ok(), ref_fits(&tree, s), "{:?}", s);
+            }
+            prop_assert!(t.matches_shape(&shape).is_ok());
+        }
+
+        /// Arbitrary valid chains built by `from_tier_plans` agree with the
+        /// reference, including multi-visit tiers.
+        #[test]
+        fn chains_match_nested_reference(
+            depth in 1usize..5,
+            pool in proptest::collection::vec((0usize..3, 0u64..10_000), 1..12),
+            picks in proptest::collection::vec(0usize..8, 0..4),
+        ) {
+            let r = ref_chain(depth, &pool);
+            let tiers = r.iter().map(|t| TierPlan { visits: t.clone() }).collect();
+            let p = Plan::from_tier_plans(tiers);
+            check_chain(&p, &r, &[TopologyShape::linear(depth), shape_from(&picks)]);
+        }
     }
 
     proptest! {

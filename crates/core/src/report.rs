@@ -96,6 +96,61 @@ impl TierReport {
     }
 }
 
+/// Engine events handled within the horizon, by event kind: the
+/// deterministic cost counter behind events-per-request figures.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    counts: [u64; EventCounts::KINDS.len()],
+}
+
+impl EventCounts {
+    /// The engine's event kinds, in the order [`EventCounts::iter`] lists
+    /// them.
+    pub const KINDS: [&'static str; 18] = [
+        "ClientSend",
+        "Inject",
+        "Arrival",
+        "SliceDone",
+        "ReplyArrive",
+        "SpawnDone",
+        "ArmReply",
+        "AttemptTimeout",
+        "RetryFire",
+        "FaultBegin",
+        "FaultEnd",
+        "HedgeFire",
+        "LogicalDeadline",
+        "CancelArrive",
+        "ControllerTick",
+        "HealthTick",
+        "ReplicaReady",
+        "MetricsTick",
+    ];
+
+    /// Counts one event of kind `KINDS[kind]`.
+    #[inline]
+    pub(crate) fn add(&mut self, kind: usize) {
+        self.counts[kind] += 1;
+    }
+
+    /// Events of the named kind, or `None` for a name not in
+    /// [`EventCounts::KINDS`].
+    pub fn get(&self, kind: &str) -> Option<u64> {
+        let k = Self::KINDS.iter().position(|n| *n == kind)?;
+        Some(self.counts[k])
+    }
+
+    /// Every kind with its count, in [`EventCounts::KINDS`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        Self::KINDS.iter().copied().zip(self.counts.iter().copied())
+    }
+
+    /// Events of all kinds.
+    pub fn total(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+}
+
 /// The result of one experiment run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -105,6 +160,9 @@ pub struct RunReport {
     /// denominator-independent work measure behind events-per-second
     /// throughput benchmarks.
     pub events: u64,
+    /// The same events split by engine event kind; always counted, and
+    /// summing to [`events`](Self::events).
+    pub events_by_kind: EventCounts,
     /// Requests injected (client sends, not counting TCP retransmissions).
     pub injected: u64,
     /// Requests completed within the horizon.

@@ -16,9 +16,10 @@ use ntier_des::rng::SimRng;
 use ntier_des::time::SimDuration;
 
 /// Whether a request terminates at the web tier or goes down the chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RequestKind {
     /// Served entirely by the web tier (images, CSS, ...).
+    #[default]
     Static,
     /// Passes through the app tier and issues database queries.
     Dynamic,
@@ -92,8 +93,10 @@ impl RequestProfile {
     }
 }
 
-/// A concrete sampled request: class plus drawn demands.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A concrete sampled request: class plus drawn demands. The default is
+/// an empty static request, the starting point for
+/// [`RequestMix::sample_into`].
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SampledRequest {
     /// Class name (for per-class reporting).
     pub class: &'static str,
@@ -211,6 +214,15 @@ impl RequestMix {
 
     /// Draws one request.
     pub fn sample(&self, rng: &mut SimRng) -> SampledRequest {
+        let mut out = SampledRequest::default();
+        self.sample_into(rng, &mut out);
+        out
+    }
+
+    /// Draws one request into `out`, reusing its `db_demands` buffer: the
+    /// allocation-free form of [`RequestMix::sample`] for per-arrival hot
+    /// paths. Draws the class, then the web, app and each query's demand.
+    pub fn sample_into(&self, rng: &mut SimRng, out: &mut SampledRequest) {
         let mut pick = rng.next_f64() * self.total_weight;
         let mut chosen = self.profiles.last().expect("non-empty");
         for p in &self.profiles {
@@ -220,23 +232,19 @@ impl RequestMix {
             }
             pick -= p.weight;
         }
-        let web_demand = chosen.web.sample(rng);
-        let (app_demand, db_demands) = match chosen.kind {
-            RequestKind::Static => (SimDuration::ZERO, Vec::new()),
-            RequestKind::Dynamic => (
-                chosen.app.sample(rng),
-                (0..chosen.db_queries)
-                    .map(|_| chosen.db.sample(rng))
-                    .collect(),
-            ),
+        out.class = chosen.name;
+        out.kind = chosen.kind;
+        out.web_demand = chosen.web.sample(rng);
+        out.db_demands.clear();
+        out.app_demand = match chosen.kind {
+            RequestKind::Static => SimDuration::ZERO,
+            RequestKind::Dynamic => {
+                let app = chosen.app.sample(rng);
+                out.db_demands
+                    .extend((0..chosen.db_queries).map(|_| chosen.db.sample(rng)));
+                app
+            }
         };
-        SampledRequest {
-            class: chosen.name,
-            kind: chosen.kind,
-            web_demand,
-            app_demand,
-            db_demands,
-        }
     }
 
     /// The class profiles.
@@ -351,6 +359,21 @@ mod tests {
         assert_eq!(r.app_demand, SimDuration::from_micros(750));
         assert_eq!(r.db_demands.len(), 2);
         assert_eq!(r.db_demands[0], SimDuration::from_micros(150));
+    }
+
+    #[test]
+    fn sample_into_reuses_the_buffer_and_matches_sample() {
+        let mix = RequestMix::rubbos_browse();
+        let (mut a, mut b) = (SimRng::seed_from(24), SimRng::seed_from(24));
+        let mut out = SampledRequest::default();
+        out.db_demands.reserve(3); // the most queries any class issues
+        let buf = out.db_demands.as_ptr();
+        for _ in 0..500 {
+            mix.sample_into(&mut a, &mut out);
+            assert_eq!(out, mix.sample(&mut b));
+            assert_eq!(out.db_demands.as_ptr(), buf, "the buffer is reused");
+        }
+        assert_eq!(a.next_u64(), b.next_u64(), "both paths draw alike");
     }
 
     #[test]

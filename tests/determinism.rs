@@ -261,6 +261,44 @@ fn event_counts_are_reproducible() {
     assert_eq!(a.events, b.events);
 }
 
+/// The per-kind event counts partition `events`, on a closed loop, a
+/// stall, a retry storm and a hedged run; each shows the kinds it drives.
+#[test]
+fn event_kinds_sum_to_events() {
+    let closed = closed_50(5);
+    let runs = [
+        ("closed", &closed),
+        ("fig3", &experiment::fig3(3).run()),
+        (
+            "retry_storm",
+            &experiment::retry_storm(experiment::RetryStormVariant::Naive, 7).run(),
+        ),
+        (
+            "hedged",
+            &experiment::hedging_frontier(
+                experiment::HedgingVariant::HedgedCancelling,
+                experiment::HedgingLoad::Moderate,
+                7,
+            )
+            .run(),
+        ),
+    ];
+    for (name, r) in runs {
+        let kinds = r.events_by_kind;
+        assert_eq!(kinds.total(), r.events, "{name}: {kinds:?}");
+        for kind in ["Arrival", "SliceDone", "ReplyArrive"] {
+            assert!(kinds.get(kind) > Some(0), "{name}: no {kind} in {kinds:?}");
+        }
+    }
+    assert_eq!(
+        closed.events_by_kind.get("ClientSend"),
+        Some(closed.injected)
+    );
+    assert!(runs[2].1.events_by_kind.get("RetryFire") > Some(0));
+    assert!(runs[3].1.events_by_kind.get("HedgeFire") > Some(0));
+    assert_eq!(closed.events_by_kind.get("NoSuchKind"), None);
+}
+
 /// Everything observable about a run, flattened for equality comparison.
 /// Latency histograms are pinned down by a quantile ladder plus the mean;
 /// every series is compared window-for-window.
@@ -274,10 +312,11 @@ fn deep_fingerprint(r: &ntier_core::RunReport) -> String {
     };
     write!(
         s,
-        "ev={} inj={} comp={} fail={} shed={} canc={} infl={} tput={:.6} vlrt={} drops={} \
+        "ev={} kinds={:?} inj={} comp={} fail={} shed={} canc={} infl={} tput={:.6} vlrt={} drops={} \
          mean={} q50={} q90={} q99={} q999={} q9999={} classes={:?} res={:?} \
          vlrt_windows={:?}",
         r.events,
+        r.events_by_kind,
         r.injected,
         r.completed,
         r.failed,

@@ -23,7 +23,8 @@ use ntier_core::{ExperimentSpec, Plan, TierSpec, Topology};
 use ntier_des::prelude::*;
 use ntier_workload::source::{ArrivalSource, MmppSource, PoissonSource, VecSource};
 use ntier_workload::{
-    ClusterTraceReader, Mmpp2, PoissonProcess, RequestMix, TraceArrivals, TraceDialect,
+    ClusterTraceReader, Mmpp2, PoissonProcess, RequestKind, RequestMix, SampledRequest,
+    TraceArrivals, TraceDialect,
 };
 use proptest::prelude::*;
 
@@ -329,6 +330,63 @@ fn mismatched_plan_depth_ends_the_stream_as_a_fault() {
     assert_eq!(eager.workload_fault.as_deref(), Some(fault));
     assert_eq!(eager.injected, 4, "{}", eager.summary());
     assert_eq!(eager.completed, 4, "{}", eager.summary());
+    assert!(eager.is_conserved(), "{}", eager.summary());
+}
+
+#[test]
+fn oversized_visit_count_ends_the_stream_as_a_fault() {
+    // A visit index is a u16: a tier can take at most 65 535 visits. One
+    // request with that many DB queries runs; one more query is an input
+    // fault, reported before the arrival counts as injected on both paths.
+    let with_queries = |n: usize| {
+        Plan::compile(&SampledRequest {
+            class: "x",
+            kind: RequestKind::Dynamic,
+            web_demand: SimDuration::from_micros(10),
+            app_demand: SimDuration::from_micros(10),
+            db_demands: vec![SimDuration::from_micros(1); n],
+        })
+    };
+    let widest = with_queries(usize::from(u16::MAX));
+    let oversized = with_queries(usize::from(u16::MAX) + 1);
+    let arrival = |ms: u64, plan: &Plan| {
+        (
+            SimTime::from_millis(ms),
+            SourcedRequest {
+                class: "x",
+                plan: plan.share(),
+            },
+        )
+    };
+    let pairs = vec![
+        arrival(10, &widest),
+        arrival(20, &oversized),
+        arrival(30, &widest),
+    ];
+    let eager: Vec<_> = pairs.iter().map(|(t, r)| (*t, r.plan.share())).collect();
+    let report = Engine::new(
+        small_system(),
+        Workload::from_source(VecSource::new(pairs)),
+        SimDuration::from_secs(120),
+        1,
+    )
+    .run();
+    let fault = report.workload_fault.as_deref().expect("oversize surfaced");
+    assert!(fault.contains("65536 visits at tier 2"), "{fault}");
+    assert_eq!(report.injected, 1, "{}", report.summary());
+    assert_eq!(report.completed, 1, "{}", report.summary());
+    assert!(report.is_conserved(), "{}", report.summary());
+
+    let eager = Engine::new(
+        small_system(),
+        Workload::open_plans(eager),
+        SimDuration::from_secs(120),
+        1,
+    )
+    .run();
+    assert_eq!(eager.workload_fault.as_deref(), Some(fault));
+    assert_eq!(eager.injected, 1, "{}", eager.summary());
+    assert_eq!(eager.completed, 1, "{}", eager.summary());
     assert!(eager.is_conserved(), "{}", eager.summary());
 }
 
