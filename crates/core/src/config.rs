@@ -14,7 +14,7 @@
 //! testbed's `ChainBuilder` consumes the same type, so there is a single
 //! definition of admission capacity across simulator and testbed.
 
-use crate::topology::{Balancer, Topology, TopologyShape};
+use crate::topology::{Balancer, TopologyShape};
 use ntier_des::time::SimDuration;
 use ntier_interference::StallSchedule;
 use ntier_net::RetransmitPolicy;
@@ -269,11 +269,6 @@ impl TierSpec {
     }
 }
 
-/// The old name of [`TierSpec`], kept so pre-topology call sites migrate
-/// mechanically.
-#[deprecated(note = "renamed to TierSpec; the type is unchanged")]
-pub type TierConfig = TierSpec;
-
 /// The whole system: per-node tier specs plus the call-graph shape.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -314,7 +309,7 @@ pub struct SystemConfig {
 impl SystemConfig {
     /// Assembles a config from validated parts — the [`crate::Topology`]
     /// builder's output path. Prefer `Topology::client()...build()?` or
-    /// [`Topology::chain`] over calling this directly.
+    /// [`Topology::chain`](crate::Topology::chain) over calling this directly.
     pub fn from_parts(tiers: Vec<TierSpec>, shape: TopologyShape) -> Self {
         debug_assert_eq!(tiers.len(), shape.len());
         SystemConfig {
@@ -328,22 +323,6 @@ impl SystemConfig {
             health: None,
             metrics: None,
         }
-    }
-
-    /// Builds a 3-tier system (web, app, db).
-    #[deprecated(note = "use Topology::three_tier (or the Topology::client builder)")]
-    pub fn three_tier(web: TierSpec, app: TierSpec, db: TierSpec) -> Self {
-        Topology::three_tier(web, app, db)
-    }
-
-    /// Builds a chain of arbitrary depth (tier 0 is client-facing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiers` is empty.
-    #[deprecated(note = "use Topology::chain (or the Topology::client builder)")]
-    pub fn chain(tiers: Vec<TierSpec>) -> Self {
-        Topology::chain(tiers)
     }
 
     /// Overrides the retransmission policy.
@@ -485,6 +464,7 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::Topology;
     use ntier_des::time::SimTime;
 
     #[test]
@@ -549,12 +529,5 @@ mod tests {
     #[should_panic(expected = "sync tiers only")]
     fn spawning_on_async_tier_rejected() {
         let _ = TierSpec::asynchronous("Nginx", 100, 1).with_process_spawning(2, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn deprecated_constructors_still_build_chains() {
-        #[allow(deprecated)]
-        let sys = SystemConfig::chain(vec![TierSpec::sync("web", 10, 10)]);
-        assert_eq!(sys.shape, TopologyShape::linear(1));
     }
 }

@@ -682,11 +682,6 @@ impl Replica {
 #[derive(Debug)]
 struct NodeRuntime {
     replicas: Vec<Replica>,
-    /// Replicas currently ineligible for fresh picks: draining, retired or
-    /// health-ejected (`!`[`Replica::is_eligible`]). While 0 — always, for
-    /// uncontrolled and undetected runs — `pick_replica` takes the exact
-    /// pre-control code paths, which keeps existing runs bit-identical.
-    inactive: usize,
     /// Round-robin cursor for [`Balancer::RoundRobin`].
     rr_next: u32,
     /// Dedicated stream for balancer policies that draw ([`Balancer::P2c`]).
@@ -960,7 +955,6 @@ impl Engine {
                     .collect();
                 NodeRuntime {
                     replicas,
-                    inactive: 0,
                     rr_next: 0,
                     rng: bal_root.fork(&format!("node-{i}")),
                     hop_breaker: tc
@@ -1389,12 +1383,6 @@ impl Engine {
                 let rep = &mut self.tiers[tier].replicas[replica];
                 if rep.life == ReplicaLife::Active {
                     rep.life = ReplicaLife::Draining;
-                    // An ejected replica is already counted ineligible; the
-                    // drain must not double-count it (`inactive` counts
-                    // replicas, not reasons).
-                    if !rep.ejected {
-                        self.tiers[tier].inactive += 1;
-                    }
                 }
             }
             Directive::SetHedgeDelay { delay } => self.hedge_override = Some(delay),
@@ -1459,9 +1447,6 @@ impl Engine {
                         format!("probation failed at score {score:.2}")
                     } else {
                         rep.ejected = true;
-                        if rep.life == ReplicaLife::Active {
-                            self.tiers[tier].inactive += 1;
-                        }
                         format!("health score {score:.2} with peer z {z:.2}")
                     };
                     hr.log
@@ -1469,12 +1454,7 @@ impl Engine {
                 }
                 HealthVerdict::Reinstate { replica, score } => {
                     let rep = &mut self.tiers[tier].replicas[replica];
-                    if rep.ejected {
-                        rep.ejected = false;
-                        if rep.life == ReplicaLife::Active {
-                            self.tiers[tier].inactive -= 1;
-                        }
-                    }
+                    rep.ejected = false;
                     hr.log.push(
                         self.now,
                         Action::Reinstated { tier, replica },
@@ -2069,8 +2049,7 @@ impl Engine {
     ///
     /// Ineligibility — drain, retirement, health ejection — is one shared
     /// predicate ([`Replica::is_eligible`]) checked the same way by every
-    /// policy; `inactive == 0` is just the cached "mask is all-ones" fast
-    /// path.
+    /// policy.
     fn pick_replica(&mut self, tier: usize) -> u8 {
         if self.tiers[tier].replicas.len() > 1 {
             // Trickle probes: a probation replica receives `probe_fraction`
@@ -2093,52 +2072,8 @@ impl Engine {
         if n == 1 {
             return 0;
         }
-        if node.inactive == 0 {
-            // Every replica eligible: the exact pre-control code paths, so
-            // uncontrolled runs stay bit-identical to their goldens.
-            return match self.cfg.tiers[tier].balancer {
-                Balancer::RoundRobin => {
-                    let r = (node.rr_next as usize % n) as u8;
-                    node.rr_next = node.rr_next.wrapping_add(1);
-                    r
-                }
-                // The min scans run branchless: arithmetic selects instead
-                // of a compare-and-branch the predictor loses on balanced
-                // queue depths. Strict `<` keeps ties on the lowest index,
-                // exactly the branchy scan's answer.
-                Balancer::LeastOutstanding => {
-                    let mut best = 0usize;
-                    let mut best_depth = node.replicas[0].depth();
-                    for (r, rep) in node.replicas.iter().enumerate().skip(1) {
-                        let d = rep.depth();
-                        let take = usize::from(d < best_depth);
-                        best = take * r + (1 - take) * best;
-                        best_depth = take * d + (1 - take) * best_depth;
-                    }
-                    best as u8
-                }
-                Balancer::Jsq => {
-                    let mut best = 0usize;
-                    let mut best_len = node.replicas[0].backlog.len();
-                    for (r, rep) in node.replicas.iter().enumerate().skip(1) {
-                        let l = rep.backlog.len();
-                        let take = usize::from(l < best_len);
-                        best = take * r + (1 - take) * best;
-                        best_len = take * l + (1 - take) * best_len;
-                    }
-                    best as u8
-                }
-                Balancer::P2c => {
-                    let a = node.rng.below(n as u64) as usize;
-                    let mut b = node.rng.below(n as u64 - 1) as usize;
-                    b += usize::from(b >= a);
-                    let take = usize::from(node.replicas[b].depth() < node.replicas[a].depth());
-                    (take * b + (1 - take) * a) as u8
-                }
-            };
-        }
-        // Some replicas are drained, retired or ejected: every policy works
-        // over the same eligible set, scanned in place in index order.
+        // Every policy works over the same eligible set, scanned in place in
+        // index order; with every replica eligible that is plain `0..n`.
         // The detector never ejects the last healthy replica, but a
         // controller drain can race an ejection into an empty set. Fresh
         // work then has to go *somewhere*: an ejected-but-active replica is
@@ -2174,6 +2109,9 @@ impl Engine {
                     return r as u8;
                 }
             },
+            // The min scans run branchless: arithmetic selects instead of a
+            // compare-and-branch the predictor loses on balanced queue
+            // depths. Strict `<` keeps ties on the lowest eligible index.
             Balancer::LeastOutstanding => {
                 let mut best = first;
                 let mut best_depth = reps[best].depth();

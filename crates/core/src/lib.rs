@@ -61,8 +61,6 @@ pub use analysis::{CtqoClass, CtqoEpisode};
 pub use arrivals::{
     MixPlans, ParetoDemand, PlanStamped, SourcedRequest, TraceDemandModel, TracePlans,
 };
-#[allow(deprecated)]
-pub use config::TierConfig;
 pub use config::{SystemConfig, TierKind, TierSpec};
 pub use engine::{Engine, ReplicaGone, Workload, WorkloadError, WorkloadSource};
 pub use experiment::ExperimentSpec;

@@ -13,8 +13,8 @@
 //! Trees (each non-root node has exactly one parent) keep reply routing
 //! static and make acyclicity true by construction, which is exactly the
 //! property the DES engine's slab/event machinery needs. Nodes are numbered
-//! in depth-first preorder, so a chain built through [`Topology::chain`] gets
-//! the same indices the old `SystemConfig::chain` produced.
+//! in depth-first preorder, so a chain built through [`Topology::chain`]
+//! numbers its tiers front to back.
 //!
 //! [`TopologyBuilder`] validates at build time and returns a typed
 //! [`TopologyError`] instead of panicking, per the API-redesign contract.
@@ -331,8 +331,6 @@ impl Topology {
     }
 
     /// Builds a linear chain of arbitrary depth (tier 0 is client-facing).
-    /// This is the non-deprecated home of the old `SystemConfig::chain`,
-    /// with identical semantics.
     ///
     /// # Panics
     ///
@@ -348,8 +346,7 @@ impl Topology {
         }
     }
 
-    /// Builds the paper's 3-tier system (web, app, db). The non-deprecated
-    /// home of the old `SystemConfig::three_tier`.
+    /// Builds the paper's 3-tier system (web, app, db).
     pub fn three_tier(web: TierSpec, app: TierSpec, db: TierSpec) -> SystemConfig {
         Topology::chain(vec![web, app, db])
     }

@@ -21,9 +21,9 @@
 //!
 //! Tiers are described by the *simulator's* [`ntier_core::TierSpec`] — one
 //! spec type across DES engine and testbed — wrapped in a
-//! [`chain::LiveTier`] that adds wall-clock service time and stall gates.
-//! A spec with `replicas > 1` spawns that many independent instances behind
-//! a [`tier::ReplicaSet`] running the spec's balancer policy.
+//! [`chain::LiveTier`] that adds wall-clock service time and a stall gate.
+//! The testbed runs one instance per tier: a spec with `replicas > 1` is
+//! refused with [`LiveError::Replicated`].
 //!
 //! # Example
 //!
@@ -44,44 +44,39 @@
 //! chain.shutdown().expect("clean shutdown");
 //! ```
 //!
-//! Application-level resilience — attempt timeouts, bounded retries, retry
-//! budgets, circuit breaking, hedged requests and cancellation propagation
-//! — reuses the `ntier-resilience` policies on a wall clock (see
-//! [`policy::WallClock`]) via [`harness::fire_burst_with_policy`], so
-//! simulator and testbed exercise one implementation. In hedged mode the
-//! first reply wins and losing attempts are chased down through their
-//! [`tier::CancelToken`]s: tiers discard cancelled work at dequeue (or
-//! abandon it in retransmission limbo) instead of servicing orphans, and
-//! report the reclaimed work via [`chain::Chain::reaped`].
-//!
-//! The simulator's control, gray-failure health, metrics and tracing
-//! planes have no wall-clock counterpart here: the testbed keeps a mirror
-//! only while a gated test or example drives it (DESIGN.md §16.5).
+//! The simulator's resilience, hedging, replication, control, gray-failure
+//! health, metrics and tracing layers have no wall-clock counterpart here:
+//! the testbed keeps only what a gated test or example drives (DESIGN.md
+//! §16.5).
 
 pub mod chain;
 pub mod harness;
-pub mod policy;
 pub mod stall;
 pub mod tier;
 
 pub use chain::{Chain, ChainBuilder, LiveTier};
-pub use harness::{fire_burst, fire_burst_with_policy, BurstOutcome, PolicyOutcome};
-pub use ntier_core::{Balancer, TierSpec};
-pub use policy::WallClock;
+pub use harness::{fire_burst, fire_burst_with_rto, BurstOutcome};
+pub use ntier_core::TierSpec;
 pub use stall::StallGate;
-pub use tier::{AsyncTier, CancelToken, LiveReply, LiveRequest, ReplicaSet, SyncTier, Tier};
+pub use tier::{LiveReply, LiveRequest, Tier};
 
 /// Errors surfaced by the live testbed instead of aborting the process: a
-/// worker that cannot be spawned or a thread that panicked mid-run becomes a
-/// value the harness caller can assert on.
+/// chain the testbed cannot run, a worker that cannot be spawned or a thread
+/// that panicked mid-run becomes a value the caller can assert on.
 #[derive(Debug)]
 pub enum LiveError {
     /// The OS refused to spawn a worker thread.
     Spawn(std::io::Error),
     /// A client sender thread panicked before handing back its send time.
     ClientPanicked,
-    /// The pacing thread of [`harness::fire_sustained`] panicked.
-    PacerPanicked,
+    /// A tier's spec asks for more than one replica; the testbed runs one
+    /// instance per tier.
+    Replicated {
+        /// The tier's name.
+        tier: String,
+        /// The replica count its spec asks for.
+        replicas: usize,
+    },
     /// Worker threads panicked; detected when their tiers were joined at
     /// shutdown. Tier names, front first, deduplicated.
     WorkersPanicked(Vec<String>),
@@ -92,7 +87,10 @@ impl std::fmt::Display for LiveError {
         match self {
             LiveError::Spawn(e) => write!(f, "failed to spawn worker thread: {e}"),
             LiveError::ClientPanicked => write!(f, "a client sender thread panicked"),
-            LiveError::PacerPanicked => write!(f, "the pacing thread panicked"),
+            LiveError::Replicated { tier, replicas } => write!(
+                f,
+                "tier {tier} asks for {replicas} replicas; the live testbed runs one instance per tier"
+            ),
             LiveError::WorkersPanicked(tiers) => {
                 write!(f, "worker threads panicked in tiers: {}", tiers.join(", "))
             }

@@ -6,7 +6,6 @@
 //! the tier stops serving while its queues keep filling.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -36,11 +35,6 @@ impl StallGate {
         }
     }
 
-    /// `true` while the gate is raised.
-    pub fn is_stalled(&self) -> bool {
-        *self.inner.stalled.lock()
-    }
-
     /// Raises the gate.
     pub fn begin(&self) {
         *self.inner.stalled.lock() = true;
@@ -51,34 +45,13 @@ impl StallGate {
         *self.inner.stalled.lock() = false;
         self.inner.cv.notify_all();
     }
-
-    /// Raises the gate for `duration` on the calling thread (blocking).
-    pub fn stall_for_blocking(&self, duration: Duration) {
-        self.begin();
-        std::thread::sleep(duration);
-        self.end();
-    }
-
-    /// Spawns a timer thread that raises the gate `after` from now, for
-    /// `duration`. Returns the timer's join handle.
-    pub fn schedule_stall(
-        &self,
-        after: Duration,
-        duration: Duration,
-    ) -> std::thread::JoinHandle<()> {
-        let gate = self.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(after);
-            gate.stall_for_blocking(duration);
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn open_gate_does_not_block() {
@@ -86,14 +59,12 @@ mod tests {
         let t0 = Instant::now();
         g.wait_if_stalled();
         assert!(t0.elapsed() < Duration::from_millis(50));
-        assert!(!g.is_stalled());
     }
 
     #[test]
     fn raised_gate_blocks_until_lowered() {
         let g = StallGate::new();
         g.begin();
-        assert!(g.is_stalled());
         let g2 = g.clone();
         let released = Arc::new(AtomicBool::new(false));
         let released2 = released.clone();
@@ -109,31 +80,5 @@ mod tests {
         g.end();
         h.join().unwrap();
         assert!(released.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn stall_for_blocking_holds_for_the_duration() {
-        let g = StallGate::new();
-        let g2 = g.clone();
-        let h = std::thread::spawn(move || {
-            let t0 = Instant::now();
-            std::thread::sleep(Duration::from_millis(20)); // let the stall start
-            g2.wait_if_stalled();
-            t0.elapsed()
-        });
-        g.stall_for_blocking(Duration::from_millis(150));
-        let waited = h.join().unwrap();
-        assert!(waited >= Duration::from_millis(140), "waited {waited:?}");
-    }
-
-    #[test]
-    fn scheduled_stall_fires_later() {
-        let g = StallGate::new();
-        let timer = g.schedule_stall(Duration::from_millis(50), Duration::from_millis(100));
-        assert!(!g.is_stalled());
-        std::thread::sleep(Duration::from_millis(90));
-        assert!(g.is_stalled());
-        timer.join().unwrap();
-        assert!(!g.is_stalled());
     }
 }

@@ -9,8 +9,10 @@
 //! * [`backlog::Backlog`] — the bounded accept queue (default capacity 128,
 //!   the Linux default the paper cites);
 //! * [`retransmit::RetransmitPolicy`] — the retry schedule that turns a
-//!   dropped packet into a 3/6/9-second response;
-//! * [`wire::Wire`] — per-hop propagation delay (LAN-scale, sub-millisecond).
+//!   dropped packet into a 3/6/9-second response.
+//!
+//! Per-hop propagation delay is a single `SystemConfig::hop_delay` in
+//! `ntier-core`, not a type here.
 //!
 //! Real sockets are deliberately absent: kernel SYN-drop behaviour is not
 //! controllable in a container, and the phenomenon under study is fully
@@ -18,11 +20,9 @@
 
 pub mod backlog;
 pub mod retransmit;
-pub mod wire;
 
 pub use backlog::Backlog;
 pub use retransmit::{RetransmitPolicy, RetransmitState, RetryDecision};
-pub use wire::Wire;
 
 /// The Linux default TCP accept-backlog capacity the paper measured against.
 pub const DEFAULT_TCP_BACKLOG: usize = 128;

@@ -29,8 +29,7 @@
 //!   cancellation propagation for losing attempts, and load shedding —
 //!   static queue-depth / deadline thresholds or an AIMD adaptive
 //!   concurrency limit. All state machines are driven by simulation time
-//!   passed in by the caller, so the same types serve the DES engine
-//!   (`ntier-core`) and the real-thread testbed (`ntier-live`).
+//!   passed in by the caller (the DES engine in `ntier-core`).
 //!
 //! The headline experiments (see `ntier_core::experiment::retry_storm` and
 //! `ntier_core::experiment::hedging_frontier`): naive timeout-and-retry

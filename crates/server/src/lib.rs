@@ -7,11 +7,11 @@
 //!
 //! * [`cpu::CpuModel`] — FIFO cores with a precomputed stall timeline
 //!   (millibottlenecks make a core unavailable for a sub-second interval);
-//! * [`thread_pool::ThreadPool`] — the worker pool of a synchronous server
-//!   (Tomcat's 150 threads, MySQL's 100);
-//! * [`process_group::ProcessGroup`] — Apache's prefork behaviour: when every
-//!   thread of every process is busy, a new process with a fresh pool spawns
-//!   after a delay (the paper's `MaxSysQDepth(Apache)` 278 → 428 step);
+//! * [`process_group::ProcessGroup`] — the worker threads of a synchronous
+//!   server (Tomcat's 150, MySQL's 100) and Apache's prefork behaviour: when
+//!   every thread of every process is busy, a new process with a fresh pool
+//!   spawns after a delay (the paper's `MaxSysQDepth(Apache)` 278 → 428
+//!   step);
 //! * [`event_loop::EventLoop`] — an asynchronous server front: admission is
 //!   bounded only by the large lightweight queue (`LiteQDepth`), workers gate
 //!   CPU work but never admission;
@@ -25,14 +25,12 @@ pub mod cpu;
 pub mod event_loop;
 pub mod overhead;
 pub mod process_group;
-pub mod thread_pool;
 
 pub use conn_pool::ConnectionPool;
 pub use cpu::{CpuModel, Execution, StallTimeline};
 pub use event_loop::EventLoop;
 pub use overhead::ThreadOverheadModel;
 pub use process_group::ProcessGroup;
-pub use thread_pool::ThreadPool;
 
 /// The paper's `LiteQDepth` for Nginx/XTomcat: all available TCP ports.
 pub const LITE_Q_DEPTH_DEFAULT: usize = 65_535;
