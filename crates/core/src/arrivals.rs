@@ -3,15 +3,14 @@
 //! The workload crate's [`ArrivalSource`]s emit times (plus
 //! generator-specific payloads); the engine's streaming path consumes
 //! `(time, SourcedRequest)` pairs. The adapters here bridge the two —
-//! stamping a fixed plan, sampling a [`RequestMix`], applying heavy-tailed
-//! per-request demand, or mapping cluster-trace instances through a demand
-//! model — while preserving the source's determinism contract: every draw
-//! comes from the rng handed to `next_arrival` (the engine's dedicated
-//! `"arrival-source"` fork), and faults propagate unchanged.
+//! stamping a fixed plan, sampling a [`RequestMix`], or mapping
+//! cluster-trace instances through a demand model — while preserving the
+//! source's determinism contract: every draw comes from the rng handed to
+//! `next_arrival` (the engine's dedicated `"arrival-source"` fork), and
+//! faults propagate unchanged.
 
 use std::collections::HashMap;
 
-use ntier_des::dist::{BoundedPareto, Distribution};
 use ntier_des::rng::SimRng;
 use ntier_des::time::{SimDuration, SimTime};
 use ntier_workload::cluster_trace::TraceInstance;
@@ -99,55 +98,6 @@ impl<S: ArrivalSource> ArrivalSource for MixPlans<S> {
             SourcedRequest {
                 class: self.sample.class,
                 plan: Plan::compile(&self.sample),
-            },
-        ))
-    }
-
-    fn fault(&self) -> Option<&str> {
-        self.inner.fault()
-    }
-}
-
-/// Heavy-tailed per-request demand: multiplies every slice of the inner
-/// plan by a mean-normalized [`BoundedPareto`] draw, so the *average*
-/// offered load is unchanged while individual requests can be up to
-/// `hi/mean` times heavier — the "elephant request" ingredient of
-/// workload-induced long-tail latency.
-#[derive(Debug)]
-pub struct ParetoDemand<S> {
-    inner: S,
-    dist: BoundedPareto,
-    inv_mean: f64,
-}
-
-impl<S> ParetoDemand<S> {
-    /// Scales `inner`'s plans by `BoundedPareto(lo, hi, alpha) / mean`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid bounds/shape (see [`BoundedPareto::new`]).
-    pub fn new(inner: S, lo: f64, hi: f64, alpha: f64) -> Self {
-        let dist = BoundedPareto::new(lo, hi, alpha);
-        let inv_mean = 1.0 / dist.mean_f64();
-        ParetoDemand {
-            inner,
-            dist,
-            inv_mean,
-        }
-    }
-}
-
-impl<S: ArrivalSource<Payload = SourcedRequest>> ArrivalSource for ParetoDemand<S> {
-    type Payload = SourcedRequest;
-
-    fn next_arrival(&mut self, rng: &mut SimRng) -> Option<(SimTime, SourcedRequest)> {
-        let (t, req) = self.inner.next_arrival(rng)?;
-        let factor = self.dist.sample_f64(rng) * self.inv_mean;
-        Some((
-            t,
-            SourcedRequest {
-                class: req.class,
-                plan: req.plan.scaled(factor),
             },
         ))
     }
@@ -325,29 +275,6 @@ mod tests {
             assert_eq!(req.class, *class);
             assert_eq!(&req.plan, plan);
         }
-    }
-
-    #[test]
-    fn pareto_demand_preserves_mean_and_bounds_the_tail() {
-        let plan = Plan::pipeline(&[SimDuration::from_micros(500), SimDuration::from_micros(500)]);
-        let base = plan.total_demand().as_secs_f64();
-        let mut src = ParetoDemand::new(PlanStamped::new(times(20_000), "x", plan), 1.0, 50.0, 1.5);
-        let mut rng = SimRng::seed_from(5);
-        let out = materialize(&mut src, &mut rng);
-        let demands: Vec<f64> = out
-            .iter()
-            .map(|(_, r)| r.plan.total_demand().as_secs_f64())
-            .collect();
-        let mean = demands.iter().sum::<f64>() / demands.len() as f64;
-        assert!(
-            (mean - base).abs() / base < 0.05,
-            "mean demand drifted: {mean} vs {base}"
-        );
-        let max = demands.iter().cloned().fold(0.0, f64::max);
-        assert!(max > 3.0 * base, "tail too light: {max}");
-        let dist = BoundedPareto::new(1.0, 50.0, 1.5);
-        let cap = base * 50.0 / dist.mean_f64() * 1.001;
-        assert!(max <= cap, "tail exceeds the bound: {max} > {cap}");
     }
 
     #[test]

@@ -780,8 +780,11 @@ pub struct Engine {
     /// Hot fields of the slab, same indexing as `requests` (see [`HotSlot`]).
     hot: Vec<HotSlot>,
     free_slots: Vec<u32>,
-    /// Granted-but-not-yet-fired client retries (see [`RetryTicket`]).
-    tickets: Vec<RetryTicket>,
+    /// Granted-but-not-yet-fired client retries (see [`RetryTicket`]);
+    /// a fired ticket's slot is emptied and recycled through
+    /// `free_tickets`, so the table tracks pending retries, not the total.
+    tickets: Vec<Option<RetryTicket>>,
+    free_tickets: Vec<u32>,
     /// Hedged logical requests (see [`LogicalState`]); recycled like the
     /// request slab.
     logicals: Vec<LogicalState>,
@@ -1036,6 +1039,7 @@ impl Engine {
             hot: Vec::with_capacity(1024),
             free_slots: Vec::new(),
             tickets: Vec::new(),
+            free_tickets: Vec::new(),
             logicals: Vec::new(),
             free_logicals: Vec::new(),
             hedge_bucket,
@@ -1135,6 +1139,12 @@ impl Engine {
     /// sequence numbers, so batch application reproduces the one-pop-at-a-
     /// time order bit-for-bit.
     pub fn run(mut self) -> RunReport {
+        self.drive();
+        self.into_report()
+    }
+
+    /// The event loop of [`Engine::run`], up to the horizon.
+    fn drive(&mut self) {
         self.schedule_workload();
         let end = SimTime::ZERO + self.horizon;
         let mut batch = Vec::with_capacity(EVENT_BATCH);
@@ -1155,7 +1165,6 @@ impl Engine {
                 }
             }
         }
-        self.into_report()
     }
 
     #[allow(deprecated)]
@@ -1283,10 +1292,7 @@ impl Engine {
                 self.metrics_sink_fault = Some(format!("metrics sink write at {}: {e}", self.now));
             }
         }
-        let next = self.now + reg.interval();
-        if next <= SimTime::ZERO + self.horizon {
-            self.queue.push(next, Event::MetricsTick);
-        }
+        self.push_within_horizon(reg.interval(), Event::MetricsTick);
         self.metrics = Some(reg);
     }
 
@@ -1358,10 +1364,7 @@ impl Engine {
         }
         cr.window_max_ordinal = 0;
         cr.window.clear();
-        let next = self.now + cr.tick;
-        if next <= SimTime::ZERO + self.horizon {
-            self.queue.push(next, Event::ControllerTick);
-        }
+        self.push_within_horizon(cr.tick, Event::ControllerTick);
         self.control = Some(cr);
     }
 
@@ -1463,10 +1466,7 @@ impl Engine {
                 }
             }
         }
-        let next = self.now + hr.tick;
-        if next <= SimTime::ZERO + self.horizon {
-            self.queue.push(next, Event::HealthTick);
-        }
+        self.push_within_horizon(hr.tick, Event::HealthTick);
         self.health = Some(hr);
     }
 
@@ -2836,8 +2836,16 @@ impl Engine {
         // The ticket keeps the trace alive across the backoff (the current
         // attempt's slot — and its reference — is freed before RetryFire).
         self.tracer.retain(ticket.trace);
-        let tid = self.tickets.len() as u32;
-        self.tickets.push(ticket);
+        let tid = match self.free_tickets.pop() {
+            Some(tid) => {
+                self.tickets[tid as usize] = Some(ticket);
+                tid
+            }
+            None => {
+                self.tickets.push(Some(ticket));
+                (self.tickets.len() - 1) as u32
+            }
+        };
         self.queue
             .push(now + backoff, Event::RetryFire { ticket: tid });
         true
@@ -2849,15 +2857,17 @@ impl Engine {
     /// end-to-end latency spans all attempts. `injected` is *not*
     /// incremented: a retry is the same logical request.
     fn on_retry_fire(&mut self, ticket: u32) {
-        let t = &self.tickets[ticket as usize];
-        let (class, plan, client, injected_at, attempt, trace) = (
-            t.class,
-            t.plan.share(),
-            t.client,
-            t.injected_at,
-            t.attempt,
-            t.trace,
-        );
+        let RetryTicket {
+            injected_at,
+            client,
+            class,
+            plan,
+            attempt,
+            trace,
+        } = self.tickets[ticket as usize]
+            .take()
+            .expect("a retry ticket fires exactly once");
+        self.free_tickets.push(ticket);
         let id = self.alloc_request(injected_at, client, class, plan, attempt);
         // The ticket's reference transfers to the new attempt (a ticket
         // fires exactly once), so no retain/release pair is needed here.
@@ -3165,9 +3175,16 @@ impl Engine {
             return;
         };
         let think = spec.think_time(&mut self.rng_clients);
-        let at = self.now + think;
+        self.push_within_horizon(think, Event::ClientSend { client });
+    }
+
+    /// Schedules `ev` at `now + after` unless that lands past the horizon.
+    /// An event the run would never handle must not be queued: the metrics
+    /// plane reports `queue.scheduled_total()` as `events_scheduled`.
+    fn push_within_horizon(&mut self, after: SimDuration, ev: Event) {
+        let at = self.now + after;
         if at <= SimTime::ZERO + self.horizon {
-            self.queue.push(at, Event::ClientSend { client });
+            self.queue.push(at, ev);
         }
     }
 
@@ -3560,6 +3577,40 @@ mod tests {
             (8.0..12.0).contains(&report.throughput),
             "throughput {}",
             report.throughput
+        );
+        assert!(report.is_conserved());
+    }
+
+    #[test]
+    fn retry_tickets_are_recycled_not_accumulated() {
+        use ntier_resilience::{CallerPolicy, FaultPlan};
+        // The app tier drops every message, so every attempt times out and
+        // the clients retry over and over. A client has at most one retry
+        // pending at a time, so the ticket table never needs more slots
+        // than there are clients, however many retries the run grants.
+        let clients = 20;
+        let horizon = SimDuration::from_secs(60);
+        let sys = tiny_sync_system()
+            .with_client_policy(CallerPolicy::naive(SimDuration::from_millis(100), 3))
+            .with_faults(FaultPlan::none().drop_messages(
+                1,
+                1.0,
+                SimTime::ZERO,
+                SimTime::ZERO + horizon,
+            ));
+        let workload = Workload::closed(ClosedLoopSpec::rubbos(clients), RequestMix::view_story());
+        let mut engine = Engine::new(sys, workload, horizon, 7);
+        engine.drive();
+        let slots = engine.tickets.len();
+        let report = engine.into_report();
+        assert!(
+            report.resilience.retries > 5 * u64::from(clients),
+            "too few retries to show recycling: {}",
+            report.resilience.retries
+        );
+        assert!(
+            slots <= clients as usize,
+            "{slots} ticket slots for {clients} clients"
         );
         assert!(report.is_conserved());
     }

@@ -58,9 +58,7 @@ pub mod servlet;
 pub mod topology;
 
 pub use analysis::{CtqoClass, CtqoEpisode};
-pub use arrivals::{
-    MixPlans, ParetoDemand, PlanStamped, SourcedRequest, TraceDemandModel, TracePlans,
-};
+pub use arrivals::{MixPlans, PlanStamped, SourcedRequest, TraceDemandModel, TracePlans};
 pub use config::{SystemConfig, TierKind, TierSpec};
 pub use engine::{Engine, ReplicaGone, Workload, WorkloadError, WorkloadSource};
 pub use experiment::ExperimentSpec;

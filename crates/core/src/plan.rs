@@ -377,33 +377,6 @@ impl Plan {
         }
     }
 
-    /// A copy with every CPU slice multiplied by `factor` — the structure
-    /// (visits, call points) is unchanged, only the demands scale. Used to
-    /// apply heavy-tailed per-request demand multipliers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn scaled(&self, factor: f64) -> Plan {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "scale factor must be finite and non-negative"
-        );
-        let n = self.depth();
-        let visits = self.at(1 + n);
-        let slices = self.buf.len() - self.at(n + 2);
-        Plan::encode(n, visits, slices, |w| {
-            for t in 0..n {
-                w.tier();
-                for v in 0..self.visits(t) {
-                    w.visit(self.slices_at(t, v).iter().map(|s| {
-                        SimDuration::from_micros((s.as_micros() as f64 * factor).round() as u64)
-                    }));
-                }
-            }
-        })
-    }
-
     /// Number of tiers in the chain.
     #[inline]
     pub fn depth(&self) -> usize {
@@ -552,27 +525,6 @@ mod tests {
         let p = Plan::compile(&req);
         assert_eq!(p.slices_at(1, 0), &[SimDuration::from_micros(500)]);
         assert_eq!(p.calls_from(1), 0);
-    }
-
-    #[test]
-    fn scaled_multiplies_every_slice_and_keeps_structure() {
-        let req = SampledRequest {
-            class: "view_story",
-            kind: RequestKind::Dynamic,
-            web_demand: SimDuration::from_micros(100),
-            app_demand: SimDuration::from_micros(1_000),
-            db_demands: vec![SimDuration::from_micros(150), SimDuration::from_micros(200)],
-        };
-        let p = Plan::compile(&req);
-        let s = p.scaled(2.0);
-        assert_eq!(s.depth(), p.depth());
-        assert_eq!(s.queries(), p.queries());
-        assert_eq!(s.calls_from(1), p.calls_from(1));
-        assert_eq!(
-            s.total_demand(),
-            SimDuration::from_micros(2 * p.total_demand().as_micros())
-        );
-        assert_eq!(p.scaled(1.0), p, "identity scale is exact");
     }
 
     #[test]
@@ -737,24 +689,6 @@ mod tests {
         }
     }
 
-    fn ref_scaled(r: &Nested, factor: f64) -> Nested {
-        r.iter()
-            .map(|t| {
-                t.iter()
-                    .map(|v| {
-                        v.iter()
-                            .map(|s| {
-                                SimDuration::from_micros(
-                                    (s.as_micros() as f64 * factor).round() as u64
-                                )
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
     /// A valid chain: tier 0 visited once, every visit above the last tier
     /// making `pool`'s next call count, slices drawn from `pool` in turn.
     fn ref_chain(depth: usize, pool: &[(usize, u64)]) -> Nested {
@@ -847,14 +781,13 @@ mod tests {
 
     proptest! {
         /// The flat buffer agrees with the nested reference on random
-        /// compiled requests, static and dynamic, and on their scalings.
+        /// compiled requests, static and dynamic.
         #[test]
         fn compile_matches_nested_reference(
             dynamic in any::<bool>(),
             web in 0u64..10_000,
             app in 0u64..10_000,
             dbs in proptest::collection::vec(0u64..5_000, 0..9),
-            factor in 0.0f64..4.0,
         ) {
             let req = SampledRequest {
                 class: "x",
@@ -868,7 +801,6 @@ mod tests {
             let shapes = [TopologyShape::linear(3), fan, TopologyShape::linear(2)];
             let p = Plan::compile(&req);
             check_chain(&p, &r, &shapes);
-            check_chain(&p.scaled(factor), &ref_scaled(&r, factor), &shapes);
         }
 
         /// Pipelines and random tree pipelines agree with the reference,
@@ -878,14 +810,12 @@ mod tests {
             demands in proptest::collection::vec(0u64..10_000, 1..8),
             picks in proptest::collection::vec(0usize..8, 0..7),
             other in proptest::collection::vec(0usize..8, 0..7),
-            factor in 0.0f64..4.0,
         ) {
             let n = demands.len();
             let chain: Nested = demands.iter().enumerate().map(|(i, d)| ref_node(*d, i + 1 < n)).collect();
             let p = Plan::pipeline(&us(&demands));
             let linear = [TopologyShape::linear(n), shape_from(&other)];
             check_chain(&p, &chain, &linear);
-            check_chain(&p.scaled(factor), &ref_scaled(&chain, factor), &linear);
 
             let shape = shape_from(&picks);
             let tree_demands: Vec<u64> = (0..shape.len()).map(|i| demands[i % n]).collect();
@@ -896,7 +826,6 @@ mod tests {
                 .collect();
             let t = Plan::tree_pipeline(&shape, &us(&tree_demands));
             check(&t, &tree);
-            check(&t.scaled(factor), &ref_scaled(&tree, factor));
             let foreign = shape_from(&other);
             for s in [&shape, &TopologyShape::linear(shape.len()), &foreign] {
                 prop_assert_eq!(t.matches_shape(s).is_ok(), ref_fits(&tree, s), "{:?}", s);

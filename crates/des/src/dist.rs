@@ -150,143 +150,6 @@ impl Distribution for LogNormal {
     }
 }
 
-/// Bounded Pareto-ish heavy tail (plain Pareto with scale `x_min` and shape
-/// `alpha`). Used in ablations exploring skewed work — the paper's class-1
-/// contrast case.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// A Pareto with minimum `x_min` seconds and shape `alpha`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x_min <= 0` or `alpha <= 1` (mean would be infinite).
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(
-            x_min.is_finite() && x_min > 0.0,
-            "pareto x_min must be positive"
-        );
-        assert!(
-            alpha.is_finite() && alpha > 1.0,
-            "pareto alpha must exceed 1 for a finite mean"
-        );
-        Pareto { x_min, alpha }
-    }
-}
-
-impl Distribution for Pareto {
-    fn sample_f64(&self, rng: &mut SimRng) -> f64 {
-        self.x_min / rng.next_f64_open().powf(1.0 / self.alpha)
-    }
-
-    fn mean_f64(&self) -> f64 {
-        self.alpha * self.x_min / (self.alpha - 1.0)
-    }
-}
-
-/// Truncated (bounded) Pareto on `[lo, hi]` with shape `alpha` — the
-/// standard heavy-tail model for per-request demand where the tail must
-/// stay finite (a single request cannot exceed the bound). Sampled by
-/// inverting the truncated CDF:
-///
-/// ```text
-/// x = L · (1 − U·(1 − (L/H)^α))^(−1/α)
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundedPareto {
-    lo: f64,
-    hi: f64,
-    alpha: f64,
-}
-
-impl BoundedPareto {
-    /// A bounded Pareto on `[lo_secs, hi_secs]` with shape `alpha`.
-    ///
-    /// Unlike the unbounded [`Pareto`], any `alpha > 0` is allowed — the
-    /// upper bound keeps every moment finite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds are not finite with `0 < lo < hi`, or if
-    /// `alpha` is not strictly positive and finite.
-    pub fn new(lo_secs: f64, hi_secs: f64, alpha: f64) -> Self {
-        assert!(
-            lo_secs.is_finite() && hi_secs.is_finite() && lo_secs > 0.0 && lo_secs < hi_secs,
-            "bounded pareto needs 0 < lo < hi"
-        );
-        assert!(
-            alpha.is_finite() && alpha > 0.0,
-            "bounded pareto alpha must be positive"
-        );
-        BoundedPareto {
-            lo: lo_secs,
-            hi: hi_secs,
-            alpha,
-        }
-    }
-}
-
-impl Distribution for BoundedPareto {
-    fn sample_f64(&self, rng: &mut SimRng) -> f64 {
-        let ratio = (self.lo / self.hi).powf(self.alpha);
-        let u = rng.next_f64();
-        (self.lo * (1.0 - u * (1.0 - ratio)).powf(-1.0 / self.alpha)).min(self.hi)
-    }
-
-    fn mean_f64(&self) -> f64 {
-        let (l, h, a) = (self.lo, self.hi, self.alpha);
-        if (a - 1.0).abs() < 1e-12 {
-            // α = 1 limit of the general formula
-            let la = l / (1.0 - l / h);
-            return la * (h / l).ln();
-        }
-        let la = l.powf(a);
-        (la / (1.0 - (l / h).powf(a)))
-            * (a / (a - 1.0))
-            * (1.0 / l.powf(a - 1.0) - 1.0 / h.powf(a - 1.0))
-    }
-}
-
-/// Uniform distribution over `[lo, hi)` seconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UniformRange {
-    lo: f64,
-    hi: f64,
-}
-
-impl UniformRange {
-    /// A uniform over `[lo_secs, hi_secs)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds are not finite, negative, or `lo >= hi`.
-    pub fn new(lo_secs: f64, hi_secs: f64) -> Self {
-        assert!(
-            lo_secs.is_finite() && hi_secs.is_finite(),
-            "bounds must be finite"
-        );
-        assert!(lo_secs >= 0.0 && lo_secs < hi_secs, "need 0 <= lo < hi");
-        UniformRange {
-            lo: lo_secs,
-            hi: hi_secs,
-        }
-    }
-}
-
-impl Distribution for UniformRange {
-    fn sample_f64(&self, rng: &mut SimRng) -> f64 {
-        self.lo + (self.hi - self.lo) * rng.next_f64()
-    }
-
-    fn mean_f64(&self) -> f64 {
-        (self.lo + self.hi) / 2.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,69 +191,9 @@ mod tests {
     }
 
     #[test]
-    fn pareto_mean_converges() {
-        let d = Pareto::new(0.001, 3.0);
-        let m = empirical_mean(&d, 200_000, 17);
-        let expect = d.mean_f64();
-        assert!(
-            (m - expect).abs() / expect < 0.05,
-            "mean = {m}, expect {expect}"
-        );
-    }
-
-    #[test]
-    fn bounded_pareto_mean_converges_and_stays_in_bounds() {
-        let d = BoundedPareto::new(0.5, 20.0, 1.5);
-        let mut rng = SimRng::seed_from(29);
-        let n = 200_000;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let x = d.sample_f64(&mut rng);
-            assert!((0.5..=20.0).contains(&x), "sample {x} out of bounds");
-            sum += x;
-        }
-        let m = sum / f64::from(n);
-        let expect = d.mean_f64();
-        assert!(
-            (m - expect).abs() / expect < 0.03,
-            "mean = {m}, expect {expect}"
-        );
-    }
-
-    #[test]
-    fn bounded_pareto_alpha_one_mean() {
-        let d = BoundedPareto::new(1.0, std::f64::consts::E, 1.0);
-        // mean = L/(1 − L/H) · ln(H/L) = 1/(1 − e⁻¹)
-        let expect = 1.0 / (1.0 - 1.0 / std::f64::consts::E);
-        assert!((d.mean_f64() - expect).abs() < 1e-9);
-        let m = empirical_mean(&d, 200_000, 31);
-        assert!((m - expect).abs() / expect < 0.03, "mean = {m}");
-    }
-
-    #[test]
-    #[should_panic(expected = "0 < lo < hi")]
-    fn bounded_pareto_rejects_inverted_bounds() {
-        let _ = BoundedPareto::new(2.0, 1.0, 1.5);
-    }
-
-    #[test]
-    fn uniform_mean_is_midpoint() {
-        let d = UniformRange::new(1.0, 3.0);
-        assert_eq!(d.mean_f64(), 2.0);
-        let m = empirical_mean(&d, 20_000, 19);
-        assert!((m - 2.0).abs() < 0.03, "mean = {m}");
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn exponential_rejects_zero_mean() {
         let _ = Exponential::with_mean(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn pareto_rejects_infinite_mean_shape() {
-        let _ = Pareto::new(0.001, 1.0);
     }
 
     proptest! {
@@ -401,8 +204,6 @@ mod tests {
                 Box::new(Point::new(0.01)),
                 Box::new(Exponential::with_mean(1.0)),
                 Box::new(LogNormal::with_mean(0.5, 1.0)),
-                Box::new(Pareto::new(0.01, 2.0)),
-                Box::new(UniformRange::new(0.0, 5.0)),
             ];
             for d in &dists {
                 for _ in 0..20 {

@@ -39,9 +39,7 @@ pub mod time;
 
 /// Convenient re-exports of the items nearly every consumer needs.
 pub mod prelude {
-    pub use crate::dist::{
-        BoundedPareto, Distribution, Exponential, LogNormal, Pareto, Point, UniformRange,
-    };
+    pub use crate::dist::{Distribution, Exponential, LogNormal, Point};
     pub use crate::ids::{ReplicaId, TierId};
     pub use crate::queue::EventQueue;
     pub use crate::rng::SimRng;

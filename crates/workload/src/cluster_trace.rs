@@ -52,8 +52,8 @@ pub struct TraceTask {
     pub cpu: f64,
 }
 
-/// Error from reading a cluster-trace CSV — the typed, never-panicking
-/// analogue of [`crate::trace::ParseTraceError`] for the cluster formats.
+/// Error from reading a cluster-trace CSV — typed, so a malformed row
+/// never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceReadError {
     /// 1-based line number of the offending row (0 for stream-level IO

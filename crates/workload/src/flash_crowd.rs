@@ -69,33 +69,22 @@ impl FlashCrowd {
         self.base_rate + self.peak_extra
     }
 
-    /// The next accepted arrival strictly after `t` and before `end` (by
-    /// thinning the dominating Poisson process), or `None` once the walk
-    /// crosses `end`. Identical rng consumption to [`Self::arrivals`].
-    pub fn next_before(&self, mut t: SimTime, end: SimTime, rng: &mut SimRng) -> Option<SimTime> {
-        let lambda_max = self.peak_rate();
-        loop {
-            let gap = SimDuration::from_secs_f64(-rng.next_f64_open().ln() / lambda_max);
-            t += gap;
-            if t >= end {
-                return None;
-            }
-            if rng.next_f64() < self.rate_at(t) / lambda_max {
-                return Some(t);
-            }
-        }
-    }
-
-    /// Generates all arrivals in `[0, horizon)` by Poisson thinning.
+    /// Generates all arrivals in `[0, horizon)` by thinning the dominating
+    /// Poisson process at the peak rate.
     pub fn arrivals(&self, horizon: SimDuration, rng: &mut SimRng) -> Vec<SimTime> {
+        let lambda_max = self.peak_rate();
+        let end = SimTime::ZERO + horizon;
         let mut out = Vec::new();
         let mut t = SimTime::ZERO;
-        let end = SimTime::ZERO + horizon;
-        while let Some(next) = self.next_before(t, end, rng) {
-            out.push(next);
-            t = next;
+        loop {
+            t += SimDuration::from_secs_f64(-rng.next_f64_open().ln() / lambda_max);
+            if t >= end {
+                return out;
+            }
+            if rng.next_f64() < self.rate_at(t) / lambda_max {
+                out.push(t);
+            }
         }
-        out
     }
 }
 

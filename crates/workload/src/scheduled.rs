@@ -98,11 +98,6 @@ impl BurstSchedule {
         &self.bursts
     }
 
-    /// The per-batch dispatch window (zero = instantaneous batches).
-    pub fn spread(&self) -> SimDuration {
-        self.spread
-    }
-
     /// Expands the schedule into individual request arrival times (sorted).
     pub fn arrivals(&self) -> Vec<SimTime> {
         let mut out = Vec::new();

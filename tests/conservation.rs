@@ -4,6 +4,7 @@
 
 #![deny(deprecated)]
 
+use ntier_repro::control::{AutoscalerConfig, ControlConfig};
 use ntier_repro::core::engine::{Engine, Workload};
 use ntier_repro::core::Balancer;
 use ntier_repro::core::{SystemConfig, TierSpec, Topology};
@@ -13,6 +14,8 @@ use ntier_repro::resilience::{
     AimdConfig, BreakerConfig, CallerPolicy, CancelPolicy, FaultPlan, GrayEnvelope, HealthPolicy,
     HedgePolicy, RetryBudget, RetryPolicy, ShedPolicy,
 };
+use ntier_repro::telemetry::MetricsConfig;
+use ntier_repro::trace::TraceConfig;
 use ntier_repro::workload::{BurstSchedule, ClosedLoopSpec, RequestMix};
 use proptest::prelude::*;
 
@@ -408,6 +411,111 @@ proptest! {
         prop_assert_eq!(a.drops_total, b.drops_total);
         prop_assert_eq!(a.latency.mean(), b.latency.mean());
         prop_assert_eq!(a.tiers[0].peak_queue, b.tiers[0].peak_queue);
+    }
+}
+
+/// A replica autoscaler on the app tier, ticking every 50–300 ms.
+fn arb_autoscaler() -> impl Strategy<Value = ControlConfig> {
+    (
+        50u64..300,
+        1usize..3,
+        1usize..5,
+        1u32..20,
+        10u64..1_500,
+        50u64..800,
+    )
+        .prop_map(|(tick, min_r, headroom, up, lag, cool)| {
+            let up_depth = f64::from(up);
+            ControlConfig::every(SimDuration::from_millis(tick)).with_autoscaler(AutoscalerConfig {
+                tier: 1,
+                min_replicas: min_r,
+                max_replicas: min_r + headroom,
+                up_depth,
+                down_depth: up_depth / 4.0,
+                provisioning_lag: SimDuration::from_millis(lag),
+                cooldown: SimDuration::from_millis(cool),
+            })
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every plane at once: a replicated app tier under a random balancer,
+    /// a random fault plan plus a gray fault on one app replica, a
+    /// retrying or hedged client, the autoscaler, the health detector,
+    /// the metrics plane and sampled tracing. Requests are conserved,
+    /// nothing panics, and one seed gives one report.
+    #[test]
+    fn conservation_with_all_planes(
+        system in arb_system(),
+        replicas in 2usize..4,
+        balancer_idx in 0usize..4,
+        plan in arb_fault_plan(),
+        gray in (0usize..4, 1u64..45, 1u64..15, 2f64..12.0),
+        hedged in any::<bool>(),
+        retrying in arb_client_policy(),
+        hedging in arb_hedged_policy(),
+        control in arb_autoscaler(),
+        eject_score in 0.3f64..2.0,
+        metrics_ms in 50u64..1_000,
+        sample in 0.01f64..0.5,
+        gap_us in 2_000u64..6_000,
+        batch in 1u32..80,
+        seed in any::<u64>(),
+    ) {
+        let mut system = system;
+        let balancer = [
+            Balancer::RoundRobin,
+            Balancer::LeastOutstanding,
+            Balancer::P2c,
+            Balancer::Jsq,
+        ][balancer_idx];
+        system.tiers[1] = system.tiers[1].clone().replicas(replicas).balancer(balancer);
+        let (rep, start, len, factor) = gray;
+        let env = GrayEnvelope::new(
+            SimDuration::from_millis(50 + len * 10),
+            SimDuration::from_millis(len * 150),
+            SimDuration::from_millis(50 + len * 10),
+            factor,
+        );
+        let plan = plan
+            .gray_degradation(1, rep % replicas, SimTime::from_millis(start * 100), env)
+            .expect("a gray envelope with factor > 1 is valid");
+        let mut system = system
+            .with_faults(plan)
+            .with_control(control)
+            .with_health(HealthPolicy::monitor(1).with_eject_score(eject_score))
+            .with_metrics(MetricsConfig::every(SimDuration::from_millis(metrics_ms)))
+            .with_trace(TraceConfig::sampled(sample));
+        let policy = if hedged { Some(hedging) } else { retrying };
+        if let Some(p) = policy {
+            system = system.with_client_policy(p);
+        }
+        let mut arrivals: Vec<SimTime> = (0..4_000_000 / gap_us)
+            .map(|i| SimTime::from_micros(i * gap_us))
+            .collect();
+        arrivals.extend(std::iter::repeat_n(SimTime::from_millis(2_500), batch as usize));
+        arrivals.sort();
+        let injected = arrivals.len() as u64;
+        let run = || {
+            Engine::new(
+                system.clone(),
+                Workload::open(arrivals.clone(), RequestMix::rubbos_browse()),
+                SimDuration::from_secs(12),
+                seed,
+            )
+            .run()
+        };
+        let report = run();
+        prop_assert!(report.is_conserved(),
+            "inj {} != comp {} + fail {} + shed {} + canc {} + infl {}",
+            report.injected, report.completed, report.failed,
+            report.shed, report.cancelled, report.in_flight_end);
+        prop_assert_eq!(report.injected, injected);
+        prop_assert!(report.control.is_some());
+        prop_assert!(report.metrics.is_some());
+        prop_assert_eq!(format!("{report:?}"), format!("{:?}", run()));
     }
 }
 
