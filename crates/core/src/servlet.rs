@@ -17,12 +17,12 @@
 //! # Example
 //!
 //! ```
-//! use ntier_core::servlet::{run_sync, AsyncServlet, EventQueue, SyncDatabase, MapDatabase};
+//! use ntier_core::servlet::{run_sync, AsyncServlet, MapDatabase, ServletEvents, SyncDatabase};
 //!
 //! let mut db = MapDatabase::new([("q1:alice", "42"), ("q2:42", "ok")]);
 //! let sync_response = run_sync(&mut db, "alice");
 //!
-//! let mut events = EventQueue::default();
+//! let mut events = ServletEvents::default();
 //! let mut servlet = AsyncServlet::start("alice", &mut db, &mut events);
 //! while let Some(ev) = events.pop() {
 //!     servlet.dispatch(ev, &mut db, &mut events);
@@ -91,14 +91,14 @@ pub struct DbCompletion {
     result: String,
 }
 
-/// The event queue standing in for the server's event loop.
+/// The completion queue standing in for the server's event loop.
 #[derive(Debug, Default)]
-pub struct EventQueue {
+pub struct ServletEvents {
     events: VecDeque<DbCompletion>,
     next_token: u64,
 }
 
-impl EventQueue {
+impl ServletEvents {
     /// Submits an asynchronous query: executes against `db` and enqueues the
     /// completion event (in a real server the execution would overlap with
     /// other work; the ordering semantics are identical).
@@ -146,7 +146,7 @@ enum Stage {
 impl AsyncServlet {
     /// `doGet`: pre-processes the request and issues the first asynchronous
     /// query; returns immediately (the worker thread is not held).
-    pub fn start(request: &str, db: &mut impl SyncDatabase, events: &mut EventQueue) -> Self {
+    pub fn start(request: &str, db: &mut impl SyncDatabase, events: &mut ServletEvents) -> Self {
         // [02] pre-processing request; [03] form query1 + AsynDBQuery1
         let user = request.trim().to_string();
         let token = events.submit(db, &format!("q1:{user}"));
@@ -164,7 +164,7 @@ impl AsyncServlet {
         &mut self,
         event: DbCompletion,
         db: &mut impl SyncDatabase,
-        events: &mut EventQueue,
+        events: &mut ServletEvents,
     ) {
         match &self.stage {
             // eventHandler1: [06] think about result1; [07] form query2 +
@@ -211,7 +211,7 @@ mod tests {
         ])
     }
 
-    fn drive(servlet: &mut AsyncServlet, db: &mut MapDatabase, events: &mut EventQueue) {
+    fn drive(servlet: &mut AsyncServlet, db: &mut MapDatabase, events: &mut ServletEvents) {
         while let Some(ev) = events.pop() {
             servlet.dispatch(ev, db, events);
         }
@@ -224,7 +224,7 @@ mod tests {
             let expect = run_sync(&mut db_sync, user);
 
             let mut db_async = db();
-            let mut events = EventQueue::default();
+            let mut events = ServletEvents::default();
             let mut servlet = AsyncServlet::start(user, &mut db_async, &mut events);
             drive(&mut servlet, &mut db_async, &mut events);
 
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn async_servlet_does_not_block_between_events() {
         let mut database = db();
-        let mut events = EventQueue::default();
+        let mut events = ServletEvents::default();
         let servlet = AsyncServlet::start("alice", &mut database, &mut events);
         // start() returned with the response not yet formed: the "thread" is
         // free while query 1 is outstanding.
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn foreign_events_are_ignored() {
         let mut database = db();
-        let mut events = EventQueue::default();
+        let mut events = ServletEvents::default();
         let mut servlet = AsyncServlet::start("alice", &mut database, &mut events);
         servlet.dispatch(
             DbCompletion {
@@ -275,7 +275,7 @@ mod tests {
     fn two_servlets_interleave_on_one_event_queue() {
         // The event-driven model's point: one loop, many in-flight requests.
         let mut database = db();
-        let mut events = EventQueue::default();
+        let mut events = ServletEvents::default();
         let mut a = AsyncServlet::start("alice", &mut database, &mut events);
         let mut b = AsyncServlet::start("bob", &mut database, &mut events);
         while let Some(ev) = events.pop() {

@@ -11,10 +11,23 @@
 //! far-future timers (+3 s TCP retransmits, attempt timeouts). A flat binary
 //! heap pays `O(log n)` sift work per event on exactly the near-future
 //! traffic that dominates. The calendar front turns that hot path into O(1)
-//! bucket appends: the wheel covers ~4.2 s of simulated time in 1.024 ms
+//! bucket inserts: the wheel covers ~4.2 s of simulated time in 1.024 ms
 //! buckets, the cursor drains one bucket at a time (sorting each small
 //! bucket once), and anything beyond the wheel horizon parks in an overflow
 //! heap that is consulted only when an epoch is exhausted.
+//!
+//! # Pooled bucket chains
+//!
+//! A wheel bucket is not a buffer of its own: it is a singly linked chain
+//! of nodes in one shared pool, and the wheel is just 4096 `u32` chain
+//! heads. A push links a node in at its bucket's head (O(1), order within a
+//! chain is irrelevant because `(time, seq)` keys are unique); promotion
+//! walks the chain into `active` and returns the nodes to the pool's
+//! intrusive free list. Pending events therefore cost one pool node each,
+//! wherever they sit on the wheel — a per-bucket `Vec` would instead keep
+//! a buffer alive in every bucket it ever touched. At epoch rollover every
+//! wheel bucket is empty, so the whole pool resets at once before the
+//! rebase relinks the overflow's next epoch into it.
 //!
 //! The active bucket is a *descending* sorted `Vec`: the earliest entry
 //! pops off the back in O(1), and in-window pushes binary-search their
@@ -44,6 +57,8 @@ const WHEEL_SPAN: u64 = BUCKET_WIDTH * NUM_BUCKETS as u64;
 /// Capacity floor below which epoch-rollover decay leaves buffers alone:
 /// small buffers are cheap to keep and avoid re-growth churn.
 const DECAY_FLOOR: usize = 64;
+/// End of a bucket chain or of the pool's free list.
+const NIL: u32 = u32::MAX;
 
 /// A time-ordered queue of pending simulation events.
 ///
@@ -69,9 +84,13 @@ pub struct EventQueue<E> {
     /// `(time, seq)`: the earliest entry pops from the back in O(1). Also
     /// absorbs late pushes at or before the cursor ("past" events).
     active: Vec<Entry<E>>,
-    /// Wheel buckets for the current epoch; buckets at or before `cursor`
-    /// are empty, later ones hold unsorted entries.
-    buckets: Vec<Vec<Entry<E>>>,
+    /// First `pool` node of each wheel bucket's chain for the current
+    /// epoch, or `NIL`; buckets at or before `cursor` are empty.
+    heads: Box<[u32]>,
+    /// Nodes of every wheel bucket's chain, plus free nodes.
+    pool: Vec<Node<E>>,
+    /// First free `pool` node, or `NIL`.
+    free: u32,
     /// Events beyond the wheel horizon, pulled in on epoch rebase.
     overflow: BinaryHeap<Entry<E>>,
     /// Start of the current epoch in microseconds (a multiple of the span).
@@ -87,6 +106,17 @@ struct Entry<E> {
     time: SimTime,
     seq: u64,
     event: E,
+}
+
+/// A pool slot: a pending wheel entry, or a free node.
+#[derive(Debug)]
+struct Node<E> {
+    time: SimTime,
+    seq: u64,
+    /// `None` while the node is free.
+    event: Option<E>,
+    /// The next node in the same bucket chain, or in the free list.
+    next: u32,
 }
 
 impl<E> Entry<E> {
@@ -122,7 +152,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             active: Vec::new(),
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; NUM_BUCKETS].into_boxed_slice(),
+            pool: Vec::new(),
+            free: NIL,
             overflow: BinaryHeap::new(),
             epoch_start: 0,
             cursor: 0,
@@ -131,7 +163,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue sized for roughly `capacity` pending events.
+    /// Creates an empty queue whose active bucket is sized for its share
+    /// of `capacity` pending events spread over the wheel. The node pool
+    /// is not preallocated: it grows on first use.
     pub fn with_capacity(capacity: usize) -> Self {
         let mut q = EventQueue::new();
         q.active = Vec::with_capacity((capacity / NUM_BUCKETS).max(16));
@@ -161,11 +195,37 @@ impl<E> EventQueue<E> {
             let pos = self.active.partition_point(|e| e.key() > entry.key());
             self.active.insert(pos, entry);
         } else if t < self.epoch_start + WHEEL_SPAN {
-            let idx = ((t - self.epoch_start) >> BUCKET_SHIFT) as usize;
-            self.buckets[idx].push(entry);
+            self.link(entry);
         } else {
             self.overflow.push(entry);
         }
+    }
+
+    /// Links `entry` in at the head of its wheel bucket's chain, reusing a
+    /// free pool node when there is one. `entry` must fall inside the
+    /// current epoch's wheel.
+    fn link(&mut self, entry: Entry<E>) {
+        let bucket = ((entry.time.as_micros() - self.epoch_start) >> BUCKET_SHIFT) as usize;
+        let node = Node {
+            time: entry.time,
+            seq: entry.seq,
+            event: Some(entry.event),
+            next: self.heads[bucket],
+        };
+        self.heads[bucket] = if self.free == NIL {
+            let slot = u32::try_from(self.pool.len())
+                .ok()
+                .filter(|&s| s != NIL)
+                .expect("calendar pool holds fewer than u32::MAX nodes");
+            self.pool.push(node);
+            slot
+        } else {
+            let slot = self.free;
+            let free = &mut self.pool[slot as usize];
+            self.free = free.next;
+            *free = node;
+            slot
+        };
     }
 
     /// Removes and returns the earliest event, if any.
@@ -217,11 +277,12 @@ impl<E> EventQueue<E> {
             if self.promote_from(self.cursor + 1) {
                 return;
             }
-            // Epoch exhausted: jump the wheel to the overflow's next epoch.
-            // This is also the natural place to return peak-burst memory —
-            // long-horizon runs (trace replay) must not hold a transient
-            // spike's buffers forever, and rollover is off the hot path.
-            self.decay_capacity();
+            // Epoch exhausted: every wheel bucket is empty, so every pool
+            // node is free. Reset the pool and jump the wheel to the
+            // overflow's next epoch.
+            debug_assert!(self.heads.iter().all(|&h| h == NIL));
+            self.pool.clear();
+            self.free = NIL;
             let head = self
                 .overflow
                 .peek()
@@ -235,9 +296,12 @@ impl<E> EventQueue<E> {
                 .is_some_and(|e| e.time.as_micros() < horizon)
             {
                 let e = self.overflow.pop().expect("peeked above");
-                let idx = ((e.time.as_micros() - self.epoch_start) >> BUCKET_SHIFT) as usize;
-                self.buckets[idx].push(e);
+                self.link(e);
             }
+            // Rollover is off the hot path, so it is the natural place to
+            // return peak-burst memory: long-horizon runs (trace replay)
+            // must not hold a transient spike's buffers forever.
+            self.decay_capacity();
             if self.promote_from(0) {
                 return;
             }
@@ -245,55 +309,63 @@ impl<E> EventQueue<E> {
     }
 
     /// Shrinks buffers that ballooned during a burst and have since
-    /// drained: any bucket (or the overflow heap / active bucket) holding
-    /// more than 4× its live entries gives the excess back, down to a
-    /// small floor that avoids re-growth churn. Runs on epoch rollover
-    /// only (once per ~4.2 s of simulated time), never on the push/pop
-    /// hot path.
+    /// drained: the node pool, the overflow heap or the active bucket,
+    /// when holding more than 4× its live entries, gives the excess back,
+    /// down to a small floor that avoids re-growth churn. Runs on epoch
+    /// rollover only (once per ~4.2 s of simulated time), right after the
+    /// rebase, so the pool's live entries are exactly what the new epoch
+    /// starts with.
     fn decay_capacity(&mut self) {
-        for b in &mut self.buckets {
-            if b.capacity() > DECAY_FLOOR && b.capacity() > 4 * b.len() {
-                b.shrink_to((2 * b.len()).max(DECAY_FLOOR));
+        fn decay<T>(buf: &mut Vec<T>) {
+            if buf.capacity() > DECAY_FLOOR && buf.capacity() > 4 * buf.len() {
+                buf.shrink_to((2 * buf.len()).max(DECAY_FLOOR));
             }
         }
+        decay(&mut self.pool);
+        decay(&mut self.active);
         if self.overflow.capacity() > DECAY_FLOOR
             && self.overflow.capacity() > 4 * self.overflow.len()
         {
             self.overflow
                 .shrink_to((2 * self.overflow.len()).max(DECAY_FLOOR));
         }
-        if self.active.capacity() > DECAY_FLOOR && self.active.capacity() > 4 * self.active.len() {
-            self.active
-                .shrink_to((2 * self.active.len()).max(DECAY_FLOOR));
-        }
     }
 
-    /// Heap capacity currently retained across the active bucket, wheel
-    /// buckets, and overflow heap, in entries. Exposed so long-horizon
-    /// callers (and the rollover-decay tests) can observe that peak-burst
-    /// memory is actually returned.
+    /// Heap capacity currently retained across the active bucket, the
+    /// wheel's node pool, and the overflow heap, in entries. Exposed so
+    /// long-horizon callers (and the rollover-decay tests) can observe that
+    /// peak-burst memory is actually returned.
     pub fn retained_capacity(&self) -> usize {
-        self.active.capacity()
-            + self.buckets.iter().map(Vec::capacity).sum::<usize>()
-            + self.overflow.capacity()
+        self.active.capacity() + self.pool.capacity() + self.overflow.capacity()
     }
 
     /// Moves the first non-empty bucket at or after `start` into `active`
-    /// (sorted descending) and advances the cursor to it. The drained
-    /// bucket inherits `active`'s old buffer, so steady-state promotion
-    /// allocates nothing.
+    /// (sorted descending) and advances the cursor to it. The bucket's
+    /// nodes go back on the free list, so steady-state promotion allocates
+    /// nothing.
     fn promote_from(&mut self, start: usize) -> bool {
-        for i in start..NUM_BUCKETS {
-            if !self.buckets[i].is_empty() {
-                std::mem::swap(&mut self.active, &mut self.buckets[i]);
-                // Unstable sort is safe: (time, seq) keys are unique.
-                self.active
-                    .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                self.cursor = i;
-                return true;
-            }
+        let Some(i) = self.heads[start..].iter().position(|&h| h != NIL) else {
+            return false;
+        };
+        let i = start + i;
+        let mut n = std::mem::replace(&mut self.heads[i], NIL);
+        while n != NIL {
+            let node = &mut self.pool[n as usize];
+            let event = node.event.take().expect("chained nodes hold an event");
+            self.active.push(Entry {
+                time: node.time,
+                seq: node.seq,
+                event,
+            });
+            let next = std::mem::replace(&mut node.next, self.free);
+            self.free = n;
+            n = next;
         }
-        false
+        // Unstable sort is safe: (time, seq) keys are unique.
+        self.active
+            .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+        self.cursor = i;
+        true
     }
 
     /// Number of pending events.
@@ -444,6 +516,33 @@ mod tests {
         assert!(
             after < peak / 4,
             "rollover should shed burst capacity: {after} vs peak {peak}"
+        );
+    }
+
+    #[test]
+    fn hold_model_retains_a_small_multiple_of_pending() {
+        use crate::dist::{Distribution, Exponential};
+        use crate::rng::SimRng;
+        // Fig. 1's closed loop in miniature: 7 000 pending events, each
+        // popped event rescheduled an exponential 7 s later, for ~2 000
+        // simulated seconds (~480 epochs).
+        const PENDING: usize = 7_000;
+        let gap = Exponential::with_mean(7.0);
+        let mut rng = SimRng::seed_from(7);
+        let mut q = EventQueue::new();
+        for i in 0..PENDING {
+            q.push(SimTime::ZERO + gap.sample(&mut rng), i);
+        }
+        let mut peak = 0;
+        for _ in 0..2_000_000 {
+            let (t, e) = q.pop().expect("the hold model keeps the queue full");
+            q.push(t + gap.sample(&mut rng), e);
+            peak = peak.max(q.retained_capacity());
+        }
+        assert_eq!(q.len(), PENDING);
+        assert!(
+            peak <= 3 * PENDING,
+            "retained up to {peak} entries for {PENDING} pending"
         );
     }
 

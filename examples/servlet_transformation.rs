@@ -10,7 +10,7 @@
 
 #![deny(deprecated)]
 
-use ntier_core::servlet::{run_sync, AsyncServlet, EventQueue, MapDatabase};
+use ntier_core::servlet::{run_sync, AsyncServlet, MapDatabase, ServletEvents};
 
 fn main() {
     let fixtures = [
@@ -32,7 +32,7 @@ fn main() {
 
     println!("== Fig. 14(b): event-driven servlet, three requests on one loop ==");
     let mut db = MapDatabase::new(fixtures);
-    let mut events = EventQueue::default();
+    let mut events = ServletEvents::default();
     let mut servlets: Vec<AsyncServlet> = ["alice", "bob", "carol"]
         .iter()
         .map(|u| AsyncServlet::start(u, &mut db, &mut events))

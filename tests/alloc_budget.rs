@@ -1,68 +1,109 @@
 //! The request lifecycle's allocation budget: in steady state a
-//! closed-loop request costs about one heap allocation, its plan buffer.
+//! closed-loop request costs about one heap allocation, its plan buffer;
+//! and the heap a fig1 run at WL 7000 holds at its peak.
 //!
 //! This binary holds a single test because it installs a counting global
 //! allocator, and any other test running in the same process would add to
-//! the count. The budget is marginal: the allocations of a 60 s fig1 run
-//! minus those of a 30 s run, over the extra requests the longer run
-//! injects, so set-up costs cancel out.
+//! the counts. The allocation budget is marginal: the allocations of a
+//! 60 s fig1 run minus those of a 30 s run, over the extra requests the
+//! longer run injects, so set-up costs cancel out.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 use ntier_core::experiment;
 use ntier_des::time::SimDuration;
 
-/// Forwards to the system allocator and counts every block it hands out.
+/// Forwards to the system allocator, counts every block it hands out and
+/// tracks live and peak bytes.
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
+    PEAK.fetch_max(live, Relaxed);
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter only observes calls.
+// upholds the `GlobalAlloc` contract; the counters only observe calls and sizes.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
         // SAFETY: the caller's `layout` obligations pass straight through.
-        unsafe { System.alloc(layout) }
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
         // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
     }
 
     unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
         // SAFETY: `p` came from `System` with this `layout`.
-        unsafe { System.dealloc(p, layout) }
+        unsafe { System.dealloc(p, layout) };
+        LIVE.fetch_sub(layout.size(), Relaxed);
     }
 
     unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
         // SAFETY: as for `dealloc`, plus the caller's `new_size` contract.
-        unsafe { System.realloc(p, layout, new_size) }
+        let q = unsafe { System.realloc(p, layout, new_size) };
+        if !q.is_null() {
+            if new_size >= layout.size() {
+                grew(new_size - layout.size());
+            } else {
+                LIVE.fetch_sub(layout.size() - new_size, Relaxed);
+            }
+        }
+        q
     }
 }
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations made by, and requests injected in, one fig1 run at WL 7000.
-fn fig1(secs: u64) -> (u64, u64) {
+/// Allocations made by, requests injected in, and the peak live heap
+/// bytes of `run()` in one fig1 run at WL 7000.
+fn fig1(secs: u64) -> (u64, u64, usize) {
     let before = ALLOCS.load(Relaxed);
-    let report = experiment::fig1(7000, SimDuration::from_secs(secs), 7).run();
-    (ALLOCS.load(Relaxed) - before, report.injected)
+    let spec = experiment::fig1(7000, SimDuration::from_secs(secs), 7);
+    let live = LIVE.load(Relaxed);
+    PEAK.store(live, Relaxed);
+    let report = spec.run();
+    let peak = PEAK.load(Relaxed) - live;
+    (ALLOCS.load(Relaxed) - before, report.injected, peak)
 }
+
+/// Bound on the peak live heap of one 60 s fig1 run at WL 7000 (1.5 MiB).
+/// With the calendar queue's wheel buckets pooled into one node arena the
+/// run peaks at 0.90 MiB; with a buffer kept per wheel bucket it peaked at
+/// 2.19 MiB.
+const PEAK_HEAP_BOUND: usize = 3 << 19;
 
 #[test]
 fn closed_loop_requests_allocate_about_once() {
-    let (short_allocs, short_reqs) = fig1(30);
-    let (long_allocs, long_reqs) = fig1(60);
+    let (short_allocs, short_reqs, _) = fig1(30);
+    let (long_allocs, long_reqs, peak) = fig1(60);
     let per_request = (long_allocs - short_allocs) as f64 / (long_reqs - short_reqs) as f64;
     assert!(
         per_request <= 1.1,
         "{per_request:.3} allocations per request at the margin: {short_allocs} for \
          {short_reqs} requests at 30 s, {long_allocs} for {long_reqs} at 60 s"
+    );
+    assert!(
+        peak < PEAK_HEAP_BOUND,
+        "a 60 s fig1 run peaked at {peak} live heap bytes, over the {PEAK_HEAP_BOUND} bound"
     );
 }

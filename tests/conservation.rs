@@ -4,6 +4,8 @@
 
 #![deny(deprecated)]
 
+mod common;
+
 use ntier_repro::control::{AutoscalerConfig, ControlConfig};
 use ntier_repro::core::engine::{Engine, Workload};
 use ntier_repro::core::Balancer;
@@ -171,7 +173,7 @@ fn arb_hedged_policy() -> impl Strategy<Value = CallerPolicy> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(48)))]
 
     /// injected == completed + failed + shed + in-flight for every
     /// fault-plan scenario, with or without client retry policies and
@@ -439,7 +441,7 @@ fn arb_autoscaler() -> impl Strategy<Value = ControlConfig> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(24)))]
 
     /// Every plane at once: a replicated app tier under a random balancer,
     /// a random fault plan plus a gray fault on one app replica, a
@@ -517,6 +519,25 @@ proptest! {
         prop_assert!(report.metrics.is_some());
         prop_assert_eq!(format!("{report:?}"), format!("{:?}", run()));
     }
+}
+
+/// The case `closed_loop_conservation` once shrank to: three sync tiers of
+/// one thread and no backlog, driven by a single client.
+#[test]
+fn closed_loop_conserves_through_single_thread_tiers_without_backlog() {
+    let tier = |name| TierSpec::sync(name, 1, 0);
+    let report = Engine::new(
+        Topology::three_tier(tier("Web"), tier("App"), tier("Db")),
+        Workload::Closed {
+            spec: ClosedLoopSpec::rubbos(1),
+            mix: RequestMix::rubbos_browse(),
+        },
+        SimDuration::from_secs(20),
+        12_655_556_483_907_216_389,
+    )
+    .run();
+    assert!(report.injected > 0);
+    assert!(report.is_conserved(), "{}", report.summary());
 }
 
 #[test]

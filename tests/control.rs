@@ -3,6 +3,8 @@
 
 #![deny(deprecated)]
 
+mod common;
+
 use ntier_control::{Action, AutoscalerConfig, ControlConfig, GovernorConfig};
 use ntier_core::engine::{Engine, Workload};
 use ntier_core::{experiment, Balancer, TierSpec, Topology};
@@ -273,7 +275,7 @@ fn arb_control() -> impl Strategy<Value = ControlConfig> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(32)))]
 
     /// Conservation survives any autoscaling trajectory: replicas coming
     /// online mid-run, draining mid-burst, retiring with retransmits

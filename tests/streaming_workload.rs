@@ -17,6 +17,8 @@
 
 #![deny(deprecated)]
 
+mod common;
+
 use ntier_core::arrivals::{MixPlans, PlanStamped, SourcedRequest, TraceDemandModel, TracePlans};
 use ntier_core::engine::{Engine, Workload, WorkloadError};
 use ntier_core::{ExperimentSpec, Plan, TierSpec, Topology};
@@ -99,7 +101,7 @@ fn streamed_and_materialized_runs_are_field_for_field_identical() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(8)))]
 
     /// The equivalence holds across seeds and load levels, trace log
     /// included (the reports' Debug forms carry every field).

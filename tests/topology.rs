@@ -21,6 +21,8 @@
 
 #![deny(deprecated)]
 
+mod common;
+
 use ntier_repro::core::engine::{Engine, Workload};
 use ntier_repro::core::experiment as exp;
 use ntier_repro::core::{Balancer, Branch, Plan, RunReport, SystemConfig, TierSpec, Topology};
@@ -93,7 +95,7 @@ fn arb_topology() -> impl Strategy<Value = SystemConfig> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(32)))]
 
     /// injected == completed + failed + shed + in-flight over arbitrary
     /// replicated trees, and the per-replica ledgers sum to the tier view.
@@ -154,7 +156,7 @@ fn arb_scatter() -> impl Strategy<Value = SystemConfig> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(16)))]
 
     /// Scattering a replicated root across 2–6 random shard arms, at any
     /// quorum, neither loses nor invents requests.

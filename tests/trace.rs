@@ -16,6 +16,8 @@
 
 #![deny(deprecated)]
 
+mod common;
+
 use ntier_repro::core::engine::{Engine, Workload};
 use ntier_repro::core::experiment as exp;
 use ntier_repro::core::{RunReport, TierSpec, Topology};
@@ -48,7 +50,7 @@ fn traced_burst(seed: u64, trace: TraceConfig) -> RunReport {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(8)))]
 
     /// Every attributed causal step is backed by a recorded syn_drop event:
     /// same instant, same tier, same retransmit ordinal, and exactly as
