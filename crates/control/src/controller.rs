@@ -131,7 +131,10 @@ impl Controller {
         }
         let active = tier.active();
         let depth = tier.mean_active_depth();
-        if depth >= a.up_depth && active + self.pending_up < a.max_replicas {
+        // Replica ids are u8: the engine provisions at most 255 per tier,
+        // retired ones included, and ignores an AddReplica past that.
+        let ids_left = tier.replicas.len() + self.pending_up < usize::from(u8::MAX);
+        if depth >= a.up_depth && active + self.pending_up < a.max_replicas && ids_left {
             self.pending_up += 1;
             self.last_scale = Some(obs.now);
             self.log.push(

@@ -265,7 +265,7 @@ impl Millibottleneck {
 /// (and of the millibottleneck papers it builds on): visible at 50 ms
 /// granularity, invisible to coarse monitoring (see
 /// [`mean_util_at_granularity`]).
-pub fn detect_millibottlenecks(
+fn detect_millibottlenecks(
     report: &RunReport,
     min_util: f64,
     min_duration: SimDuration,

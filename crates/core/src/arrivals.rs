@@ -166,7 +166,7 @@ impl TraceDemandModel {
     }
 
     /// The plan for one trace instance (memoized per CPU level).
-    pub fn plan_for(&mut self, inst: &TraceInstance) -> Plan {
+    fn plan_for(&mut self, inst: &TraceInstance) -> Plan {
         let key = inst.cpu.to_bits();
         if let Some(p) = self.cache.get(&key) {
             return p.share();

@@ -1,60 +1,11 @@
-//! The paper's §III conditions for millibottlenecks to produce VLRT requests.
-//!
-//! *Static* conditions describe the system and workload class; *dynamic*
-//! conditions are the capacity arithmetic of one millibottleneck: at arrival
+//! The paper's §III dynamic conditions for millibottlenecks to produce VLRT
+//! requests: the capacity arithmetic of one millibottleneck. At arrival
 //! rate λ and stall duration `d`, `λ·d` requests arrive while the tier can
 //! absorb `MaxSysQDepth`; the excess drops. The paper's illustrative
 //! example — 1000 req/s × 0.4 s = 400 > 278 = 150 + 128 — is
 //! [`DynamicConditions::paper_example`].
 
 use ntier_des::time::SimDuration;
-
-use crate::config::SystemConfig;
-
-/// The four static conditions of §III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaticConditions {
-    /// 1) The system is composed of synchronous RPC servers.
-    pub all_synchronous: bool,
-    /// 2) The workload is bursty.
-    pub bursty_workload: bool,
-    /// 3) Requests are short (milliseconds).
-    pub short_requests: bool,
-    /// 4) All servers run at moderate average utilization.
-    pub moderate_utilization: bool,
-}
-
-impl StaticConditions {
-    /// Evaluates the static conditions for a system + workload description.
-    ///
-    /// * `mean_demand_secs` — mean end-to-end CPU demand of one request;
-    ///   "short" means under 10 ms.
-    /// * `burst_index` — index of dispersion of windowed arrivals; "bursty"
-    ///   means > 1 (super-Poisson).
-    /// * `peak_mean_util` — highest per-tier mean utilization; "moderate"
-    ///   means under 90 % (no persistent bottleneck).
-    pub fn evaluate(
-        system: &SystemConfig,
-        mean_demand_secs: f64,
-        burst_index: f64,
-        peak_mean_util: f64,
-    ) -> Self {
-        StaticConditions {
-            all_synchronous: system.is_fully_sync(),
-            bursty_workload: burst_index > 1.0,
-            short_requests: mean_demand_secs < 0.010,
-            moderate_utilization: peak_mean_util < 0.90,
-        }
-    }
-
-    /// `true` when every condition holds — CTQO is then reachable.
-    pub fn all_hold(&self) -> bool {
-        self.all_synchronous
-            && self.bursty_workload
-            && self.short_requests
-            && self.moderate_utilization
-    }
-}
 
 /// The dynamic (per-millibottleneck) conditions of §III.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,7 +42,7 @@ impl DynamicConditions {
     }
 
     /// Requests arriving during the stall: `λ·d`.
-    pub fn arrivals_during_stall(&self) -> f64 {
+    fn arrivals_during_stall(&self) -> f64 {
         self.arrival_rate * self.stall.as_secs_f64()
     }
 
@@ -104,17 +55,11 @@ impl DynamicConditions {
     pub fn drops_expected(&self) -> bool {
         self.arrivals_during_stall() > self.capacity as f64
     }
-
-    /// The shortest stall that overflows at this arrival rate.
-    pub fn critical_stall(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.capacity as f64 / self.arrival_rate)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets;
 
     #[test]
     fn paper_example_overflows_by_122() {
@@ -126,32 +71,9 @@ mod tests {
 
     #[test]
     fn critical_stall_is_the_break_even_point() {
-        let d = DynamicConditions::new(1_000.0, SimDuration::from_millis(400), 278);
-        assert_eq!(d.critical_stall(), SimDuration::from_millis(278));
         let below = DynamicConditions::new(1_000.0, SimDuration::from_millis(278), 278);
         assert!(!below.drops_expected());
         let above = DynamicConditions::new(1_000.0, SimDuration::from_millis(279), 278);
         assert!(above.drops_expected());
-    }
-
-    #[test]
-    fn static_conditions_for_the_baseline() {
-        let s = StaticConditions::evaluate(&presets::sync_three_tier(), 0.0011, 30.0, 0.43);
-        assert!(s.all_hold());
-    }
-
-    #[test]
-    fn async_system_breaks_condition_one() {
-        let s = StaticConditions::evaluate(&presets::nx3(), 0.0011, 30.0, 0.83);
-        assert!(!s.all_synchronous);
-        assert!(!s.all_hold());
-        // ...but the other three still hold at 83 % utilization.
-        assert!(s.bursty_workload && s.short_requests && s.moderate_utilization);
-    }
-
-    #[test]
-    fn saturation_breaks_condition_four() {
-        let s = StaticConditions::evaluate(&presets::sync_three_tier(), 0.0011, 30.0, 0.97);
-        assert!(!s.moderate_utilization);
     }
 }

@@ -425,20 +425,9 @@ impl SystemConfig {
         self.tiers.iter().filter(|t| !t.kind.is_sync()).count()
     }
 
-    /// `true` when every tier is synchronous (the CTQO-prone baseline).
-    pub fn is_fully_sync(&self) -> bool {
-        self.nx() == 0
-    }
-
     /// `true` when every tier is asynchronous (NX=3 — CTQO-free).
     pub fn is_fully_async(&self) -> bool {
         self.nx() == self.tiers.len()
-    }
-
-    /// `true` when no tier is replicated and no node fans out — the exact
-    /// system class the pre-topology engine simulated.
-    pub fn is_plain_chain(&self) -> bool {
-        self.shape.is_linear() && self.tiers.iter().all(|t| t.replicas == 1)
     }
 
     /// The tier index whose stall schedule is non-empty, if exactly one tier
@@ -493,9 +482,7 @@ mod tests {
             TierSpec::sync("MySQL", 100, 128),
         );
         assert_eq!(sys.nx(), 1);
-        assert!(!sys.is_fully_sync());
         assert!(!sys.is_fully_async());
-        assert!(sys.is_plain_chain());
     }
 
     #[test]
@@ -522,7 +509,6 @@ mod tests {
         assert!(spec.stalls_for(2).is_empty());
         let sys = Topology::chain(vec![TierSpec::sync("web", 10, 10), spec]);
         assert_eq!(sys.stalled_tier(), Some(1));
-        assert!(!sys.is_plain_chain());
     }
 
     #[test]

@@ -3568,20 +3568,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_obeys_interactive_law() {
-        let sys = tiny_sync_system();
-        let workload = Workload::closed(ClosedLoopSpec::rubbos(70), RequestMix::view_story());
-        let report = Engine::new(sys, workload, SimDuration::from_secs(60), 3).run();
-        // N/(Z+R) = 70/7.0 ≈ 10 req/s
-        assert!(
-            (8.0..12.0).contains(&report.throughput),
-            "throughput {}",
-            report.throughput
-        );
-        assert!(report.is_conserved());
-    }
-
-    #[test]
     fn retry_tickets_are_recycled_not_accumulated() {
         use ntier_resilience::{CallerPolicy, FaultPlan};
         // The app tier drops every message, so every attempt times out and

@@ -59,7 +59,7 @@ impl ExperimentSpec {
 /// 2 and 5 s), each stalling the app tier for 600 ms, with clusters arriving
 /// every ~30 s. The ~3 s spacing is what aligns retry windows with later
 /// bursts and produces the 6 s and 9 s latency modes.
-pub fn fig1_stall_train(horizon: SimDuration, seed: u64) -> StallSchedule {
+fn fig1_stall_train(horizon: SimDuration, seed: u64) -> StallSchedule {
     let mut rng = SimRng::seed_from(seed).fork("fig1-stalls");
     let mut marks = Vec::new();
     let mut t = SimTime::ZERO + WARMUP + SimDuration::from_secs(5);
@@ -338,12 +338,6 @@ pub fn fig12_grid(seed: u64) -> Vec<ExperimentSpec> {
         .collect()
 }
 
-/// One spec per seed for any seeded experiment constructor — the
-/// replication pattern behind confidence bands, shaped for the runner.
-pub fn replications(seeds: &[u64], make: impl FnMut(u64) -> ExperimentSpec) -> Vec<ExperimentSpec> {
-    seeds.iter().copied().map(make).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,7 +367,7 @@ mod tests {
         assert_eq!(fig9(1).system.stalled_tier(), Some(1));
         assert_eq!(fig10(1).system.nx(), 3);
         assert_eq!(fig11(1).system.nx(), 3);
-        assert!(fig12_sync(100, 1).system.is_fully_sync());
+        assert_eq!(fig12_sync(100, 1).system.nx(), 0);
         assert!(fig12_async(100, 1).system.is_fully_async());
     }
 }
@@ -621,7 +615,7 @@ pub fn hedging_frontier(variant: HedgingVariant, load: HedgingLoad, seed: u64) -
 /// One point of the hedge-delay × K × load frontier: budgeted, cancelling
 /// hedging with the given backup `delay` and per-request bound
 /// `max_hedges`, on the same plant as [`hedging_frontier`].
-pub fn hedging_frontier_point(
+fn hedging_frontier_point(
     delay: ntier_resilience::HedgeDelay,
     max_hedges: u32,
     load: HedgingLoad,
@@ -748,24 +742,6 @@ pub fn replication_ladder(replicas: usize, balancer: Balancer, seed: u64) -> Exp
         horizon,
         seed,
     }
-}
-
-/// The full replication-ladder sweep: replica counts 1/2/5, each under all
-/// four balancer policies (1-replica runs are policy-independent but kept
-/// per policy as a determinism cross-check).
-pub fn replication_ladder_sweep(seed: u64) -> Vec<ExperimentSpec> {
-    let mut specs = Vec::with_capacity(12);
-    for replicas in [1usize, 2, 5] {
-        for balancer in [
-            Balancer::RoundRobin,
-            Balancer::LeastOutstanding,
-            Balancer::P2c,
-            Balancer::Jsq,
-        ] {
-            specs.push(replication_ladder(replicas, balancer, seed));
-        }
-    }
-    specs
 }
 
 /// Which control-plane arm of the [`control_frontier`] experiment to run.

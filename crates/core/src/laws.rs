@@ -88,7 +88,7 @@ pub fn interactive_law(report: &RunReport, clients: u32, think_secs: f64) -> Law
 mod tests {
     use super::*;
     use crate::engine::{Engine, Workload};
-    use crate::presets;
+    use crate::{presets, TierSpec, Topology};
     use ntier_des::prelude::*;
     use ntier_workload::{ClosedLoopSpec, RequestMix};
 
@@ -123,9 +123,25 @@ mod tests {
 
     #[test]
     fn interactive_law_holds_for_the_closed_loop() {
-        let report = calm_run(2_000);
-        let check = interactive_law(&report, 2_000, 7.0);
-        assert!(check.holds_within(0.05), "{check}");
+        // The paper's 3-tier baseline at 2 000 clients, and 70 clients on
+        // 4-thread tiers with 2-slot backlogs and a 2-connection pool.
+        let tiny = Topology::three_tier(
+            TierSpec::sync("Web", 4, 2),
+            TierSpec::sync("App", 4, 2).with_downstream_pool(2),
+            TierSpec::sync("Db", 4, 2),
+        );
+        let tiny_report = Engine::new(
+            tiny,
+            Workload::closed(ClosedLoopSpec::rubbos(70), RequestMix::view_story()),
+            SimDuration::from_secs(60),
+            3,
+        )
+        .run();
+        for (report, clients) in [(calm_run(2_000), 2_000), (tiny_report, 70)] {
+            let check = interactive_law(&report, clients, 7.0);
+            assert!(check.holds_within(0.05), "{clients} clients: {check}");
+            assert!(report.is_conserved());
+        }
     }
 
     #[test]

@@ -50,7 +50,8 @@ pub mod config;
 pub mod csv;
 pub mod engine;
 pub mod experiment;
-pub mod laws;
+#[cfg(test)]
+mod laws;
 pub mod plan;
 pub mod presets;
 pub mod report;

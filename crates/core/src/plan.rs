@@ -18,8 +18,8 @@
 //!   post-stall batch flood the database (Fig. 9);
 //! * db tier — each query is an independent visit with a single slice.
 //!
-//! Arbitrary-depth chains are built with [`Plan::pipeline`] or
-//! [`Plan::from_tier_plans`].
+//! Arbitrary-depth chains are built with [`Plan::pipeline`], call trees
+//! with [`Plan::tree_pipeline`].
 //!
 //! # Buffer layout
 //!
@@ -54,38 +54,6 @@ pub const APP_PRE_QUERY_FRACTION: f64 = 0.05;
 
 /// Fraction of the web demand spent before forwarding a dynamic request.
 pub const WEB_PRE_FORWARD_FRACTION: f64 = 0.7;
-
-/// The visits one request makes at one tier: the nested input form that
-/// [`Plan::from_tier_plans`] encodes.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TierPlan {
-    /// `visits[v]` is the slice list of visit `v`, in arrival order.
-    pub visits: Vec<Vec<SimDuration>>,
-}
-
-impl TierPlan {
-    /// A tier the request never reaches.
-    pub fn skipped() -> Self {
-        TierPlan::default()
-    }
-
-    /// A single visit with the given slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slices` is empty (a visit always has at least one slice).
-    pub fn single(slices: Vec<SimDuration>) -> Self {
-        assert!(!slices.is_empty(), "a visit needs at least one slice");
-        TierPlan {
-            visits: vec![slices],
-        }
-    }
-
-    /// Total downstream calls issued from this tier.
-    pub fn calls(&self) -> usize {
-        self.visits.iter().map(|v| v.len() - 1).sum()
-    }
-}
 
 /// The compiled execution plan of one request across the whole chain.
 ///
@@ -177,41 +145,6 @@ impl Plan {
     #[inline]
     fn at(&self, k: usize) -> usize {
         self.buf[k].as_micros() as usize
-    }
-
-    /// Builds a plan from per-tier visit lists, validating the chain
-    /// invariant: the number of calls issued from tier `i` equals the
-    /// number of visits at tier `i+1`, and tier 0 is visited exactly once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the invariant is violated or `tiers` is empty.
-    pub fn from_tier_plans(tiers: Vec<TierPlan>) -> Plan {
-        assert!(!tiers.is_empty(), "a plan needs at least one tier");
-        assert_eq!(tiers[0].visits.len(), 1, "tier 0 is visited exactly once");
-        for i in 0..tiers.len() - 1 {
-            assert_eq!(
-                tiers[i].calls(),
-                tiers[i + 1].visits.len(),
-                "calls from tier {i} must match visits at tier {}",
-                i + 1
-            );
-        }
-        assert_eq!(
-            tiers.last().expect("non-empty").calls(),
-            0,
-            "the last tier cannot call further downstream"
-        );
-        let visits = tiers.iter().map(|t| t.visits.len()).sum();
-        let slices = tiers.iter().flat_map(|t| &t.visits).map(Vec::len).sum();
-        Plan::encode(tiers.len(), visits, slices, |w| {
-            for t in &tiers {
-                w.tier();
-                for v in &t.visits {
-                    w.visit(v.iter().copied());
-                }
-            }
-        })
     }
 
     /// Compiles a RUBBoS-style sampled request into a 3-tier plan.
@@ -317,8 +250,8 @@ impl Plan {
     /// once; a single-child node's calls equal its child's visit count; a
     /// fan-out node makes exactly one call (one scatter) and each of its
     /// children is visited exactly once (each arm owns its subtree's
-    /// visits); leaves call no further. Chains reduce to the
-    /// [`Plan::from_tier_plans`] invariant.
+    /// visits); leaves call no further. On a chain this is the invariant
+    /// that tier `i`'s calls equal tier `i+1`'s visits.
     pub fn matches_shape(&self, shape: &TopologyShape) -> Result<(), String> {
         if self.depth() != shape.len() {
             return Err(format!(
@@ -394,7 +327,8 @@ impl Plan {
     }
 
     /// `true` if the request never leaves tier 0.
-    pub fn is_static(&self) -> bool {
+    #[cfg(test)]
+    fn is_static(&self) -> bool {
         self.visits(1) == 0
     }
 
@@ -430,7 +364,7 @@ impl Plan {
     }
 
     /// Number of downstream calls made from `tier` across all its visits.
-    pub fn calls_from(&self, tier: usize) -> usize {
+    fn calls_from(&self, tier: usize) -> usize {
         let n = self.depth();
         if tier < n {
             // The tier's slices span its visits' slice-table entries.
@@ -549,55 +483,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must match visits")]
-    fn mismatched_chain_rejected() {
-        let _ = Plan::from_tier_plans(vec![
-            TierPlan::single(vec![
-                SimDuration::from_micros(10),
-                SimDuration::from_micros(10),
-            ]), // 1 call
-            TierPlan {
-                visits: vec![
-                    vec![SimDuration::from_micros(5)],
-                    vec![SimDuration::from_micros(5)],
-                ],
-            }, // but 2 visits
-        ]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot call further downstream")]
-    fn dangling_call_rejected() {
-        let _ = Plan::from_tier_plans(vec![TierPlan::single(vec![
-            SimDuration::from_micros(10),
-            SimDuration::from_micros(10),
-        ])]);
-    }
-
-    #[test]
-    fn from_tier_plans_accepts_valid_chains() {
-        let p = Plan::from_tier_plans(vec![
-            TierPlan::single(vec![
-                SimDuration::from_micros(10),
-                SimDuration::from_micros(5),
-            ]),
-            TierPlan::single(vec![
-                SimDuration::from_micros(1),
-                SimDuration::from_micros(2),
-                SimDuration::from_micros(3),
-            ]),
-            TierPlan {
-                visits: vec![
-                    vec![SimDuration::from_micros(7)],
-                    vec![SimDuration::from_micros(8)],
-                ],
-            },
-        ]);
-        assert_eq!(p.depth(), 3);
-        assert_eq!(p.calls_from(1), 2);
-    }
-
-    #[test]
     fn tree_pipeline_matches_its_shape() {
         // web scatters to two shards; shard 0 has a store below it.
         let shape = TopologyShape {
@@ -630,12 +515,10 @@ mod tests {
         };
         let d = |us| SimDuration::from_micros(us);
         // Root with 3 slices = 2 call points: illegal for a fan-out node.
-        let p = Plan::from_tier_plans(vec![
-            TierPlan::single(vec![d(1), d(2), d(3)]),
-            TierPlan {
-                visits: vec![vec![d(4)], vec![d(5)]],
-            },
-            TierPlan::skipped(),
+        let p = encode_nested(&vec![
+            vec![vec![d(1), d(2), d(3)]],
+            vec![vec![d(4)], vec![d(5)]],
+            vec![],
         ]);
         let err = p.matches_shape(&shape).unwrap_err();
         assert!(err.contains("exactly one call"), "{err}");
@@ -644,6 +527,21 @@ mod tests {
     /// The nested form a plan buffer encodes: `r[t][v]` is the slice list
     /// of visit `v` at tier `t`.
     type Nested = Vec<Vec<Vec<SimDuration>>>;
+
+    /// Encodes the nested form as-is, without checking the chain
+    /// invariant, so malformed plans can be fed to `matches_shape`.
+    fn encode_nested(r: &Nested) -> Plan {
+        let visits = r.iter().map(Vec::len).sum();
+        let slices = r.iter().flatten().map(Vec::len).sum();
+        Plan::encode(r.len(), visits, slices, |w| {
+            for t in r {
+                w.tier();
+                for v in t {
+                    w.visit(v.iter().copied());
+                }
+            }
+        })
+    }
 
     fn us(v: &[u64]) -> Vec<SimDuration> {
         v.iter().map(|d| SimDuration::from_micros(*d)).collect()
@@ -767,13 +665,12 @@ mod tests {
         prop_assert_eq!(p.share(), p.clone());
     }
 
-    /// [`check`], plus: a chain plan equals its [`Plan::from_tier_plans`]
-    /// encoding (the buffer is canonical), and `matches_shape` agrees with
-    /// the reference on every given shape.
+    /// [`check`], plus: a chain plan equals the direct encoding of its
+    /// nested form (the buffer is canonical), and `matches_shape` agrees
+    /// with the reference on every given shape.
     fn check_chain(p: &Plan, r: &Nested, shapes: &[TopologyShape]) {
         check(p, r);
-        let tiers = r.iter().map(|t| TierPlan { visits: t.clone() }).collect();
-        prop_assert_eq!(&Plan::from_tier_plans(tiers), p);
+        prop_assert_eq!(&encode_nested(r), p);
         for s in shapes {
             prop_assert_eq!(p.matches_shape(s).is_ok(), ref_fits(r, s), "{:?}", s);
         }
@@ -833,7 +730,7 @@ mod tests {
             prop_assert!(t.matches_shape(&shape).is_ok());
         }
 
-        /// Arbitrary valid chains built by `from_tier_plans` agree with the
+        /// Arbitrary valid chains, encoded directly, agree with the
         /// reference, including multi-visit tiers.
         #[test]
         fn chains_match_nested_reference(
@@ -842,8 +739,7 @@ mod tests {
             picks in proptest::collection::vec(0usize..8, 0..4),
         ) {
             let r = ref_chain(depth, &pool);
-            let tiers = r.iter().map(|t| TierPlan { visits: t.clone() }).collect();
-            let p = Plan::from_tier_plans(tiers);
+            let p = encode_nested(&r);
             check_chain(&p, &r, &[TopologyShape::linear(depth), shape_from(&picks)]);
         }
     }

@@ -193,7 +193,8 @@ impl AsyncServlet {
     }
 
     /// `true` once the response is formed.
-    pub fn is_done(&self) -> bool {
+    #[cfg(test)]
+    fn is_done(&self) -> bool {
         matches!(self.stage, Stage::Done { .. })
     }
 }

@@ -91,11 +91,6 @@ impl Exponential {
         );
         Exponential { mean_secs }
     }
-
-    /// An exponential with rate `rate` per second (mean `1/rate`).
-    pub fn with_rate(rate: f64) -> Self {
-        Exponential::with_mean(1.0 / rate)
-    }
 }
 
 impl Distribution for Exponential {
@@ -175,12 +170,6 @@ mod tests {
         let d = Exponential::with_mean(7.0);
         let m = empirical_mean(&d, 50_000, 11);
         assert!((m - 7.0).abs() / 7.0 < 0.03, "mean = {m}");
-    }
-
-    #[test]
-    fn exponential_rate_constructor() {
-        let d = Exponential::with_rate(1000.0);
-        assert!((d.mean_f64() - 0.001).abs() < 1e-12);
     }
 
     #[test]

@@ -332,10 +332,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Heap capacity currently retained across the active bucket, the
-    /// wheel's node pool, and the overflow heap, in entries. Exposed so
-    /// long-horizon callers (and the rollover-decay tests) can observe that
-    /// peak-burst memory is actually returned.
-    pub fn retained_capacity(&self) -> usize {
+    /// wheel's node pool, and the overflow heap, in entries, so the
+    /// rollover-decay and hold-model tests can observe that peak-burst
+    /// memory is actually returned.
+    #[cfg(test)]
+    fn retained_capacity(&self) -> usize {
         self.active.capacity() + self.pool.capacity() + self.overflow.capacity()
     }
 

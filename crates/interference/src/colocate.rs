@@ -7,10 +7,8 @@
 //! seconds, starving the steady tier — a CPU millibottleneck.
 //!
 //! [`Colocation`] converts a burst description into the steady tier's stall
-//! schedule. Both the paper's controlled form (batches at fixed times, §V-B)
-//! and a stochastic bursty form are supported.
+//! schedule, in the paper's controlled form: batches at fixed times (§V-B).
 
-use ntier_des::rng::SimRng;
 use ntier_des::time::{SimDuration, SimTime};
 
 use crate::stall::StallSchedule;
@@ -41,14 +39,8 @@ impl Colocation {
         }
     }
 
-    /// The paper's controlled hog: 400 ViewStory requests ≈ 300 ms of stolen
-    /// CPU per burst (0.75 ms per request).
-    pub fn paper_sysbursty() -> Self {
-        Colocation::new(400, SimDuration::from_micros(750))
-    }
-
     /// The stall each burst inflicts on the steady tier.
-    pub fn stall_duration(&self) -> SimDuration {
+    fn stall_duration(&self) -> SimDuration {
         self.per_request_demand * u64::from(self.batch_size)
     }
 
@@ -56,52 +48,11 @@ impl Colocation {
     pub fn at_marks(&self, marks: impl IntoIterator<Item = SimTime>) -> StallSchedule {
         StallSchedule::at_marks(marks, self.stall_duration())
     }
-
-    /// Periodic bursts every `period` starting at `first` (the "every 15 s"
-    /// configuration).
-    pub fn periodic(
-        &self,
-        first: SimTime,
-        period: SimDuration,
-        horizon: SimDuration,
-    ) -> StallSchedule {
-        StallSchedule::periodic(first, period, self.stall_duration(), horizon)
-    }
-
-    /// Stochastic bursts: exponentially distributed gaps with the given mean,
-    /// through `horizon` — the uncontrolled §IV-A shape.
-    pub fn stochastic(
-        &self,
-        mean_gap: SimDuration,
-        horizon: SimDuration,
-        rng: &mut SimRng,
-    ) -> StallSchedule {
-        assert!(!mean_gap.is_zero(), "mean gap must be non-zero");
-        let mut marks = Vec::new();
-        let mut t = SimTime::ZERO;
-        let end = SimTime::ZERO + horizon;
-        loop {
-            let gap =
-                SimDuration::from_secs_f64(-mean_gap.as_secs_f64() * rng.next_f64_open().ln());
-            t += gap;
-            if t >= end {
-                break;
-            }
-            marks.push(t);
-        }
-        StallSchedule::at_marks(marks, self.stall_duration())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_hog_steals_300ms() {
-        let c = Colocation::paper_sysbursty();
-        assert_eq!(c.stall_duration(), SimDuration::from_millis(300));
-    }
 
     #[test]
     fn capacity_arithmetic_of_section_3() {
@@ -113,56 +64,13 @@ mod tests {
 
     #[test]
     fn at_marks_places_stalls() {
-        let c = Colocation::paper_sysbursty();
+        // The §V-B hog: 400 ViewStory requests of 0.75 ms, 300 ms per burst.
+        let c = Colocation::new(400, SimDuration::from_micros(750));
         let s = c.at_marks([2, 5, 9, 15].map(SimTime::from_secs));
         assert_eq!(s.intervals().len(), 4);
         let (start, end) = s.intervals()[0];
         assert_eq!(start, SimTime::from_secs(2));
         assert_eq!(end, SimTime::from_secs(2) + SimDuration::from_millis(300));
-    }
-
-    #[test]
-    fn periodic_every_15s() {
-        let c = Colocation::paper_sysbursty();
-        let s = c.periodic(
-            SimTime::from_secs(7),
-            SimDuration::from_secs(15),
-            SimDuration::from_secs(60),
-        );
-        assert_eq!(s.intervals().len(), 4); // 7, 22, 37, 52
-    }
-
-    #[test]
-    fn stochastic_marks_fall_in_horizon() {
-        let c = Colocation::paper_sysbursty();
-        let mut rng = SimRng::seed_from(31);
-        let s = c.stochastic(
-            SimDuration::from_secs(10),
-            SimDuration::from_secs(120),
-            &mut rng,
-        );
-        assert!(!s.is_empty());
-        for (start, _) in s.intervals() {
-            assert!(*start < SimTime::from_secs(120));
-        }
-    }
-
-    #[test]
-    fn stochastic_is_seed_deterministic() {
-        let c = Colocation::paper_sysbursty();
-        let mut a = SimRng::seed_from(7);
-        let mut b = SimRng::seed_from(7);
-        let sa = c.stochastic(
-            SimDuration::from_secs(5),
-            SimDuration::from_secs(60),
-            &mut a,
-        );
-        let sb = c.stochastic(
-            SimDuration::from_secs(5),
-            SimDuration::from_secs(60),
-            &mut b,
-        );
-        assert_eq!(sa, sb);
     }
 
     #[test]

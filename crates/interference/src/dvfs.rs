@@ -39,16 +39,6 @@ impl DvfsSlowdown {
         }
     }
 
-    /// A governor dip to 40 % speed with a 1 ms quantum.
-    pub fn governor_dip() -> Self {
-        DvfsSlowdown::new(0.4, SimDuration::from_millis(1))
-    }
-
-    /// The effective speed fraction.
-    pub fn speed_fraction(&self) -> f64 {
-        self.speed_fraction
-    }
-
     /// Renders the slowdown over `[start, start + duration)` as a stall
     /// schedule: within each quantum, the CPU is stalled for
     /// `(1 - speed_fraction)` of the quantum.
@@ -94,7 +84,8 @@ mod tests {
     #[test]
     fn governor_dip_extends_effective_demand() {
         use ntier_server::cpu::StallTimeline;
-        let d = DvfsSlowdown::governor_dip();
+        // A governor dip to 40 % speed with a 1 ms quantum.
+        let d = DvfsSlowdown::new(0.4, SimDuration::from_millis(1));
         let s = d.over(SimTime::from_millis(100), SimDuration::from_millis(200));
         let t = StallTimeline::from_intervals(s.intervals().iter().copied());
         // 10 ms of demand submitted at the dip start takes ~10/0.4 = 25 ms.

@@ -35,26 +35,6 @@ impl LogFlush {
         }
     }
 
-    /// The paper's configuration: a flush every 30 s, first at 10 s,
-    /// stalling for ~350 ms.
-    pub fn collectl_default() -> Self {
-        LogFlush::new(
-            SimTime::from_secs(10),
-            SimDuration::from_secs(30),
-            SimDuration::from_millis(350),
-        )
-    }
-
-    /// The flush period.
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
-
-    /// The stall per flush.
-    pub fn flush_duration(&self) -> SimDuration {
-        self.flush_duration
-    }
-
     /// The stall schedule over `horizon`.
     pub fn schedule(&self, horizon: SimDuration) -> StallSchedule {
         StallSchedule::periodic(self.first, self.period, self.flush_duration, horizon)
@@ -66,18 +46,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn collectl_default_matches_fig5_marks() {
-        let lf = LogFlush::collectl_default();
-        let s = lf.schedule(SimDuration::from_secs(80));
-        let starts: Vec<u64> = s
-            .intervals()
-            .iter()
-            .map(|(a, _)| a.as_millis() / 1_000)
-            .collect();
-        assert_eq!(starts, vec![10, 40, 70]);
-    }
-
-    #[test]
     fn custom_period() {
         let lf = LogFlush::new(
             SimTime::from_secs(5),
@@ -86,8 +54,6 @@ mod tests {
         );
         let s = lf.schedule(SimDuration::from_secs(30));
         assert_eq!(s.intervals().len(), 3);
-        assert_eq!(lf.period(), SimDuration::from_secs(10));
-        assert_eq!(lf.flush_duration(), SimDuration::from_millis(200));
     }
 
     #[test]

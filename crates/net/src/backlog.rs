@@ -23,9 +23,6 @@ use std::collections::VecDeque;
 pub struct Backlog<T> {
     items: VecDeque<T>,
     capacity: usize,
-    dropped_total: u64,
-    accepted_total: u64,
-    peak_len: usize,
 }
 
 impl<T> Backlog<T> {
@@ -37,15 +34,7 @@ impl<T> Backlog<T> {
         Backlog {
             items: VecDeque::with_capacity(capacity.min(1024)),
             capacity,
-            dropped_total: 0,
-            accepted_total: 0,
-            peak_len: 0,
         }
-    }
-
-    /// Creates a backlog with the Linux default capacity (128).
-    pub fn linux_default() -> Self {
-        Backlog::new(crate::DEFAULT_TCP_BACKLOG)
     }
 
     /// Attempts to enqueue `item`.
@@ -55,15 +44,10 @@ impl<T> Backlog<T> {
     /// Returns `Err(item)` when the queue is full — the caller decides what a
     /// drop means (schedule a retransmit, count a failure, ...).
     pub fn offer(&mut self, item: T) -> Result<(), T> {
-        if self.items.len() >= self.capacity {
-            self.dropped_total += 1;
+        if self.is_full() {
             return Err(item);
         }
         self.items.push_back(item);
-        self.accepted_total += 1;
-        if self.items.len() > self.peak_len {
-            self.peak_len = self.items.len();
-        }
         Ok(())
     }
 
@@ -75,8 +59,6 @@ impl<T> Backlog<T> {
     /// Removes and returns the first queued item matching `pred` — the
     /// cancellation hook: a cancel chasing a queued attempt plucks it out
     /// of the accept queue, freeing the slot without it ever being served.
-    /// Removal counts as neither a drop nor a pop; `accepted_total` keeps
-    /// reflecting admissions, so `accepted - popped - removed == len`.
     pub fn remove_where(&mut self, pred: impl Fn(&T) -> bool) -> Option<T> {
         let idx = self.items.iter().position(pred)?;
         self.items.remove(idx)
@@ -93,33 +75,13 @@ impl<T> Backlog<T> {
     }
 
     /// `true` when the next `offer` would drop.
-    pub fn is_full(&self) -> bool {
+    fn is_full(&self) -> bool {
         self.items.len() >= self.capacity
     }
 
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Free slots remaining.
-    pub fn remaining(&self) -> usize {
-        self.capacity - self.items.len()
-    }
-
-    /// Items dropped by `offer` over the backlog's lifetime.
-    pub fn dropped_total(&self) -> u64 {
-        self.dropped_total
-    }
-
-    /// Items accepted over the backlog's lifetime.
-    pub fn accepted_total(&self) -> u64 {
-        self.accepted_total
-    }
-
-    /// Highest queue length ever reached.
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
     }
 }
 
@@ -151,9 +113,6 @@ mod tests {
         assert_eq!(b.pop(), Some(1));
         assert_eq!(b.pop(), Some(3));
         assert_eq!(b.pop(), Some(2));
-        // Removal is not a drop and does not disturb admission counts.
-        assert_eq!(b.dropped_total(), 0);
-        assert_eq!(b.accepted_total(), 4);
     }
 
     #[test]
@@ -162,8 +121,6 @@ mod tests {
         assert!(b.offer(1).is_ok());
         assert_eq!(b.offer(2), Err(2));
         assert_eq!(b.offer(3), Err(3));
-        assert_eq!(b.dropped_total(), 2);
-        assert_eq!(b.accepted_total(), 1);
         assert!(b.is_full());
         b.pop();
         assert!(!b.is_full());
@@ -175,26 +132,6 @@ mod tests {
         let mut b: Backlog<u8> = Backlog::new(0);
         assert!(b.is_full());
         assert_eq!(b.offer(1), Err(1));
-        assert_eq!(b.remaining(), 0);
-    }
-
-    #[test]
-    fn linux_default_is_128() {
-        let b: Backlog<()> = Backlog::linux_default();
-        assert_eq!(b.capacity(), 128);
-    }
-
-    #[test]
-    fn peak_len_tracks_high_water_mark() {
-        let mut b = Backlog::new(10);
-        for i in 0..7 {
-            b.offer(i).unwrap();
-        }
-        for _ in 0..7 {
-            b.pop();
-        }
-        assert_eq!(b.peak_len(), 7);
-        assert!(b.is_empty());
     }
 
     proptest! {
@@ -203,18 +140,19 @@ mod tests {
         #[test]
         fn accounting_invariants(cap in 0usize..64, ops in proptest::collection::vec(any::<bool>(), 0..300)) {
             let mut b: Backlog<u32> = Backlog::new(cap);
-            let mut popped = 0u64;
+            let (mut accepted, mut popped) = (0u64, 0u64);
             for (i, push) in ops.iter().enumerate() {
                 if *push {
                     let was_full = b.is_full();
                     let r = b.offer(i as u32);
                     prop_assert_eq!(r.is_err(), was_full);
+                    accepted += u64::from(r.is_ok());
                 } else if b.pop().is_some() {
                     popped += 1;
                 }
                 prop_assert!(b.len() <= cap);
             }
-            prop_assert_eq!(b.accepted_total() - popped, b.len() as u64);
+            prop_assert_eq!(accepted - popped, b.len() as u64);
         }
     }
 }

@@ -23,29 +23,3 @@ pub mod retransmit;
 
 pub use backlog::Backlog;
 pub use retransmit::{RetransmitPolicy, RetransmitState, RetryDecision};
-
-/// The Linux default TCP accept-backlog capacity the paper measured against.
-pub const DEFAULT_TCP_BACKLOG: usize = 128;
-
-/// Why a message was dropped. Used by telemetry and the CTQO analyzer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DropKind {
-    /// The thread pool was exhausted and the TCP accept backlog was full
-    /// (synchronous server overflow — the paper's dropped-packet case).
-    BacklogOverflow,
-    /// The asynchronous server's lightweight queue was full (only reachable
-    /// with very small `LiteQDepth` configurations).
-    LiteQueueOverflow,
-    /// The retry budget was exhausted; the client gave up.
-    RetriesExhausted,
-}
-
-impl std::fmt::Display for DropKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DropKind::BacklogOverflow => write!(f, "backlog overflow"),
-            DropKind::LiteQueueOverflow => write!(f, "lightweight queue overflow"),
-            DropKind::RetriesExhausted => write!(f, "retries exhausted"),
-        }
-    }
-}

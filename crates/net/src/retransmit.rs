@@ -23,7 +23,7 @@ impl RetransmitPolicy {
     /// # Panics
     ///
     /// Panics if `delays` is empty.
-    pub fn from_delays(delays: Vec<SimDuration>) -> Self {
+    fn from_delays(delays: Vec<SimDuration>) -> Self {
         assert!(
             !delays.is_empty(),
             "a retransmit policy needs at least one delay"
@@ -44,8 +44,7 @@ impl RetransmitPolicy {
     /// Exponential backoff: `initial, 2*initial, 4*initial, ...` for
     /// `retries` attempts (modern kernel behaviour; ablation only), clamped
     /// at [`RetransmitPolicy::DEFAULT_MAX_DELAY`] like a real kernel's
-    /// `TCP_RTO_MAX`. Use [`RetransmitPolicy::exponential_capped`] to pick
-    /// the ceiling.
+    /// `TCP_RTO_MAX`.
     pub fn exponential(initial: SimDuration, retries: usize) -> Self {
         RetransmitPolicy::exponential_capped(initial, retries, Self::DEFAULT_MAX_DELAY)
     }
@@ -58,11 +57,7 @@ impl RetransmitPolicy {
     ///
     /// Panics if `max_delay < initial` — the cap would silently rewrite the
     /// first delay.
-    pub fn exponential_capped(
-        initial: SimDuration,
-        retries: usize,
-        max_delay: SimDuration,
-    ) -> Self {
+    fn exponential_capped(initial: SimDuration, retries: usize, max_delay: SimDuration) -> Self {
         assert!(
             max_delay >= initial,
             "max_delay {max_delay} is below the initial delay {initial}"
@@ -78,7 +73,7 @@ impl RetransmitPolicy {
 
     /// The delay before retry `attempt` (0-based), or `None` when the retry
     /// budget is exhausted.
-    pub fn delay_for(&self, attempt: u32) -> Option<SimDuration> {
+    fn delay_for(&self, attempt: u32) -> Option<SimDuration> {
         self.delays.get(attempt as usize).copied()
     }
 
@@ -89,7 +84,8 @@ impl RetransmitPolicy {
 
     /// Total added latency if every attempt through `attempt` (inclusive,
     /// 0-based) was dropped.
-    pub fn cumulative_delay(&self, attempt: u32) -> SimDuration {
+    #[cfg(test)]
+    fn cumulative_delay(&self, attempt: u32) -> SimDuration {
         self.delays
             .iter()
             .take(attempt as usize + 1)
@@ -237,12 +233,6 @@ mod tests {
         );
         assert_eq!(s.on_drop(&p, SimTime::from_secs(16)), RetryDecision::GiveUp);
         assert_eq!(s.attempts(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one delay")]
-    fn empty_delay_table_rejected() {
-        let _ = RetransmitPolicy::from_delays(vec![]);
     }
 
     proptest! {

@@ -292,7 +292,8 @@ impl HealthDetector {
     }
 
     /// Count of replicas currently out (ejected or on probation).
-    pub fn ejected_count(&self) -> usize {
+    #[cfg(test)]
+    fn ejected_count(&self) -> usize {
         self.phases.iter().filter(|p| **p != Phase::Healthy).count()
     }
 

@@ -425,23 +425,6 @@ impl AimdConfig {
             increase_by: 1.0,
         }
     }
-
-    /// Overrides the congestion tolerance (must exceed 1).
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        assert!(tolerance > 1.0, "tolerance must exceed 1");
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// Overrides the multiplicative-decrease ratio (in `(0, 1)`).
-    pub fn with_backoff(mut self, ratio: f64) -> Self {
-        assert!(
-            ratio > 0.0 && ratio < 1.0,
-            "backoff ratio must be in (0, 1)"
-        );
-        self.backoff_ratio = ratio;
-        self
-    }
 }
 
 /// Runtime state of an AIMD concurrency limiter for one hop.
@@ -487,7 +470,8 @@ impl AimdLimiter {
     }
 
     /// Best RTT observed so far.
-    pub fn min_rtt(&self) -> Option<SimDuration> {
+    #[cfg(test)]
+    fn min_rtt(&self) -> Option<SimDuration> {
         self.min_rtt
     }
 
@@ -685,7 +669,7 @@ impl CallerPolicy {
 
     /// A hedged caller: `deadline` bounds the whole logical request and
     /// `hedge` governs the backup attempts. No sequential retry (hedging
-    /// replaces it), no budget/breaker unless added with the builders.
+    /// replaces it), no budget or breaker.
     pub fn hedged(deadline: SimDuration, hedge: HedgePolicy) -> Self {
         CallerPolicy {
             attempt_timeout: deadline,
@@ -697,21 +681,9 @@ impl CallerPolicy {
         }
     }
 
-    /// Adds (or replaces) the hedge policy.
-    pub fn with_hedge(mut self, hedge: HedgePolicy) -> Self {
-        self.hedge = Some(hedge);
-        self
-    }
-
     /// Adds (or replaces) cancellation propagation.
     pub fn with_cancel(mut self, cancel: CancelPolicy) -> Self {
         self.cancel = Some(cancel);
-        self
-    }
-
-    /// Adds (or replaces) the circuit breaker.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = Some(breaker);
         self
     }
 }

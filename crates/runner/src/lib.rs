@@ -143,29 +143,6 @@ pub fn try_run_all(
         .collect()
 }
 
-/// Replicates one experiment across `seeds`, in seed order.
-///
-/// `make` receives each seed and builds the spec; building happens up front
-/// on the calling thread, so the closure needs no thread bounds.
-pub fn replicate(
-    seeds: &[u64],
-    mut make: impl FnMut(u64) -> ExperimentSpec,
-    threads: usize,
-) -> Vec<RunReport> {
-    run_all(seeds.iter().map(|&s| make(s)).collect(), threads)
-}
-
-/// Sweeps one experiment across a parameter grid, in grid order — the shape
-/// of every figure's x-axis (workload steps, concurrency levels, chain
-/// depths).
-pub fn sweep<P: Copy>(
-    params: &[P],
-    mut make: impl FnMut(P) -> ExperimentSpec,
-    threads: usize,
-) -> Vec<RunReport> {
-    run_all(params.iter().map(|&p| make(p)).collect(), threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,34 +219,5 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_rejected() {
         let _ = run_all(tiny_specs(), 0);
-    }
-
-    #[test]
-    fn replicate_orders_by_seed() {
-        let reports = replicate(
-            &[1, 2, 3],
-            |seed| experiment::fig12_sync(100, seed),
-            default_threads().max(2),
-        );
-        let direct: Vec<_> = [1u64, 2, 3]
-            .iter()
-            .map(|&s| experiment::fig12_sync(100, s).run())
-            .collect();
-        for (r, d) in reports.iter().zip(&direct) {
-            assert_eq!(fingerprint(r), fingerprint(d));
-        }
-    }
-
-    #[test]
-    fn sweep_orders_by_param() {
-        let reports = sweep(&[100u32, 200, 400], |c| experiment::fig12_sync(c, 5), 2);
-        let direct: Vec<_> = [100u32, 200, 400]
-            .iter()
-            .map(|&c| experiment::fig12_sync(c, 5).run())
-            .collect();
-        assert_eq!(reports.len(), 3);
-        for (r, d) in reports.iter().zip(&direct) {
-            assert_eq!(fingerprint(r), fingerprint(d));
-        }
     }
 }

@@ -37,8 +37,6 @@ pub struct ConnectionPool {
     capacity: usize,
     in_use: usize,
     waiters: VecDeque<u64>,
-    peak_waiting: usize,
-    granted_total: u64,
 }
 
 impl ConnectionPool {
@@ -56,8 +54,6 @@ impl ConnectionPool {
             capacity,
             in_use: 0,
             waiters: VecDeque::new(),
-            peak_waiting: 0,
-            granted_total: 0,
         }
     }
 
@@ -68,13 +64,9 @@ impl ConnectionPool {
     pub fn acquire(&mut self, token: u64) -> Lease {
         if self.in_use < self.capacity {
             self.in_use += 1;
-            self.granted_total += 1;
             Lease::Granted
         } else {
             self.waiters.push_back(token);
-            if self.waiters.len() > self.peak_waiting {
-                self.peak_waiting = self.waiters.len();
-            }
             Lease::Queued
         }
     }
@@ -89,7 +81,6 @@ impl ConnectionPool {
         assert!(self.in_use > 0, "release without acquire");
         if let Some(next) = self.waiters.pop_front() {
             // Connection moves straight to the waiter; in_use is unchanged.
-            self.granted_total += 1;
             Some(next)
         } else {
             self.in_use -= 1;
@@ -111,7 +102,8 @@ impl ConnectionPool {
     }
 
     /// Connections currently leased.
-    pub fn in_use(&self) -> usize {
+    #[cfg(test)]
+    fn in_use(&self) -> usize {
         self.in_use
     }
 
@@ -123,16 +115,6 @@ impl ConnectionPool {
     /// Pool size.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// High-water mark of the wait queue.
-    pub fn peak_waiting(&self) -> usize {
-        self.peak_waiting
-    }
-
-    /// Total leases granted (immediate + handed over).
-    pub fn granted_total(&self) -> u64 {
-        self.granted_total
     }
 }
 
@@ -153,28 +135,6 @@ mod tests {
         assert_eq!(p.release(), Some(4));
         assert_eq!(p.release(), None);
         assert_eq!(p.in_use(), 1);
-    }
-
-    #[test]
-    fn peak_waiting_is_tracked() {
-        let mut p = ConnectionPool::new(1);
-        p.acquire(1);
-        p.acquire(2);
-        p.acquire(3);
-        assert_eq!(p.peak_waiting(), 2);
-        p.release();
-        p.release();
-        assert_eq!(p.waiting(), 0);
-        assert_eq!(p.peak_waiting(), 2);
-    }
-
-    #[test]
-    fn granted_total_counts_handovers() {
-        let mut p = ConnectionPool::new(1);
-        p.acquire(1);
-        p.acquire(2);
-        p.release();
-        assert_eq!(p.granted_total(), 2);
     }
 
     #[test]

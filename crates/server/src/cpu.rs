@@ -42,16 +42,6 @@ impl StallTimeline {
         StallTimeline { intervals: merged }
     }
 
-    /// `true` if `t` falls inside a stall.
-    pub fn is_stalled(&self, t: SimTime) -> bool {
-        let t = t.as_micros();
-        match self.intervals.binary_search_by(|(s, _)| s.cmp(&t)) {
-            Ok(_) => true,
-            Err(0) => false,
-            Err(i) => t < self.intervals[i - 1].1,
-        }
-    }
-
     /// The stall intervals, as `SimTime` pairs.
     pub fn intervals(&self) -> impl Iterator<Item = (SimTime, SimTime)> + '_ {
         self.intervals
@@ -77,7 +67,7 @@ impl StallTimeline {
     /// returns the completion time. The engine's hot path uses this to feed
     /// busy segments straight into utilization accounting without building
     /// an intermediate `Vec` per CPU slice.
-    pub fn execute_with(
+    fn execute_with(
         &self,
         start: SimTime,
         demand: SimDuration,
@@ -145,7 +135,8 @@ pub struct Execution {
 
 impl Execution {
     /// Total executed time across segments.
-    pub fn busy_time(&self) -> SimDuration {
+    #[cfg(test)]
+    fn busy_time(&self) -> SimDuration {
         self.segments
             .iter()
             .fold(SimDuration::ZERO, |acc, (s, e)| acc + (*e - *s))
@@ -170,7 +161,6 @@ impl Execution {
 pub struct CpuModel {
     stalls: StallTimeline,
     core_free: Vec<SimTime>,
-    queued_demand_us: u64,
 }
 
 impl CpuModel {
@@ -184,7 +174,6 @@ impl CpuModel {
         CpuModel {
             stalls,
             core_free: vec![SimTime::ZERO; cores as usize],
-            queued_demand_us: 0,
         }
     }
 
@@ -211,7 +200,6 @@ impl CpuModel {
         let start = self.core_free[core].max(now);
         let exec = self.stalls.execute(start, demand);
         self.core_free[core] = exec.end;
-        self.queued_demand_us += demand.as_micros();
         exec
     }
 
@@ -234,18 +222,7 @@ impl CpuModel {
         let start = self.core_free[core].max(now);
         let end = self.stalls.execute_with(start, demand, segment);
         self.core_free[core] = end;
-        self.queued_demand_us += demand.as_micros();
         end
-    }
-
-    /// The earliest time any core becomes free.
-    pub fn earliest_free(&self) -> SimTime {
-        *self.core_free.iter().min().expect("at least one core")
-    }
-
-    /// Total demand ever submitted, for utilization cross-checks.
-    pub fn submitted_demand(&self) -> SimDuration {
-        SimDuration::from_micros(self.queued_demand_us)
     }
 }
 
@@ -272,15 +249,6 @@ mod tests {
         ]);
         let iv: Vec<_> = t.intervals().collect();
         assert_eq!(iv, vec![(ms(10), ms(30)), (ms(40), ms(50))]);
-    }
-
-    #[test]
-    fn is_stalled_boundary_conditions() {
-        let t = StallTimeline::from_intervals(vec![(ms(10), ms(20))]);
-        assert!(!t.is_stalled(ms(9)));
-        assert!(t.is_stalled(ms(10)));
-        assert!(t.is_stalled(ms(19)));
-        assert!(!t.is_stalled(ms(20)));
     }
 
     #[test]
@@ -344,7 +312,6 @@ mod tests {
             assert_eq!(end, e.end);
             assert_eq!(segs, e.segments);
         }
-        assert_eq!(a.submitted_demand(), b.submitted_demand());
     }
 
     #[test]

@@ -27,9 +27,6 @@ pub struct EventLoop {
     lite_capacity: usize,
     workers: u32,
     in_flight: usize,
-    peak_in_flight: usize,
-    admitted_total: u64,
-    rejected_total: u64,
 }
 
 impl EventLoop {
@@ -45,9 +42,6 @@ impl EventLoop {
             lite_capacity,
             workers,
             in_flight: 0,
-            peak_in_flight: 0,
-            admitted_total: 0,
-            rejected_total: 0,
         }
     }
 
@@ -55,13 +49,8 @@ impl EventLoop {
     pub fn try_admit(&mut self) -> bool {
         if self.in_flight < self.lite_capacity {
             self.in_flight += 1;
-            self.admitted_total += 1;
-            if self.in_flight > self.peak_in_flight {
-                self.peak_in_flight = self.in_flight;
-            }
             true
         } else {
-            self.rejected_total += 1;
             false
         }
     }
@@ -81,30 +70,9 @@ impl EventLoop {
         self.in_flight
     }
 
-    /// The `LiteQDepth`.
-    pub fn lite_capacity(&self) -> usize {
-        self.lite_capacity
-    }
-
     /// Worker count (paces CPU work, never admission).
     pub fn workers(&self) -> u32 {
         self.workers
-    }
-
-    /// High-water mark of in-flight requests — the paper's "queued requests"
-    /// series for async tiers (Figs. 10(b), 11(b)).
-    pub fn peak_in_flight(&self) -> usize {
-        self.peak_in_flight
-    }
-
-    /// Lifetime admissions.
-    pub fn admitted_total(&self) -> u64 {
-        self.admitted_total
-    }
-
-    /// Lifetime rejections (only possible when `LiteQDepth` is tiny).
-    pub fn rejected_total(&self) -> u64 {
-        self.rejected_total
     }
 }
 
@@ -121,7 +89,6 @@ mod tests {
             assert!(el.try_admit());
         }
         assert_eq!(el.in_flight(), 500);
-        assert_eq!(el.rejected_total(), 0);
     }
 
     #[test]
@@ -130,22 +97,8 @@ mod tests {
         assert!(el.try_admit());
         assert!(el.try_admit());
         assert!(!el.try_admit());
-        assert_eq!(el.rejected_total(), 1);
         el.complete();
         assert!(el.try_admit());
-    }
-
-    #[test]
-    fn peak_tracks_high_water() {
-        let mut el = EventLoop::new(100, 4);
-        for _ in 0..30 {
-            el.try_admit();
-        }
-        for _ in 0..30 {
-            el.complete();
-        }
-        assert_eq!(el.peak_in_flight(), 30);
-        assert_eq!(el.in_flight(), 0);
     }
 
     #[test]
@@ -160,18 +113,20 @@ mod tests {
         #[test]
         fn accounting(cap in 1usize..64, ops in proptest::collection::vec(any::<bool>(), 0..300)) {
             let mut el = EventLoop::new(cap, 2);
-            let mut completed = 0u64;
+            let (mut admitted, mut completed) = (0u64, 0u64);
             for admit in ops {
                 if admit {
                     let had_room = el.in_flight() < cap;
-                    prop_assert_eq!(el.try_admit(), had_room);
+                    let ok = el.try_admit();
+                    prop_assert_eq!(ok, had_room);
+                    admitted += u64::from(ok);
                 } else if el.in_flight() > 0 {
                     el.complete();
                     completed += 1;
                 }
                 prop_assert!(el.in_flight() <= cap);
             }
-            prop_assert_eq!(el.admitted_total() - completed, el.in_flight() as u64);
+            prop_assert_eq!(admitted - completed, el.in_flight() as u64);
         }
     }
 }

@@ -33,7 +33,6 @@ pub struct ProcessGroup {
     busy: usize,
     spawning: bool,
     spawn_delay: SimDuration,
-    peak_busy: usize,
     spawns_total: u64,
 }
 
@@ -58,7 +57,6 @@ impl ProcessGroup {
             busy: 0,
             spawning: false,
             spawn_delay,
-            peak_busy: 0,
             spawns_total: 0,
         }
     }
@@ -72,9 +70,6 @@ impl ProcessGroup {
     pub fn try_acquire(&mut self) -> bool {
         if self.busy < self.capacity() {
             self.busy += 1;
-            if self.busy > self.peak_busy {
-                self.peak_busy = self.busy;
-            }
             true
         } else {
             false
@@ -132,7 +127,8 @@ impl ProcessGroup {
     }
 
     /// Capacity if all allowed processes were spawned.
-    pub fn max_capacity(&self) -> usize {
+    #[cfg(test)]
+    fn max_capacity(&self) -> usize {
         self.max_processes * self.threads_per_process
     }
 
@@ -154,11 +150,6 @@ impl ProcessGroup {
     /// The configured spawn delay.
     pub fn spawn_delay(&self) -> SimDuration {
         self.spawn_delay
-    }
-
-    /// High-water mark of concurrently busy threads.
-    pub fn peak_busy(&self) -> usize {
-        self.peak_busy
     }
 
     /// Total completed spawns.

@@ -199,14 +199,14 @@ impl MetricsSnapshot {
         s
     }
 
-    /// CSV header matching [`MetricsSnapshot::csv_row`] (tiers flattened
+    /// CSV header of [`MetricsRegistry::csv`] (tiers flattened
     /// out — per-replica detail lives in the JSONL stream).
     pub const CSV_HEADER: &'static str = "t_us,events,events_delta,calendar_occupancy,slab_live,\
          slab_slots,injected,completed,failed,shed,completed_delta,drops,retries,hedges,\
          p50_us,p99_us,recent_p50_us,recent_p99_us,recent_samples";
 
     /// Renders the scalar columns as one CSV row.
-    pub fn csv_row(&self) -> String {
+    fn csv_row(&self) -> String {
         format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             self.t_us,

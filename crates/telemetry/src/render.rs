@@ -7,7 +7,6 @@
 use std::fmt::Write as _;
 
 use crate::histogram::LatencyHistogram;
-use ntier_des::time::SimDuration;
 
 /// Renders a semi-log frequency-by-latency chart like the paper's Fig. 1.
 ///
@@ -62,40 +61,6 @@ pub fn semilog_histogram(h: &LatencyHistogram, group: usize, width: usize) -> St
     out
 }
 
-/// Renders a compact per-window sparkline for a series of values in `[0, 1]`
-/// (e.g. utilization) or arbitrary non-negative values (auto-scaled).
-pub fn sparkline(values: &[f64]) -> String {
-    const TICKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let hi = values.iter().cloned().fold(0.0_f64, f64::max);
-    if hi <= 0.0 {
-        return TICKS[0].to_string().repeat(values.len());
-    }
-    values
-        .iter()
-        .map(|v| {
-            let idx = ((v / hi) * (TICKS.len() - 1) as f64).round() as usize;
-            TICKS[idx.min(TICKS.len() - 1)]
-        })
-        .collect()
-}
-
-/// A labelled horizontal bar chart (used for throughput tables like Fig. 12).
-pub fn bar_chart(rows: &[(String, f64)], width: usize) -> String {
-    let width = width.max(10);
-    let hi = rows
-        .iter()
-        .map(|(_, v)| *v)
-        .fold(0.0_f64, f64::max)
-        .max(1e-9);
-    let label_w = rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (label, value) in rows {
-        let bar = "#".repeat(((value / hi) * width as f64).round() as usize);
-        let _ = writeln!(out, "{label:>label_w$} {value:>10.1} {bar}");
-    }
-    out
-}
-
 /// Serializes rows as CSV into a string (values are escaped minimally: any
 /// field containing a comma or quote is quoted).
 pub fn to_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -119,11 +84,6 @@ pub fn to_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Formats a duration as seconds with millisecond precision (chart axes).
-pub fn secs_label(d: SimDuration) -> String {
-    format!("{:.3}", d.as_secs_f64())
-}
-
 fn escape(field: &str) -> String {
     if field.contains(',') || field.contains('"') || field.contains('\n') {
         format!("\"{}\"", field.replace('"', "\"\""))
@@ -135,6 +95,7 @@ fn escape(field: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ntier_des::time::SimDuration;
 
     #[test]
     fn semilog_histogram_includes_clusters_and_overflow() {
@@ -151,23 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn sparkline_scales_to_max() {
-        let s = sparkline(&[0.0, 0.5, 1.0]);
-        assert_eq!(s.chars().count(), 3);
-        assert!(s.ends_with('█'));
-        assert_eq!(sparkline(&[0.0, 0.0]), "▁▁");
-    }
-
-    #[test]
-    fn bar_chart_lines_up_labels() {
-        let rows = vec![("sync".to_string(), 374.0), ("async".to_string(), 1200.0)];
-        let chart = bar_chart(&rows, 20);
-        let lines: Vec<&str> = chart.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[1].contains("####################"));
-    }
-
-    #[test]
     fn csv_escapes_fields() {
         let csv = to_csv(
             &["a", "b"],
@@ -176,10 +120,5 @@ mod tests {
         assert_eq!(csv.lines().count(), 2);
         assert!(csv.contains("\"1,5\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn secs_label_formats_millis() {
-        assert_eq!(secs_label(SimDuration::from_millis(1_500)), "1.500");
     }
 }

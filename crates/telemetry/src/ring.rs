@@ -97,6 +97,7 @@ impl Ring {
             .and_then(|off| self.aggs.get_mut(off as usize))
     }
 
+    #[cfg(test)]
     fn get(&self, idx: u64) -> Option<&WindowAgg> {
         idx.checked_sub(self.start)
             .and_then(|off| self.aggs.get(off as usize))
@@ -181,11 +182,6 @@ impl RingSeries {
         )
     }
 
-    /// The fine window size.
-    pub fn window_size(&self) -> SimDuration {
-        self.window
-    }
-
     /// Adds `value` to the window containing `t`, downsampling as needed.
     pub fn add(&mut self, t: SimTime, value: f64) {
         let idx = t.window_index(self.window);
@@ -220,46 +216,26 @@ impl RingSeries {
     }
 
     /// The fine-resolution aggregate for window `idx`, if still retained.
-    pub fn fine_window(&self, idx: u64) -> Option<WindowAgg> {
+    #[cfg(test)]
+    fn fine_window(&self, idx: u64) -> Option<WindowAgg> {
         self.fine.get(idx).copied()
     }
 
     /// Index of the oldest fine window still retained (`None` when empty).
-    pub fn fine_start(&self) -> Option<u64> {
+    #[cfg(test)]
+    fn fine_start(&self) -> Option<u64> {
         (!self.fine.aggs.is_empty()).then_some(self.fine.start)
     }
 
     /// Index one past the newest fine window.
-    pub fn fine_end(&self) -> Option<u64> {
+    #[cfg(test)]
+    fn fine_end(&self) -> Option<u64> {
         (!self.fine.aggs.is_empty()).then_some(self.fine.start + self.fine.aggs.len() as u64)
     }
 
-    /// Iterates `(window_start_time, aggregate)` over the retained fine
-    /// windows, oldest first.
-    pub fn fine_iter(&self) -> impl Iterator<Item = (SimTime, WindowAgg)> + '_ {
-        let w = self.window.as_micros();
-        let start = self.fine.start;
-        self.fine
-            .aggs
-            .iter()
-            .enumerate()
-            .map(move |(i, agg)| (SimTime::from_micros((start + i as u64) * w), *agg))
-    }
-
-    /// Iterates `(window_start_time, aggregate)` over the retained coarse
-    /// windows (each spanning `coarse_factor` fine windows), oldest first.
-    pub fn coarse_iter(&self) -> impl Iterator<Item = (SimTime, WindowAgg)> + '_ {
-        let w = self.window.as_micros() * self.coarse_factor;
-        let start = self.coarse.start;
-        self.coarse
-            .aggs
-            .iter()
-            .enumerate()
-            .map(move |(i, agg)| (SimTime::from_micros((start + i as u64) * w), *agg))
-    }
-
     /// Everything older than the coarse tier, folded into one aggregate.
-    pub fn ancient(&self) -> WindowAgg {
+    #[cfg(test)]
+    fn ancient(&self) -> WindowAgg {
         self.ancient
     }
 
@@ -283,7 +259,8 @@ impl RingSeries {
     }
 
     /// Total of all recorded values across all three tiers.
-    pub fn total_sum(&self) -> f64 {
+    #[cfg(test)]
+    fn total_sum(&self) -> f64 {
         let fine: f64 = self.fine.aggs.iter().map(|w| w.sum).sum();
         let coarse: f64 = self.coarse.aggs.iter().map(|w| w.sum).sum();
         fine + coarse + self.ancient.sum

@@ -239,7 +239,7 @@ impl PeakSeries {
     /// # Panics
     ///
     /// Panics if `window` is zero.
-    pub fn with_window(window: SimDuration) -> Self {
+    fn with_window(window: SimDuration) -> Self {
         PeakSeries(Windows::new(window))
     }
 

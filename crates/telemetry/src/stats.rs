@@ -79,7 +79,8 @@ impl Ewma {
     }
 
     /// `true` once at least one observation has been folded in.
-    pub fn is_seeded(&self) -> bool {
+    #[cfg(test)]
+    fn is_seeded(&self) -> bool {
         self.value.is_some()
     }
 }

@@ -66,7 +66,8 @@ impl ClosedLoopSpec {
     }
 
     /// Mean think time in seconds.
-    pub fn mean_think_secs(&self) -> f64 {
+    #[cfg(test)]
+    fn mean_think_secs(&self) -> f64 {
         self.think.mean_f64()
     }
 
@@ -82,7 +83,8 @@ impl ClosedLoopSpec {
 
     /// The throughput predicted by the interactive response-time law for a
     /// given mean response time (seconds): `N / (Z + R)`.
-    pub fn predicted_throughput(&self, mean_response_secs: f64) -> f64 {
+    #[cfg(test)]
+    fn predicted_throughput(&self, mean_response_secs: f64) -> f64 {
         f64::from(self.clients) / (self.mean_think_secs() + mean_response_secs)
     }
 }

@@ -103,7 +103,7 @@ impl<R: BufRead> ClusterTraceReader<R> {
     ///
     /// Returns [`TraceReadError`] on IO failure, malformed fields, a task
     /// window that ends before it starts, or rows out of start-time order.
-    pub fn next_task(&mut self) -> Result<Option<TraceTask>, TraceReadError> {
+    fn next_task(&mut self) -> Result<Option<TraceTask>, TraceReadError> {
         loop {
             self.buf.clear();
             let n = self
@@ -149,7 +149,7 @@ impl<R: BufRead> ClusterTraceReader<R> {
     ///
     /// # Errors
     ///
-    /// First row error, if any (see [`Self::next_task`]).
+    /// The first malformed, out-of-order or unreadable row, if any.
     pub fn read_all(mut self) -> Result<Vec<TraceTask>, TraceReadError> {
         let mut out = Vec::new();
         while let Some(t) = self.next_task()? {
@@ -321,7 +321,8 @@ impl<R: BufRead> TraceArrivals<R> {
     }
 
     /// Tasks currently mid-emission (the O(active) bound).
-    pub fn active_tasks(&self) -> usize {
+    #[cfg(test)]
+    fn active_tasks(&self) -> usize {
         self.active.len()
     }
 

@@ -55,7 +55,7 @@ impl FlashCrowd {
     }
 
     /// The instantaneous arrival rate at `t`.
-    pub fn rate_at(&self, t: SimTime) -> f64 {
+    fn rate_at(&self, t: SimTime) -> f64 {
         if t < self.onset {
             self.base_rate
         } else {
@@ -65,7 +65,7 @@ impl FlashCrowd {
     }
 
     /// The peak rate (at onset).
-    pub fn peak_rate(&self) -> f64 {
+    fn peak_rate(&self) -> f64 {
         self.base_rate + self.peak_extra
     }
 

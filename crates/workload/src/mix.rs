@@ -77,19 +77,9 @@ impl RequestProfile {
         self.name
     }
 
-    /// Relative weight in the mix.
-    pub fn weight(&self) -> f64 {
-        self.weight
-    }
-
     /// Static or dynamic.
     pub fn kind(&self) -> RequestKind {
         self.kind
-    }
-
-    /// Queries issued per request.
-    pub fn db_queries(&self) -> u32 {
-        self.db_queries
     }
 }
 
@@ -247,11 +237,6 @@ impl RequestMix {
         };
     }
 
-    /// The class profiles.
-    pub fn profiles(&self) -> &[RequestProfile] {
-        &self.profiles
-    }
-
     /// Mean app-tier demand per request (seconds), weight-averaged.
     pub fn mean_app_demand_secs(&self) -> f64 {
         self.profiles
@@ -278,15 +263,6 @@ impl RequestMix {
                 };
                 p.weight * demand
             })
-            .sum::<f64>()
-            / self.total_weight
-    }
-
-    /// Mean web-tier demand per request (seconds), weight-averaged.
-    pub fn mean_web_demand_secs(&self) -> f64 {
-        self.profiles
-            .iter()
-            .map(|p| p.weight * p.web.mean_f64())
             .sum::<f64>()
             / self.total_weight
     }
@@ -380,7 +356,6 @@ mod tests {
     fn db_demand_means() {
         let mix = RequestMix::single("x", 0.1, 0.5, 0.2, 3);
         assert!((mix.mean_db_demand_secs() - 0.0006).abs() < 1e-12);
-        assert!((mix.mean_web_demand_secs() - 0.0001).abs() < 1e-12);
     }
 
     #[test]

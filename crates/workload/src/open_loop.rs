@@ -212,11 +212,8 @@ impl Mmpp2 {
 /// Bins arrival times into fixed windows and returns per-window counts —
 /// feed the result to `ntier_telemetry::stats::index_of_dispersion` to
 /// measure burstiness.
-pub fn windowed_counts(
-    arrivals: &[SimTime],
-    window: SimDuration,
-    horizon: SimDuration,
-) -> Vec<f64> {
+#[cfg(test)]
+fn windowed_counts(arrivals: &[SimTime], window: SimDuration, horizon: SimDuration) -> Vec<f64> {
     assert!(!window.is_zero(), "window must be non-zero");
     let n = (horizon.as_micros() / window.as_micros()) as usize;
     let mut counts = vec![0.0; n.max(1)];

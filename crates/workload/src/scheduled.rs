@@ -27,11 +27,6 @@ pub struct BurstSchedule {
 }
 
 impl BurstSchedule {
-    /// An empty schedule.
-    pub fn new() -> Self {
-        BurstSchedule::default()
-    }
-
     /// Builds a schedule from explicit `(time, size)` pairs (sorted
     /// internally).
     pub fn from_bursts(bursts: impl IntoIterator<Item = (SimTime, u32)>) -> Self {
@@ -46,56 +41,11 @@ impl BurstSchedule {
         }
     }
 
-    /// A periodic schedule: batches of `size` every `period`, starting at
-    /// `first`, through `horizon`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn periodic(first: SimTime, period: SimDuration, size: u32, horizon: SimDuration) -> Self {
-        assert!(!period.is_zero(), "period must be non-zero");
-        let mut bursts = Vec::new();
-        let mut t = first;
-        let end = SimTime::ZERO + horizon;
-        while t < end {
-            bursts.push(Burst { at: t, size });
-            t += period;
-        }
-        BurstSchedule {
-            bursts,
-            spread: SimDuration::ZERO,
-        }
-    }
-
-    /// The §V-B controlled experiment: 400 requests every 15 s.
-    pub fn paper_vm_consolidation(horizon: SimDuration) -> Self {
-        BurstSchedule::periodic(
-            SimTime::from_secs(7),
-            SimDuration::from_secs(15),
-            400,
-            horizon,
-        )
-    }
-
-    /// The irregular burst marks of Fig. 3 (2, 5, 9, 15 s).
-    pub fn paper_fig3(size: u32) -> Self {
-        BurstSchedule::from_bursts(
-            [2u64, 5, 9, 15]
-                .into_iter()
-                .map(|s| (SimTime::from_secs(s), size)),
-        )
-    }
-
     /// Spreads each batch uniformly over `spread` instead of one instant
     /// (a batch of 400 over 50 ms ≈ an 8000 req/s spike).
     pub fn with_spread(mut self, spread: SimDuration) -> Self {
         self.spread = spread;
         self
-    }
-
-    /// The scheduled batches.
-    pub fn bursts(&self) -> &[Burst] {
-        &self.bursts
     }
 
     /// Expands the schedule into individual request arrival times (sorted).
@@ -116,44 +66,11 @@ impl BurstSchedule {
         out.sort();
         out
     }
-
-    /// Total requests across all batches.
-    pub fn total_requests(&self) -> u64 {
-        self.bursts.iter().map(|b| u64::from(b.size)).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn periodic_generates_batches_through_horizon() {
-        let s = BurstSchedule::periodic(
-            SimTime::from_secs(7),
-            SimDuration::from_secs(15),
-            400,
-            SimDuration::from_secs(60),
-        );
-        let at: Vec<u64> = s
-            .bursts()
-            .iter()
-            .map(|b| b.at.as_millis() / 1_000)
-            .collect();
-        assert_eq!(at, vec![7, 22, 37, 52]);
-        assert_eq!(s.total_requests(), 1_600);
-    }
-
-    #[test]
-    fn fig3_marks() {
-        let s = BurstSchedule::paper_fig3(400);
-        let at: Vec<u64> = s
-            .bursts()
-            .iter()
-            .map(|b| b.at.as_millis() / 1_000)
-            .collect();
-        assert_eq!(at, vec![2, 5, 9, 15]);
-    }
 
     #[test]
     fn arrivals_expand_and_sort() {
@@ -186,12 +103,5 @@ mod tests {
         let s = BurstSchedule::from_bursts([(SimTime::from_secs(1), 1)])
             .with_spread(SimDuration::from_millis(40));
         assert_eq!(s.arrivals(), vec![SimTime::from_secs(1)]);
-    }
-
-    #[test]
-    fn empty_schedule() {
-        let s = BurstSchedule::new();
-        assert!(s.arrivals().is_empty());
-        assert_eq!(s.total_requests(), 0);
     }
 }

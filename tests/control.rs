@@ -11,7 +11,7 @@ use ntier_core::{experiment, Balancer, TierSpec, Topology};
 use ntier_des::prelude::*;
 use ntier_interference::StallSchedule;
 use ntier_resilience::CallerPolicy;
-use ntier_workload::RequestMix;
+use ntier_workload::{ClosedLoopSpec, RequestMix};
 use proptest::prelude::*;
 
 use experiment::ControlVariant;
@@ -149,6 +149,51 @@ fn retirement_during_rto_limbo_conserves_requests() {
         report.injected,
         report.completed + report.failed + report.shed
     );
+}
+
+/// Replica ids are `u8`, so the engine provisions at most 255 replicas per
+/// tier, retired ones included. An autoscaler that flaps between one and
+/// two replicas for 30 s burns through those ids; once they run out it
+/// must stop deciding scale-ups the engine cannot honour, or its log shows
+/// phantom `ScaleUp`s and its pending count never drains again.
+#[test]
+fn autoscaler_stops_at_the_replica_id_cap() {
+    let app = TierSpec::sync("App", 4, 8)
+        .replicas(2)
+        .balancer(Balancer::RoundRobin);
+    let control =
+        ControlConfig::every(SimDuration::from_millis(10)).with_autoscaler(AutoscalerConfig {
+            tier: 1,
+            min_replicas: 1,
+            max_replicas: 2,
+            up_depth: 1.0,
+            down_depth: 0.5,
+            provisioning_lag: SimDuration::from_millis(1),
+            cooldown: SimDuration::from_millis(10),
+        });
+    let system = Topology::three_tier(
+        TierSpec::sync("Web", 150, 128),
+        app,
+        TierSpec::sync("Db", 100, 128),
+    )
+    .with_control(control);
+    let report = Engine::new(
+        system,
+        Workload::closed(ClosedLoopSpec::rubbos(3_000), RequestMix::rubbos_browse()),
+        SimDuration::from_secs(30),
+        7,
+    )
+    .run();
+    let log = report.control.as_ref().expect("controlled run");
+    let ups = log.count(|a| matches!(a, Action::ScaleUp { .. }));
+    let online = log.count(|a| matches!(a, Action::ReplicaOnline { .. }));
+    assert!(
+        online >= 200,
+        "the run must approach the cap: {}",
+        log.summary()
+    );
+    assert_eq!(ups, online, "{}", log.summary());
+    assert!(report.is_conserved());
 }
 
 fn control_fingerprint(r: &ntier_core::RunReport) -> String {

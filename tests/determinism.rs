@@ -337,6 +337,13 @@ fn deep_fingerprint(r: &ntier_core::RunReport) -> String {
         r.vlrt_by_completion.sums(),
     )
     .unwrap();
+    // The merged decision log: controller directives and health verdicts.
+    if let Some(log) = &r.control {
+        write!(s, " | {}", log.summary()).unwrap();
+        for d in &log.decisions {
+            write!(s, " | {}@{}:{}", d.action.label(), d.at, d.reason).unwrap();
+        }
+    }
     for t in &r.tiers {
         write!(
             s,
@@ -359,6 +366,39 @@ fn deep_fingerprint(r: &ntier_core::RunReport) -> String {
     s
 }
 
+/// Every plane at once: the tuned detection-frontier arm (gray fault on
+/// App#0, health detector, sampled tracing, naive retrying client) plus an
+/// autoscaler and governor on the same run and the metrics plane.
+fn all_planes_spec() -> experiment::ExperimentSpec {
+    use ntier_control::{AutoscalerConfig, ControlConfig, GovernorConfig};
+    let mut spec = experiment::detection_frontier(experiment::DetectionVariant::Tuned, 7);
+    let control = ControlConfig::every(SimDuration::from_millis(100))
+        .with_autoscaler(AutoscalerConfig {
+            tier: 1,
+            min_replicas: 1,
+            max_replicas: 4,
+            up_depth: 8.0,
+            down_depth: 1.0,
+            provisioning_lag: SimDuration::from_millis(300),
+            cooldown: SimDuration::from_millis(500),
+        })
+        .with_governor(GovernorConfig {
+            min_offered: 20,
+            goodput_ratio: 0.5,
+            ordinal_floor: 2,
+            arm_after: 2,
+            brake_tier: 0,
+            brake_depth: 32,
+            hold: SimDuration::from_millis(500),
+            release_ratio: 0.8,
+        });
+    spec.system = spec
+        .system
+        .with_control(control)
+        .with_metrics(ntier_telemetry::MetricsConfig::paper_default());
+    spec
+}
+
 fn invariance_specs() -> Vec<experiment::ExperimentSpec> {
     let mut specs = vec![
         experiment::fig1(3_000, SimDuration::from_secs(10), 1),
@@ -377,6 +417,7 @@ fn invariance_specs() -> Vec<experiment::ExperimentSpec> {
             7,
         ),
     ];
+    specs.push(all_planes_spec());
     for c in experiment::FIG12_CONCURRENCIES {
         specs.push(experiment::fig12_sync(c, 11));
         specs.push(experiment::fig12_async(c, 11));

@@ -78,7 +78,7 @@ fn hedged_cancelling_beats_hardened_at_fig1_operating_point() {
     assert_eq!(hardened.resilience.wasted_work_saved, 0);
 }
 
-/// The hedging-frontier arms of `examples/hedging_frontier.rs` on seed 42,
+/// The hedging-frontier arms of `experiment::hedging_frontier` on seed 42,
 /// at the smoke level: the baseline plant shows the RTO modes, hedging with
 /// cancellation erases most of that tail at the moderate point and reclaims
 /// the work of the attempts it revokes.
