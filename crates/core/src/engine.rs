@@ -80,7 +80,7 @@ use ntier_workload::{ClosedLoopSpec, RequestMix, SampledRequest};
 use crate::arrivals::SourcedRequest;
 use crate::config::{SystemConfig, TierKind, TierSpec};
 use crate::plan::Plan;
-use crate::report::{ClassReport, DropRecord, EventCounts, ReplicaReport, RunReport, TierReport};
+use crate::report::{ClassReport, EventCounts, ReplicaReport, RunReport, TierReport};
 use crate::topology::Balancer;
 
 /// The workload driving a run.
@@ -437,55 +437,28 @@ struct ClassStats {
     latency_sum_us: u128,
 }
 
-/// Inline capacity of a [`DropLog`]. The kernel retransmit schedule caps at
-/// 3 retries, so the overwhelming majority of requests that drop at all fit
-/// inline; only pathological app-level retry loops spill to the heap.
-const DROP_INLINE: usize = 4;
-
-/// Small-buffer drop history for one request: the first [`DROP_INLINE`]
-/// records live inline in the request slab, so the per-request `Vec`
-/// allocation the old engine paid on every first drop is gone.
-#[derive(Debug)]
-struct DropLog {
-    inline: [DropRecord; DROP_INLINE],
-    len: usize,
-    spill: Vec<DropRecord>,
+/// Where and when a request first dropped: the site its VLRT, should it
+/// end as one, is charged to. Later drops of the same request (kernel
+/// retransmits, app-level hop retries) leave it as it is. A `tier` of
+/// `u8::MAX`, one past the last index the 255-tier limit allows, marks a
+/// request that has not dropped.
+#[derive(Debug, Clone, Copy)]
+struct FirstDrop {
+    at: SimTime,
+    tier: u8,
+    replica: u8,
 }
 
-impl DropLog {
-    fn new() -> Self {
-        DropLog {
-            inline: [DropRecord {
-                tier: 0,
-                replica: ReplicaId::FIRST,
-                at: SimTime::ZERO,
-            }; DROP_INLINE],
-            len: 0,
-            spill: Vec::new(),
-        }
-    }
+impl FirstDrop {
+    /// The request has not dropped yet.
+    const NONE: FirstDrop = FirstDrop {
+        at: SimTime::ZERO,
+        tier: u8::MAX,
+        replica: 0,
+    };
 
-    fn push(&mut self, rec: DropRecord) {
-        if self.len < DROP_INLINE {
-            self.inline[self.len] = rec;
-        } else {
-            self.spill.push(rec);
-        }
-        self.len += 1;
-    }
-
-    /// Iterates the full drop history in push order: the inline records
-    /// first, then the heap spill (drops past [`DROP_INLINE`]).
-    fn iter(&self) -> impl Iterator<Item = DropRecord> + '_ {
-        self.inline[..self.len.min(DROP_INLINE)]
-            .iter()
-            .copied()
-            .chain(self.spill.iter().copied())
-    }
-
-    fn clear(&mut self) {
-        self.len = 0;
-        self.spill.clear();
+    fn is_none(self) -> bool {
+        self.tier == u8::MAX
     }
 }
 
@@ -531,9 +504,9 @@ struct RequestState {
     plan: Plan,
     /// Where this attempt stands at each tier, indexed by tier. Sized once
     /// when the slot is created and reset with one `fill` on reuse.
-    cursors: Vec<TierCursor>,
+    cursors: Box<[TierCursor]>,
     retrans: RetransmitState,
-    drops: DropLog,
+    first_drop: FirstDrop,
     /// 0-based client attempt index (retries clone the plan with +1).
     attempt: u32,
     /// App-level retries of the current in-flight message (inner-hop caller
@@ -561,6 +534,11 @@ struct RequestState {
     /// Shared with the logical slot and retry ticket via refcounts.
     trace: TraceHandle,
 }
+
+// One slab slot per concurrently live attempt: the slab's high-water mark,
+// not the report, sets a long replay's heap peak, so a slot stays within
+// two cache lines.
+const _: () = assert!(std::mem::size_of::<RequestState>() <= 128);
 
 /// The per-slot request fields the dispatch hot path touches, split out of
 /// [`RequestState`] structure-of-arrays style: the generation check in
@@ -1506,7 +1484,7 @@ impl Engine {
             r.plan = plan;
             r.cursors.fill(TierCursor::START);
             r.retrans = RetransmitState::new();
-            r.drops.clear();
+            r.first_drop = FirstDrop::NONE;
             r.attempt = attempt;
             r.hop_attempts = 0;
             r.logical = LOGICAL_NONE;
@@ -1528,9 +1506,9 @@ impl Engine {
                 client,
                 class,
                 plan,
-                cursors: vec![TierCursor::START; n],
+                cursors: vec![TierCursor::START; n].into_boxed_slice(),
                 retrans: RetransmitState::new(),
-                drops: DropLog::new(),
+                first_drop: FirstDrop::NONE,
                 attempt,
                 hop_attempts: 0,
                 logical: LOGICAL_NONE,
@@ -2649,11 +2627,13 @@ impl Engine {
             .entry(self.requests[i].class)
             .or_default()
             .drops += 1;
-        self.requests[i].drops.push(DropRecord {
-            tier,
-            replica: ReplicaId::from(rep),
-            at: self.now,
-        });
+        if self.requests[i].first_drop.is_none() {
+            self.requests[i].first_drop = FirstDrop {
+                at: self.now,
+                tier: tier as u8,
+                replica: rep as u8,
+            };
+        }
         // Record the drop with its retransmit ordinal *before* the retry
         // decision mutates the counter: ordinal 0 is the original send,
         // ordinal n the n-th retransmit of this message.
@@ -3148,10 +3128,11 @@ impl Engine {
             stats.vlrt += 1;
             self.vlrt_total += 1;
             self.vlrt_by_completion.add(self.now, 1);
-            if let Some(first_drop) = self.requests[i].drops.iter().next() {
-                self.tiers[first_drop.tier].replicas[first_drop.replica.index()]
+            let first = self.requests[i].first_drop;
+            if !first.is_none() {
+                self.tiers[usize::from(first.tier)].replicas[usize::from(first.replica)]
                     .vlrt
-                    .add(first_drop.at, 1);
+                    .add(first.at, 1);
             }
         }
         self.client_next(req);
@@ -3222,6 +3203,20 @@ impl Engine {
     }
 
     fn into_report(mut self) -> RunReport {
+        // Nothing below reads the request slab, the event queue or the other
+        // per-attempt stores: free them before the report's per-window
+        // vectors are built, so the two never share the heap peak.
+        drop((
+            self.requests,
+            self.hot,
+            self.free_slots,
+            self.queue,
+            self.tickets,
+            self.free_tickets,
+            self.logicals,
+            self.free_logicals,
+            self.parked,
+        ));
         let window = SimDuration::from_millis(ntier_telemetry::MONITOR_WINDOW_MS);
         let control = Self::merge_logs(
             self.control.take().map(|cr| cr.ctl.into_log()),
@@ -3951,6 +3946,73 @@ mod tests {
     }
 
     #[test]
+    fn vlrt_is_charged_to_the_first_of_many_drops() {
+        use ntier_resilience::{CallerPolicy, FaultPlan, RetryPolicy};
+        // One request, six drops: the web tier (two replicas) drops the
+        // original SYN at 1.23 s and its first kernel retransmit at 4.23 s;
+        // the second retransmit gets in at 7.23 s, and the app tier then
+        // drops four app-level hop retries, 40 ms apart, before admitting
+        // the fifth. The ~6 s request is a VLRT, charged to the web replica
+        // and the 50 ms window of the first drop only.
+        let mut sys = tiny_sync_system().with_hop_delay(SimDuration::ZERO);
+        sys.tiers[0] = sys.tiers[0].clone().replicas(2);
+        sys.tiers[1] = sys.tiers[1].clone().with_caller_policy(CallerPolicy {
+            attempt_timeout: SimDuration::from_secs(60), // unused on inner hops
+            retry: Some(RetryPolicy::capped(
+                20,
+                SimDuration::from_millis(40),
+                SimDuration::from_millis(40),
+            )),
+            budget: None,
+            breaker: None,
+            hedge: None,
+            cancel: None,
+        });
+        let sys = sys.with_faults(
+            FaultPlan::none()
+                .drop_messages(0, 1.0, SimTime::ZERO, SimTime::from_secs(5))
+                .drop_messages(1, 1.0, SimTime::ZERO, SimTime::from_millis(7_380)),
+        );
+        let report = Engine::new(
+            sys,
+            open_workload(vec![SimTime::from_millis(1_230)]),
+            SimDuration::from_secs(12),
+            1,
+        )
+        .run();
+        assert_eq!(report.completed, 1, "{}", report.summary());
+        assert_eq!(report.vlrt_total, 1);
+        assert_eq!(report.tiers[0].drops_total, 2);
+        assert_eq!(report.tiers[1].drops_total, 4);
+
+        // Window 24 holds the first drop, at the replica the balancer picked.
+        let first_window = 1_230 / 50;
+        let web = &report.tiers[0].replicas;
+        let first = web
+            .iter()
+            .position(|r| r.drops.count(first_window) == 1)
+            .expect("the first drop lands in its 50 ms window");
+        let mut charged = Vec::new();
+        for (tier, rep, vlrt) in web
+            .iter()
+            .enumerate()
+            .map(|(r, rep)| (0, r, &rep.vlrt))
+            .chain([(1, 0, &report.tiers[1].vlrt), (2, 0, &report.tiers[2].vlrt)])
+        {
+            charged.extend(
+                vlrt.iter()
+                    .filter(|(_, n)| *n > 0)
+                    .map(|(t, n)| (tier, rep, t, n)),
+            );
+        }
+        assert_eq!(
+            charged,
+            vec![(0, first, SimTime::from_millis(1_200), 1)],
+            "the VLRT is charged once, to the first drop's tier, replica and window"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "fault targets tier 5 outside the chain")]
     fn fault_on_missing_tier_rejected() {
         use ntier_resilience::FaultPlan;
@@ -3980,23 +4042,6 @@ mod tests {
             TierSpec::sync("Db", 2, 2).with_downstream_pool(5),
         );
         let _ = Engine::new(sys, open_workload(vec![]), SimDuration::from_secs(1), 1);
-    }
-
-    #[test]
-    fn drop_log_iterates_inline_then_spill() {
-        let mut log = DropLog::new();
-        for k in 0..(DROP_INLINE + 3) {
-            log.push(DropRecord {
-                tier: k,
-                replica: ReplicaId::FIRST,
-                at: SimTime::from_millis(k as u64),
-            });
-        }
-        let tiers: Vec<usize> = log.iter().map(|r| r.tier).collect();
-        assert_eq!(tiers, (0..DROP_INLINE + 3).collect::<Vec<_>>());
-        assert_eq!(log.iter().next().map(|r| r.tier), Some(0));
-        log.clear();
-        assert_eq!(log.iter().count(), 0);
     }
 
     #[test]

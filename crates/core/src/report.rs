@@ -2,7 +2,7 @@
 
 use ntier_control::ControlLog;
 use ntier_des::ids::{ReplicaId, TierId};
-use ntier_des::time::{SimDuration, SimTime};
+use ntier_des::time::SimDuration;
 use ntier_resilience::ResilienceStats;
 use ntier_telemetry::histogram::Mode;
 use ntier_telemetry::{
@@ -392,17 +392,6 @@ pub struct ClassReport {
     pub shed: u64,
     /// Mean end-to-end latency of completed requests.
     pub mean_latency: SimDuration,
-}
-
-/// A drop event record for analysis (site + time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DropRecord {
-    /// Tier index where the drop occurred.
-    pub tier: usize,
-    /// Replica of that tier the connection attempt was balanced to.
-    pub replica: ReplicaId,
-    /// When it occurred.
-    pub at: SimTime,
 }
 
 #[cfg(test)]

@@ -83,14 +83,21 @@ mod tests {
 
     #[test]
     fn governor_dip_extends_effective_demand() {
-        use ntier_server::cpu::StallTimeline;
+        use ntier_server::cpu::{CpuModel, StallTimeline};
         // A governor dip to 40 % speed with a 1 ms quantum.
         let d = DvfsSlowdown::new(0.4, SimDuration::from_millis(1));
         let s = d.over(SimTime::from_millis(100), SimDuration::from_millis(200));
-        let t = StallTimeline::from_intervals(s.intervals().iter().copied());
+        let mut cpu = CpuModel::new(
+            1,
+            StallTimeline::from_intervals(s.intervals().iter().copied()),
+        );
         // 10 ms of demand submitted at the dip start takes ~10/0.4 = 25 ms.
-        let exec = t.execute(SimTime::from_millis(100), SimDuration::from_millis(10));
-        let elapsed = exec.end - SimTime::from_millis(100);
+        let end = cpu.run_with(
+            SimTime::from_millis(100),
+            SimDuration::from_millis(10),
+            |_, _| {},
+        );
+        let elapsed = end - SimTime::from_millis(100);
         let expect_ms = 10.0 / 0.4;
         assert!(
             (elapsed.as_secs_f64() * 1e3 - expect_ms).abs() < 2.0,

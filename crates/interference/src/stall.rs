@@ -95,24 +95,29 @@ impl StallSchedule {
     pub fn interferer_utilization(&self, window: SimDuration, horizon: SimDuration) -> Vec<f64> {
         assert!(!window.is_zero(), "window must be non-zero");
         let n = (horizon.as_micros() / window.as_micros()) as usize;
-        let mut busy = vec![0u64; n.max(1)];
+        // Busy µs per window, summed straight into the output vector: every
+        // partial sum is an integer below 2^53, so the f64 sums are exact and
+        // the scaled result matches an integer accumulator bit for bit.
+        let mut util = vec![0.0f64; n.max(1)];
         for (s, e) in &self.intervals {
             let mut cursor = s.as_micros();
             let end = e.as_micros().min(horizon.as_micros());
             while cursor < end {
                 let idx = (cursor / window.as_micros()) as usize;
-                if idx >= busy.len() {
+                if idx >= util.len() {
                     break;
                 }
                 let wend = (idx as u64 + 1) * window.as_micros();
                 let slice = wend.min(end) - cursor;
-                busy[idx] += slice;
+                util[idx] += slice as f64;
                 cursor = wend.min(end);
             }
         }
-        busy.iter()
-            .map(|b| *b as f64 / window.as_micros() as f64)
-            .collect()
+        let window_us = window.as_micros() as f64;
+        for u in &mut util {
+            *u /= window_us;
+        }
+        util
     }
 }
 

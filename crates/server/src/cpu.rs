@@ -50,23 +50,9 @@ impl StallTimeline {
     }
 
     /// Executes `demand` of work starting no earlier than `start`, skipping
-    /// stalled intervals. Returns the actual execution segments (for busy
-    /// accounting) and the completion time.
-    pub fn execute(&self, start: SimTime, demand: SimDuration) -> Execution {
-        let mut segments = Vec::new();
-        let end = self.execute_with(start, demand, |s, e| segments.push((s, e)));
-        Execution {
-            start,
-            end,
-            segments,
-        }
-    }
-
-    /// Allocation-free variant of [`StallTimeline::execute`]: invokes
-    /// `segment` for each actual execution interval (in time order) and
-    /// returns the completion time. The engine's hot path uses this to feed
-    /// busy segments straight into utilization accounting without building
-    /// an intermediate `Vec` per CPU slice.
+    /// stalled intervals: invokes `segment` for each actual execution
+    /// interval (in time order) and returns the completion time. The
+    /// engine feeds the segments straight into utilization accounting.
     fn execute_with(
         &self,
         start: SimTime,
@@ -121,28 +107,6 @@ impl StallTimeline {
     }
 }
 
-/// The result of running one work item on a core.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Execution {
-    /// When the item was handed to the core (may precede the first segment
-    /// if the core was stalled).
-    pub start: SimTime,
-    /// Completion time.
-    pub end: SimTime,
-    /// Actual execution segments, for utilization accounting.
-    pub segments: Vec<(SimTime, SimTime)>,
-}
-
-impl Execution {
-    /// Total executed time across segments.
-    #[cfg(test)]
-    fn busy_time(&self) -> SimDuration {
-        self.segments
-            .iter()
-            .fold(SimDuration::ZERO, |acc, (s, e)| acc + (*e - *s))
-    }
-}
-
 /// A set of FIFO cores sharing one stall timeline.
 ///
 /// # Example
@@ -152,10 +116,12 @@ impl Execution {
 /// use ntier_server::cpu::{CpuModel, StallTimeline};
 ///
 /// let mut cpu = CpuModel::new(1, StallTimeline::none());
-/// let a = cpu.run(SimTime::ZERO, SimDuration::from_millis(2));
-/// let b = cpu.run(SimTime::ZERO, SimDuration::from_millis(2));
-/// assert_eq!(a.end, SimTime::from_millis(2));
-/// assert_eq!(b.end, SimTime::from_millis(4)); // FIFO behind `a`
+/// let mut busy = SimDuration::ZERO;
+/// let a = cpu.run_with(SimTime::ZERO, SimDuration::from_millis(2), |s, e| busy += e - s);
+/// let b = cpu.run_with(SimTime::ZERO, SimDuration::from_millis(2), |s, e| busy += e - s);
+/// assert_eq!(a, SimTime::from_millis(2));
+/// assert_eq!(b, SimTime::from_millis(4)); // FIFO behind `a`
+/// assert_eq!(busy, SimDuration::from_millis(4));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CpuModel {
@@ -187,25 +153,9 @@ impl CpuModel {
         &self.stalls
     }
 
-    /// Submits one work item at `now` with the given demand; returns its
-    /// execution (FIFO behind earlier submissions on the least-loaded core).
-    pub fn run(&mut self, now: SimTime, demand: SimDuration) -> Execution {
-        let core = self
-            .core_free
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, t)| **t)
-            .map(|(i, _)| i)
-            .expect("at least one core");
-        let start = self.core_free[core].max(now);
-        let exec = self.stalls.execute(start, demand);
-        self.core_free[core] = exec.end;
-        exec
-    }
-
-    /// Allocation-free variant of [`CpuModel::run`]: schedules the work item
-    /// FIFO on the least-loaded core, reports each busy segment through
-    /// `segment`, and returns the completion time.
+    /// Submits one work item at `now` with the given demand: schedules it
+    /// FIFO behind earlier submissions on the least-loaded core, reports
+    /// each busy segment through `segment`, and returns the completion time.
     pub fn run_with(
         &mut self,
         now: SimTime,
@@ -230,6 +180,58 @@ impl CpuModel {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The allocating reference the tests hold [`CpuModel::run_with`] to: one
+    /// work item's execution, its busy segments collected into a `Vec`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Execution {
+        /// When the item was handed to the core (may precede the first segment
+        /// if the core was stalled).
+        start: SimTime,
+        /// Completion time.
+        end: SimTime,
+        /// Actual execution segments.
+        segments: Vec<(SimTime, SimTime)>,
+    }
+
+    impl Execution {
+        /// Total executed time across segments.
+        fn busy_time(&self) -> SimDuration {
+            self.segments
+                .iter()
+                .fold(SimDuration::ZERO, |acc, (s, e)| acc + (*e - *s))
+        }
+    }
+
+    impl StallTimeline {
+        /// [`StallTimeline::execute_with`] with the segments collected.
+        fn execute(&self, start: SimTime, demand: SimDuration) -> Execution {
+            let mut segments = Vec::new();
+            let end = self.execute_with(start, demand, |s, e| segments.push((s, e)));
+            Execution {
+                start,
+                end,
+                segments,
+            }
+        }
+    }
+
+    impl CpuModel {
+        /// [`CpuModel::run_with`] with the segments collected.
+        fn run(&mut self, now: SimTime, demand: SimDuration) -> Execution {
+            let core = self
+                .core_free
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, t)| **t)
+                .map(|(i, _)| i)
+                .expect("at least one core");
+            let start = self.core_free[core].max(now);
+            let exec = self.stalls.execute(start, demand);
+            self.core_free[core] = exec.end;
+            exec
+        }
+    }
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)

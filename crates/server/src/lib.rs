@@ -27,7 +27,7 @@ pub mod overhead;
 pub mod process_group;
 
 pub use conn_pool::ConnectionPool;
-pub use cpu::{CpuModel, Execution, StallTimeline};
+pub use cpu::{CpuModel, StallTimeline};
 pub use event_loop::EventLoop;
 pub use overhead::ThreadOverheadModel;
 pub use process_group::ProcessGroup;

@@ -25,7 +25,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::fmt::Write as _;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use ntier_core::analysis;
@@ -73,15 +74,30 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Peak-live-heap ceiling. A measured full replay peaks well under half of
-/// this; an eager `Vec<(SimTime, Plan)>` of the 1.03M-instance fixture
-/// alone would add ~350 MiB and blow through it.
-const PEAK_HEAP_CEILING: usize = 256 * 1024 * 1024;
+/// Peak-live-heap ceiling, about twice the 8.3 MiB this probe peaks at
+/// (both arms, then the 1- and 8-thread reruns with only fingerprints
+/// kept). An eager `Vec<(SimTime, Plan)>` of the 1.03M-instance fixture
+/// alone would add ~350 MiB. Building each report's whole `Debug` string
+/// to fingerprint it, with both arms' reports held across the reruns,
+/// peaked at 20.5 MiB.
+const PEAK_HEAP_CEILING: usize = 16 * 1024 * 1024;
 
+/// Hashes the report's `Debug` text as it is written, without building the
+/// whole string: a replayed hour's report renders to megabytes. The bytes
+/// and the closing `0xff` are what hashing the `String` would feed the
+/// hasher, so the fingerprint is the same value.
 fn fingerprint(report: &RunReport) -> u64 {
-    let mut h = DefaultHasher::new();
-    format!("{report:?}").hash(&mut h);
-    h.finish()
+    struct HashWriter(DefaultHasher);
+    impl std::fmt::Write for HashWriter {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0.write(s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut h = HashWriter(DefaultHasher::new());
+    write!(h, "{report:?}").expect("hashing into memory cannot fail");
+    h.0.write_u8(0xff);
+    h.0.finish()
 }
 
 fn row(label: &str, r: &RunReport, episodes: usize) {
@@ -183,8 +199,11 @@ fn main() {
         baseline.vlrt_fraction() * 100.0
     );
 
-    // Determinism: bit-identical to the run above and across runner
-    // thread counts.
+    // Determinism: bit-identical to the runs above and across runner
+    // thread counts. Only the arms' fingerprints are kept, so the reruns do
+    // not stack on top of two full reports.
+    let direct: Vec<u64> = arm_reports.iter().map(|(_, r, _)| fingerprint(r)).collect();
+    drop(arm_reports);
     let specs = || {
         vec![
             trace_replay(TraceReplayArm::Baseline, seed),
@@ -199,13 +218,15 @@ fn main() {
         .iter()
         .map(fingerprint)
         .collect();
-    let base_fp = fingerprint(baseline);
     assert_eq!(
-        serial[0], base_fp,
-        "runner replay diverged from the direct run"
+        serial, direct,
+        "runner replay diverged from the direct runs"
     );
     assert_eq!(serial, threaded, "8-thread runner diverged from serial");
-    println!("threads   1/8 bit-identical (fingerprint {base_fp:016x})");
+    println!(
+        "threads   1/8 bit-identical (fingerprint {:016x})",
+        direct[0]
+    );
 
     // Bounded memory: streaming keeps the whole replay far below what an
     // eagerly materialized arrival vector would need.

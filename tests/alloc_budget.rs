@@ -1,6 +1,7 @@
 //! The request lifecycle's allocation budget: in steady state a
 //! closed-loop request costs about one heap allocation, its plan buffer;
-//! and the heap a fig1 run at WL 7000 holds at its peak.
+//! and the heap a fig1 run at WL 7000 and the trace replay's first surge
+//! hold at their peaks.
 //!
 //! This binary holds a single test because it installs a counting global
 //! allocator, and any other test running in the same process would add to
@@ -11,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
-use ntier_core::experiment;
+use ntier_core::experiment::{self, TraceReplayArm};
 use ntier_des::time::SimDuration;
 
 /// Forwards to the system allocator, counts every block it hands out and
@@ -86,11 +87,41 @@ fn fig1(secs: u64) -> (u64, u64, usize) {
     (ALLOCS.load(Relaxed) - before, report.injected, peak)
 }
 
+/// The peak live heap of `run()` over the trace replay's first ten minutes
+/// and first submission surge: the bundled hour's CSV up to and including
+/// its `surge_0` row, under the baseline arm at seed 7. The horizon stays
+/// the full hour, so the report's per-window vectors are full length.
+fn trace_replay_prefix() -> usize {
+    let csv = experiment::TRACE_REPLAY_FIXTURE;
+    let surge = csv
+        .find("\nsurge_0,")
+        .expect("the fixture has a first surge")
+        + 1;
+    let end = surge + csv[surge..].find('\n').expect("the surge row ends") + 1;
+    let spec = experiment::trace_replay_csv(&csv[..end], TraceReplayArm::Baseline, 7);
+    let live = LIVE.load(Relaxed);
+    PEAK.store(live, Relaxed);
+    let report = spec.run();
+    let peak = PEAK.load(Relaxed) - live;
+    assert!(
+        report.vlrt_total > 0,
+        "the prefix must reach the first surge"
+    );
+    peak
+}
+
 /// Bound on the peak live heap of one 60 s fig1 run at WL 7000 (1.5 MiB).
-/// With the calendar queue's wheel buckets pooled into one node arena the
-/// run peaks at 0.90 MiB; with a buffer kept per wheel bucket it peaked at
-/// 2.19 MiB.
+/// With a one-record drop history per request slot the run peaks at
+/// 0.78 MiB; with a four-record drop log per slot it peaked at 0.90 MiB,
+/// and with a buffer kept per calendar-queue wheel bucket at 2.19 MiB.
 const PEAK_HEAP_BOUND: usize = 3 << 19;
+
+/// Bound on the peak live heap of [`trace_replay_prefix`] (4 MiB). With
+/// one drop record per request slot and the slab freed before the report
+/// is built, the run peaks at 3.00 MiB. With a four-record drop log per
+/// slot, the slab alive through report assembly and a second, integer
+/// buffer per tier for the interferer utilization, it peaked at 5.71 MiB.
+const TRACE_PREFIX_PEAK_BOUND: usize = 4 << 20;
 
 #[test]
 fn closed_loop_requests_allocate_about_once() {
@@ -105,5 +136,11 @@ fn closed_loop_requests_allocate_about_once() {
     assert!(
         peak < PEAK_HEAP_BOUND,
         "a 60 s fig1 run peaked at {peak} live heap bytes, over the {PEAK_HEAP_BOUND} bound"
+    );
+    let trace_peak = trace_replay_prefix();
+    assert!(
+        trace_peak < TRACE_PREFIX_PEAK_BOUND,
+        "the trace replay's first surge peaked at {trace_peak} live heap bytes, over the \
+         {TRACE_PREFIX_PEAK_BOUND} bound"
     );
 }
