@@ -61,7 +61,7 @@ pub mod topology;
 pub use analysis::{CtqoClass, CtqoEpisode};
 pub use arrivals::{MixPlans, PlanStamped, SourcedRequest, TraceDemandModel, TracePlans};
 pub use config::{SystemConfig, TierKind, TierSpec};
-pub use engine::{Engine, ReplicaGone, Workload, WorkloadError, WorkloadSource};
+pub use engine::{Engine, Workload, WorkloadError, WorkloadSource};
 pub use experiment::ExperimentSpec;
 pub use plan::Plan;
 pub use report::{EventCounts, ReplicaReport, RunReport, TierReport};

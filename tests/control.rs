@@ -131,10 +131,10 @@ fn root_cause_attributes_controller_actions_on_seed_7() {
 }
 
 /// A drained-then-retired replica holding pinned retransmits must not
-/// panic the engine: the pinned retransmit re-balances (the `ReplicaGone`
-/// path) and the request is still accounted for. The amplified arm drains
-/// and retires replicas while the naive client's drops sit in RTO limbo —
-/// exactly the race.
+/// panic the engine: a retransmit pinned to the retired replica
+/// re-balances over the survivors and the request is still accounted for.
+/// The amplified arm drains and retires replicas while the naive client's
+/// drops sit in RTO limbo — exactly the race.
 #[test]
 fn retirement_during_rto_limbo_conserves_requests() {
     let report = experiment::control_frontier(ControlVariant::Amplified, 7).run();

@@ -126,13 +126,14 @@ fn controller_and_health_logs_merge_in_time_order() {
     let report = Engine::new(system, gray_workload(), SimDuration::from_secs(15), 7).run();
     assert!(report.is_conserved());
     let log = report.control.expect("both planes log");
-    // 15 s of controller ticks at 200 ms plus detector ticks at 100 ms.
-    let expected_ticks = 15_000 / 200 + 15_000 / 100;
-    assert!(
-        (log.ticks as i64 - expected_ticks).abs() <= 2,
-        "ticks {} vs expected {expected_ticks}",
-        log.ticks
-    );
+    // 15 s of controller ticks at 200 ms plus detector ticks at 100 ms,
+    // the last of each landing exactly on the horizon: neither plane drops
+    // or doubles a tick, and the merged log counts each one once.
+    let kind = |k| report.events_by_kind.get(k).expect("a known event kind");
+    let (controller, health) = (kind("ControllerTick"), kind("HealthTick"));
+    assert_eq!(controller, 15_000 / 200);
+    assert_eq!(health, 15_000 / 100);
+    assert_eq!(log.ticks, controller + health);
     assert!(
         log.count(|a| matches!(a, Action::Ejected { .. })) >= 1,
         "{}",
