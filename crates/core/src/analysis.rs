@@ -274,7 +274,7 @@ fn detect_millibottlenecks(
     let window = SimDuration::from_millis(ntier_telemetry::MONITOR_WINDOW_MS);
     let mut out = Vec::new();
     for (tier_idx, tier) in report.tiers.iter().enumerate() {
-        let combined = tier.combined_util();
+        let combined = tier.combined_util(report.horizon);
         let mut run_start: Option<usize> = None;
         let mut run_sum = 0.0;
         let flush = |out: &mut Vec<Millibottleneck>, start: usize, end: usize, sum: f64| {
@@ -339,7 +339,7 @@ pub fn mean_util_at_granularity(
         "granularity must be at least the base window"
     );
     let per = (granularity.as_micros() / window.as_micros()) as usize;
-    let combined = report.tiers[tier].combined_util();
+    let combined = report.tiers[tier].combined_util(report.horizon);
     combined
         .chunks(per)
         .map(|c| c.iter().sum::<f64>() / per as f64)

@@ -13,7 +13,7 @@ use std::path::Path;
 use ntier_telemetry::render::to_csv;
 use ntier_telemetry::{CounterSeries, PeakSeries, UtilizationSeries};
 
-use crate::report::RunReport;
+use crate::report::{horizon_windows, RunReport};
 
 /// Serializes a report into `(file name, CSV content)` pairs:
 ///
@@ -165,10 +165,12 @@ pub fn csv_bundle(report: &RunReport) -> Vec<(String, String)> {
         ),
     ));
 
+    let windows = horizon_windows(report.horizon);
     for (i, tier) in report.tiers.iter().enumerate() {
         files.push((
             format!("tier_{i}_{}.csv", sanitize(&tier.name)),
             window_series_csv(
+                windows,
                 &tier.queue_depth,
                 &tier.drops,
                 &tier.vlrt,
@@ -180,6 +182,7 @@ pub fn csv_bundle(report: &RunReport) -> Vec<(String, String)> {
             files.push((
                 format!("tier_{i}_r{}_{}.csv", r.id, sanitize(&tier.name)),
                 window_series_csv(
+                    windows,
                     &r.queue_depth,
                     &r.drops,
                     &r.vlrt,
@@ -240,10 +243,13 @@ pub fn write_csv_bundle(report: &RunReport, dir: &Path) -> io::Result<()> {
 
 /// One 50 ms window per row: queue peak, drops, VLRT, own CPU and
 /// interferer utilization — used for tier-level files and per-replica files
-/// alike, so the two are column-compatible. Rows are written straight into
-/// one pre-sized string: these files run to one row per window of the
-/// horizon, 72 000 rows for a simulated hour.
+/// alike, so the two are column-compatible. At least `min_windows` rows
+/// (the horizon's windows; each series stops at its last touched window,
+/// and untouched windows read 0), more if a series touched a window past
+/// the horizon. Rows are written straight into one pre-sized string: these
+/// files run to 72 000 rows for a simulated hour.
 fn window_series_csv(
+    min_windows: usize,
     queue_depth: &PeakSeries,
     drops: &CounterSeries,
     vlrt: &CounterSeries,
@@ -251,8 +257,8 @@ fn window_series_csv(
     interferer_util: &[f64],
 ) -> String {
     const HEADER: &str = "window_start_ms,queue_peak,drops,vlrt,cpu_util,interferer_util\n";
-    let windows = queue_depth
-        .len()
+    let windows = min_windows
+        .max(queue_depth.len())
         .max(drops.len())
         .max(vlrt.len())
         .max(util.len())
@@ -404,6 +410,27 @@ mod tests {
             for line in lines {
                 assert_eq!(line.split(',').count(), 6, "{name}: {line}");
             }
+        }
+    }
+
+    #[test]
+    fn stall_free_tiers_read_to_the_horizon() {
+        // Load stops at 200 ms of a 2 s horizon and no tier stalls: every
+        // series stops well short of the horizon, yet each tier file and
+        // each combined utilization series still has one entry per 50 ms
+        // window of it.
+        let report = small_report();
+        for tier in &report.tiers {
+            assert!(tier.interferer_util.is_empty(), "{}", tier.name);
+            assert!(tier.util.len() < 40, "{}: {}", tier.name, tier.util.len());
+            let combined = tier.combined_util(report.horizon);
+            assert_eq!(combined.len(), 40, "{}", tier.name);
+            assert_eq!(combined[39], 0.0, "{}", tier.name);
+        }
+        for (name, content) in csv_bundle(&report).iter().skip(3) {
+            let rows: Vec<&str> = content.lines().skip(1).collect();
+            assert_eq!(rows.len(), 40, "{name}");
+            assert_eq!(rows[39], "1950,0,0,0,0.0000,0.0000", "{name}");
         }
     }
 

@@ -55,16 +55,26 @@ impl Engine {
                     .replicas
                     .into_iter()
                     .enumerate()
-                    .map(|(r, rep)| ReplicaReport {
-                        id: ReplicaId::from(r),
-                        spawns: rep.spawns(),
-                        queue_depth: rep.queue_depth,
-                        drops: rep.drops,
-                        vlrt: rep.vlrt,
-                        util: rep.util,
-                        interferer_util: tc.stalls_for(r).interferer_utilization(window, horizon),
-                        drops_total: rep.drops_total,
-                        peak_queue: rep.peak_queue,
+                    .map(|(r, mut rep)| {
+                        // The report keeps the windows the run touched, not
+                        // the horizon-sized reservations made at set-up.
+                        rep.queue_depth.shrink_to_fit();
+                        rep.drops.shrink_to_fit();
+                        rep.vlrt.shrink_to_fit();
+                        rep.util.shrink_to_fit();
+                        ReplicaReport {
+                            id: ReplicaId::from(r),
+                            spawns: rep.spawns(),
+                            queue_depth: rep.queue_depth,
+                            drops: rep.drops,
+                            vlrt: rep.vlrt,
+                            util: rep.util,
+                            interferer_util: tc
+                                .stalls_for(r)
+                                .interferer_utilization(window, horizon),
+                            drops_total: rep.drops_total,
+                            peak_queue: rep.peak_queue,
+                        }
                     })
                     .collect();
                 let mut reps = reps;
@@ -91,7 +101,9 @@ impl Engine {
                     }
                 } else {
                     // Replica set: the tier-level view is the aggregate —
-                    // pooled utilization, summed windows, max peak.
+                    // pooled utilization, summed windows, max peak. The
+                    // interferer aggregate is empty when every replica is
+                    // stall-free.
                     let mut queue_depth = reps[0].queue_depth.clone();
                     let mut drops = reps[0].drops.clone();
                     let mut vlrt = reps[0].vlrt.clone();
@@ -102,6 +114,10 @@ impl Engine {
                         vlrt.absorb(&rep.vlrt);
                         util.absorb(&rep.util);
                     }
+                    queue_depth.shrink_to_fit();
+                    drops.shrink_to_fit();
+                    vlrt.shrink_to_fit();
+                    util.shrink_to_fit();
                     let n = reps.len();
                     let windows = reps
                         .iter()
@@ -153,6 +169,7 @@ impl Engine {
             .collect();
         classes.sort_by_key(|c| c.class);
         let throughput = self.completed as f64 / self.horizon.as_secs_f64();
+        self.vlrt_by_completion.shrink_to_fit();
         RunReport {
             horizon: self.horizon,
             events: self.events_handled,

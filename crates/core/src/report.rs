@@ -26,7 +26,10 @@ pub struct ReplicaReport {
     pub vlrt: CounterSeries,
     /// This replica's own CPU busy time per 50 ms window.
     pub util: UtilizationSeries,
-    /// Per-window utilization of interference co-located with this replica.
+    /// Per-window utilization of interference co-located with this replica:
+    /// one value per window of the horizon when the replica has a stall
+    /// schedule, empty when nothing is co-located. Windows past its end
+    /// read 0.
     pub interferer_util: Vec<f64>,
     /// Total drops at this replica.
     pub drops_total: u64,
@@ -58,7 +61,11 @@ pub struct TierReport {
     /// This tier's own CPU busy time per 50 ms window.
     pub util: UtilizationSeries,
     /// Per-window utilization of co-located interference (the hog VM /
-    /// flushing kernel); add to `util` for the physical-core view.
+    /// flushing kernel); add to `util` for the physical-core view (see
+    /// [`TierReport::combined_util`]). One value per window of the horizon
+    /// when any replica has a stall schedule (a replica set averages its
+    /// replicas), empty when nothing is co-located. Windows past its end
+    /// read 0.
     pub interferer_util: Vec<f64>,
     /// Total drops at this tier.
     pub drops_total: u64,
@@ -75,17 +82,31 @@ pub struct TierReport {
     pub replicas: Vec<ReplicaReport>,
 }
 
+/// The number of 50 ms windows in `horizon`, at least one: the floor on
+/// the length of every per-window reading of a report, since a series
+/// stops at its last touched window and a stall-free interferer series
+/// holds none.
+pub(crate) fn horizon_windows(horizon: SimDuration) -> usize {
+    let window = SimDuration::from_millis(ntier_telemetry::MONITOR_WINDOW_MS);
+    (horizon.as_micros() / window.as_micros()).max(1) as usize
+}
+
 impl TierReport {
     /// Mean own-CPU utilization through `horizon`.
     pub fn mean_util(&self, horizon: SimDuration) -> f64 {
-        let windows = (horizon.as_micros() / SimDuration::from_millis(50).as_micros()).max(1);
-        self.util.mean_utilization(windows as usize - 1)
+        self.util.mean_utilization(horizon_windows(horizon) - 1)
     }
 
     /// Physical-core utilization per window: own + interferer, capped at 1.
-    pub fn combined_util(&self) -> Vec<f64> {
+    /// One value per window of `horizon` (the run's
+    /// [`RunReport::horizon`]), or more if the tier touched a window past
+    /// it.
+    pub fn combined_util(&self, horizon: SimDuration) -> Vec<f64> {
         let own = self.util.utilizations();
-        let n = own.len().max(self.interferer_util.len());
+        let n = own
+            .len()
+            .max(self.interferer_util.len())
+            .max(horizon_windows(horizon));
         (0..n)
             .map(|i| {
                 let a = own.get(i).copied().unwrap_or(0.0);

@@ -92,8 +92,15 @@ impl StallSchedule {
     /// The per-window CPU utilization an observer would attribute to the
     /// *interfering* work (100 % during stalls) — the pink/black hog lines in
     /// Figs. 3(a), 7(a), 8(a).
+    ///
+    /// A non-empty schedule yields one value per window of `horizon` (at
+    /// least one); an empty schedule yields no windows at all, since every
+    /// one of them would read 0.
     pub fn interferer_utilization(&self, window: SimDuration, horizon: SimDuration) -> Vec<f64> {
         assert!(!window.is_zero(), "window must be non-zero");
+        if self.is_empty() {
+            return Vec::new();
+        }
         let n = (horizon.as_micros() / window.as_micros()) as usize;
         // Busy µs per window, summed straight into the output vector: every
         // partial sum is an integer below 2^53, so the f64 sums are exact and
@@ -170,6 +177,14 @@ mod tests {
     }
 
     #[test]
+    fn empty_schedule_yields_no_windows() {
+        let util = StallSchedule::none()
+            .interferer_utilization(SimDuration::from_millis(50), SimDuration::from_secs(60));
+        assert!(util.is_empty());
+        assert_eq!(util.capacity(), 0);
+    }
+
+    #[test]
     fn empty_intervals_are_discarded() {
         let sch = StallSchedule::from_intervals([(s(1), s(1))]);
         assert!(sch.is_empty());
@@ -191,6 +206,7 @@ mod tests {
             );
             let horizon = SimDuration::from_secs(20);
             let util = sch.interferer_utilization(SimDuration::from_millis(50), horizon);
+            prop_assert_eq!(util.len(), 400);
             let total: f64 = util.iter().map(|u| u * 0.05).sum();
             prop_assert!((total - sch.total_stall().as_secs_f64()).abs() < 1e-9);
         }

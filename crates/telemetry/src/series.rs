@@ -92,6 +92,13 @@ impl Windows {
         self.values.get(idx).copied().unwrap_or(0)
     }
 
+    /// Drops the capacity past the last touched window: a finished series
+    /// keeps exactly the windows it observed, and one never touched holds
+    /// no buffer at all.
+    fn shrink_to_fit(&mut self) {
+        self.values.shrink_to_fit();
+    }
+
     /// Folds `other` in window by window with `f`, extending `self` to
     /// cover every window either side touched.
     fn merge(&mut self, other: &Windows, f: impl Fn(u32, u32) -> u32) {
@@ -205,6 +212,12 @@ impl CounterSeries {
         self.0.values.is_empty()
     }
 
+    /// Releases the storage reserved past the last touched window. Every
+    /// reading is unchanged.
+    pub fn shrink_to_fit(&mut self) {
+        self.0.shrink_to_fit();
+    }
+
     /// Pools `other` into `self` (one replica into a tier-wide view):
     /// counts add window by window.
     ///
@@ -287,6 +300,12 @@ impl PeakSeries {
     /// `true` if no window was ever touched.
     pub fn is_empty(&self) -> bool {
         self.0.values.is_empty()
+    }
+
+    /// Releases the storage reserved past the last touched window. Every
+    /// reading is unchanged.
+    pub fn shrink_to_fit(&mut self) {
+        self.0.shrink_to_fit();
     }
 
     /// Pools `other` into `self` (one replica into a tier-wide view): each
@@ -413,6 +432,12 @@ impl UtilizationSeries {
         let n = through_window + 1;
         let busy: u64 = (0..n).map(|i| u64::from(self.busy_micros.get(i))).sum();
         busy as f64 / (self.capacity_micros() * n as f64)
+    }
+
+    /// Releases the busy-time storage reserved past the last touched
+    /// window. Every reading is unchanged.
+    pub fn shrink_to_fit(&mut self) {
+        self.busy_micros.shrink_to_fit();
     }
 
     /// Pools `other` into `self`: busy time and core counts add, so the
@@ -549,6 +574,44 @@ mod tests {
         let mut c = CounterSeries::paper_default();
         c.add(ms(50 * 20_000), 1);
         assert_eq!(c.0.values.capacity(), 2 * chunk());
+    }
+
+    #[test]
+    fn shrink_to_fit_keeps_every_reading() {
+        let horizon = SimDuration::from_secs(20);
+        let mut c = CounterSeries::paper_default_for(horizon);
+        let mut p = PeakSeries::paper_default_for(horizon);
+        let mut u = UtilizationSeries::paper_default_for(2, horizon);
+        c.add(ms(120), 3);
+        c.add(ms(4_010), 1);
+        p.record(ms(60), 7);
+        p.record(ms(3_990), 2);
+        u.record_busy(ms(25), ms(175));
+        u.record_busy(ms(5_000), ms(5_040));
+        let (c0, p0, u0) = (c.clone(), p.clone(), u.clone());
+        c.shrink_to_fit();
+        p.shrink_to_fit();
+        u.shrink_to_fit();
+        assert_eq!((c.len(), p.len(), u.len()), (c0.len(), p0.len(), u0.len()));
+        assert_eq!(c, c0);
+        assert_eq!(p, p0);
+        assert_eq!(c.total(), c0.total());
+        assert_eq!(u.total_busy_micros(), u0.total_busy_micros());
+        for w in 0..=u0.len() + 2 {
+            assert_eq!(c.count(w), c0.count(w), "window {w}");
+            assert_eq!(p.peak(w), p0.peak(w), "window {w}");
+            assert_eq!(u.utilization(w).to_bits(), u0.utilization(w).to_bits());
+        }
+        assert_eq!(c.0.values.capacity(), c.len());
+        assert_eq!(u.busy_micros.values.capacity(), u.len());
+        // A counter that never fired keeps no buffer.
+        let mut idle = CounterSeries::paper_default_for(horizon);
+        idle.shrink_to_fit();
+        assert_eq!(idle.0.values.capacity(), 0);
+        assert_eq!(idle, CounterSeries::paper_default());
+        // A trimmed series still grows on demand.
+        c.add(ms(9_000), 1);
+        assert_eq!((c.count(180), c.total()), (1, 5));
     }
 
     #[test]

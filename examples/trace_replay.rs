@@ -74,9 +74,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Peak-live-heap ceiling, about twice the 8.3 MiB this probe peaks at
-/// (both arms, then the 1- and 8-thread reruns with only fingerprints
-/// kept). An eager `Vec<(SimTime, Plan)>` of the 1.03M-instance fixture
+/// Peak-live-heap ceiling, about twice the 7.8–7.9 MiB this probe peaks
+/// at (both arms, then the 1- and 8-thread reruns with only fingerprints
+/// kept). With horizon-sized series reservations and zero interferer
+/// vectors kept in every report, it peaked at 8.3 MiB. An eager `Vec<(SimTime, Plan)>` of the 1.03M-instance fixture
 /// alone would add ~350 MiB. Building each report's whole `Debug` string
 /// to fingerprint it, with both arms' reports held across the reruns,
 /// peaked at 20.5 MiB.

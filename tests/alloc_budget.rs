@@ -1,7 +1,7 @@
 //! The request lifecycle's allocation budget: in steady state a
 //! closed-loop request costs about one heap allocation, its plan buffer;
-//! and the heap a fig1 run at WL 7000 and the trace replay's first surge
-//! hold at their peaks.
+//! the heap a fig1 run at WL 7000 and the trace replay's first surge hold
+//! at their peaks; and the heap the Fig. 12 grid's finished reports keep.
 //!
 //! This binary holds a single test because it installs a counting global
 //! allocator, and any other test running in the same process would add to
@@ -110,6 +110,20 @@ fn trace_replay_prefix() -> usize {
     peak
 }
 
+/// Live heap bytes that the reports of one seed's Fig. 12 grid (10 specs of
+/// 20 s) retain once their runs are done: live heap with every report
+/// held, minus live heap before the specs were built.
+fn fig12_reports_retained() -> usize {
+    let before = LIVE.load(Relaxed);
+    let reports: Vec<_> = experiment::fig12_grid(7)
+        .into_iter()
+        .map(|spec| spec.run())
+        .collect();
+    let retained = LIVE.load(Relaxed).saturating_sub(before);
+    assert!(reports.iter().all(|r| r.completed > 0 && r.is_conserved()));
+    retained
+}
+
 /// Bound on the peak live heap of one 60 s fig1 run at WL 7000 (1.5 MiB).
 /// With a one-record drop history per request slot the run peaks at
 /// 0.78 MiB; with a four-record drop log per slot it peaked at 0.90 MiB,
@@ -122,6 +136,14 @@ const PEAK_HEAP_BOUND: usize = 3 << 19;
 /// slot, the slab alive through report assembly and a second, integer
 /// buffer per tier for the interferer utilization, it peaked at 5.71 MiB.
 const TRACE_PREFIX_PEAK_BOUND: usize = 4 << 20;
+
+/// Bound on [`fig12_reports_retained`] (192 KiB). With each series trimmed
+/// to the windows it touched and no interferer vector for a stall-free
+/// replica, the 10 reports hold 135 KiB (138 626 bytes). With the series'
+/// horizon-sized reservations and 400 zero interferer windows per tier
+/// they held 347 KiB; with the reservations alone 253 KiB, with the zero
+/// windows alone 229 KiB.
+const FIG12_REPORTS_BOUND: usize = 192 << 10;
 
 #[test]
 fn closed_loop_requests_allocate_about_once() {
@@ -136,6 +158,12 @@ fn closed_loop_requests_allocate_about_once() {
     assert!(
         peak < PEAK_HEAP_BOUND,
         "a 60 s fig1 run peaked at {peak} live heap bytes, over the {PEAK_HEAP_BOUND} bound"
+    );
+    let retained = fig12_reports_retained();
+    assert!(
+        retained < FIG12_REPORTS_BOUND,
+        "the Fig. 12 grid's 10 reports retain {retained} live heap bytes, over the \
+         {FIG12_REPORTS_BOUND} bound"
     );
     let trace_peak = trace_replay_prefix();
     assert!(

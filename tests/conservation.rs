@@ -8,8 +8,7 @@ mod common;
 
 use ntier_repro::control::{AutoscalerConfig, ControlConfig};
 use ntier_repro::core::engine::{Engine, Workload};
-use ntier_repro::core::Balancer;
-use ntier_repro::core::{SystemConfig, TierSpec, Topology};
+use ntier_repro::core::{Balancer, Plan, SourcedRequest, SystemConfig, TierSpec, Topology};
 use ntier_repro::des::prelude::*;
 use ntier_repro::interference::StallSchedule;
 use ntier_repro::resilience::{
@@ -18,7 +17,7 @@ use ntier_repro::resilience::{
 };
 use ntier_repro::telemetry::MetricsConfig;
 use ntier_repro::trace::TraceConfig;
-use ntier_repro::workload::{BurstSchedule, ClosedLoopSpec, RequestMix};
+use ntier_repro::workload::{BurstSchedule, ClosedLoopSpec, RequestMix, VecSource};
 use proptest::prelude::*;
 
 fn arb_tier(name: &'static str) -> impl Strategy<Value = TierSpec> {
@@ -440,65 +439,96 @@ fn arb_autoscaler() -> impl Strategy<Value = ControlConfig> {
         })
 }
 
+/// Every plane at once: a replicated app tier under a random balancer, a
+/// random fault plan plus a gray fault on one app replica, a retrying or
+/// hedged client, the autoscaler, the health detector, the metrics plane
+/// and sampled tracing.
+fn arb_all_planes() -> impl Strategy<Value = SystemConfig> {
+    (
+        (
+            arb_system(),
+            2usize..4,
+            0usize..4,
+            arb_fault_plan(),
+            (0usize..4, 1u64..45, 1u64..15, 2f64..12.0),
+            any::<bool>(),
+        ),
+        (
+            arb_client_policy(),
+            arb_hedged_policy(),
+            arb_autoscaler(),
+            0.3f64..2.0,
+            50u64..1_000,
+            0.01f64..0.5,
+        ),
+    )
+        .prop_map(
+            |(
+                (mut system, replicas, balancer_idx, plan, gray, hedged),
+                (retrying, hedging, control, eject_score, metrics_ms, sample),
+            )| {
+                let balancer = [
+                    Balancer::RoundRobin,
+                    Balancer::LeastOutstanding,
+                    Balancer::P2c,
+                    Balancer::Jsq,
+                ][balancer_idx];
+                system.tiers[1] = system.tiers[1]
+                    .clone()
+                    .replicas(replicas)
+                    .balancer(balancer);
+                let (rep, start, len, factor) = gray;
+                let env = GrayEnvelope::new(
+                    SimDuration::from_millis(50 + len * 10),
+                    SimDuration::from_millis(len * 150),
+                    SimDuration::from_millis(50 + len * 10),
+                    factor,
+                );
+                let plan = plan
+                    .gray_degradation(1, rep % replicas, SimTime::from_millis(start * 100), env)
+                    .expect("a gray envelope with factor > 1 is valid");
+                let mut system = system
+                    .with_faults(plan)
+                    .with_control(control)
+                    .with_health(HealthPolicy::monitor(1).with_eject_score(eject_score))
+                    .with_metrics(MetricsConfig::every(SimDuration::from_millis(metrics_ms)))
+                    .with_trace(TraceConfig::sampled(sample));
+                let policy = if hedged { Some(hedging) } else { retrying };
+                if let Some(p) = policy {
+                    system = system.with_client_policy(p);
+                }
+                system
+            },
+        )
+}
+
+/// Open-loop arrivals every `gap_us` through 4 s plus a burst of `batch`
+/// at 2.5 s, sorted.
+fn steady_plus_burst(gap_us: u64, batch: u32) -> Vec<SimTime> {
+    let mut arrivals: Vec<SimTime> = (0..4_000_000 / gap_us)
+        .map(|i| SimTime::from_micros(i * gap_us))
+        .collect();
+    arrivals.extend(std::iter::repeat_n(
+        SimTime::from_millis(2_500),
+        batch as usize,
+    ));
+    arrivals.sort();
+    arrivals
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(common::cases(24)))]
 
-    /// Every plane at once: a replicated app tier under a random balancer,
-    /// a random fault plan plus a gray fault on one app replica, a
-    /// retrying or hedged client, the autoscaler, the health detector,
-    /// the metrics plane and sampled tracing. Requests are conserved,
-    /// nothing panics, and one seed gives one report.
+    /// Every plane at once under eager open-loop arrivals. Requests are
+    /// conserved, nothing panics, and one seed gives one report.
     #[test]
     fn conservation_with_all_planes(
-        system in arb_system(),
-        replicas in 2usize..4,
-        balancer_idx in 0usize..4,
-        plan in arb_fault_plan(),
-        gray in (0usize..4, 1u64..45, 1u64..15, 2f64..12.0),
-        hedged in any::<bool>(),
-        retrying in arb_client_policy(),
-        hedging in arb_hedged_policy(),
-        control in arb_autoscaler(),
-        eject_score in 0.3f64..2.0,
-        metrics_ms in 50u64..1_000,
-        sample in 0.01f64..0.5,
+        system in arb_all_planes(),
         gap_us in 2_000u64..6_000,
         batch in 1u32..80,
         seed in any::<u64>(),
     ) {
-        let mut system = system;
-        let balancer = [
-            Balancer::RoundRobin,
-            Balancer::LeastOutstanding,
-            Balancer::P2c,
-            Balancer::Jsq,
-        ][balancer_idx];
-        system.tiers[1] = system.tiers[1].clone().replicas(replicas).balancer(balancer);
-        let (rep, start, len, factor) = gray;
-        let env = GrayEnvelope::new(
-            SimDuration::from_millis(50 + len * 10),
-            SimDuration::from_millis(len * 150),
-            SimDuration::from_millis(50 + len * 10),
-            factor,
-        );
-        let plan = plan
-            .gray_degradation(1, rep % replicas, SimTime::from_millis(start * 100), env)
-            .expect("a gray envelope with factor > 1 is valid");
-        let mut system = system
-            .with_faults(plan)
-            .with_control(control)
-            .with_health(HealthPolicy::monitor(1).with_eject_score(eject_score))
-            .with_metrics(MetricsConfig::every(SimDuration::from_millis(metrics_ms)))
-            .with_trace(TraceConfig::sampled(sample));
-        let policy = if hedged { Some(hedging) } else { retrying };
-        if let Some(p) = policy {
-            system = system.with_client_policy(p);
-        }
-        let mut arrivals: Vec<SimTime> = (0..4_000_000 / gap_us)
-            .map(|i| SimTime::from_micros(i * gap_us))
-            .collect();
-        arrivals.extend(std::iter::repeat_n(SimTime::from_millis(2_500), batch as usize));
-        arrivals.sort();
+        let arrivals = steady_plus_burst(gap_us, batch);
         let injected = arrivals.len() as u64;
         let run = || {
             Engine::new(
@@ -515,6 +545,62 @@ proptest! {
             report.injected, report.completed, report.failed,
             report.shed, report.cancelled, report.in_flight_end);
         prop_assert_eq!(report.injected, injected);
+        prop_assert!(report.control.is_some());
+        prop_assert!(report.metrics.is_some());
+        prop_assert_eq!(format!("{report:?}"), format!("{:?}", run()));
+    }
+
+    /// Every plane at once under a streamed source whose arrivals carry
+    /// sampled 3-tier plans, one of them a misfit 2-tier plan. The misfit
+    /// ends the stream as a `workload_fault` naming it, nothing after it is
+    /// injected, and requests are conserved with every plane on.
+    #[test]
+    fn streamed_misfit_plan_with_all_planes(
+        system in arb_all_planes(),
+        gap_us in 2_000u64..6_000,
+        batch in 1u32..80,
+        misfit_at in 0.0f64..1.0,
+        seed in any::<u64>(),
+    ) {
+        let arrivals = steady_plus_burst(gap_us, batch);
+        let misfit = (misfit_at * arrivals.len() as f64) as usize;
+        let mix = RequestMix::rubbos_browse();
+        let mut rng = SimRng::seed_from(seed).fork("plans");
+        let mut pairs: Vec<(SimTime, SourcedRequest)> = arrivals
+            .iter()
+            .map(|&t| {
+                let sample = mix.sample(&mut rng);
+                (t, SourcedRequest { class: sample.class, plan: Plan::compile(&sample) })
+            })
+            .collect();
+        let short = Plan::pipeline(&[SimDuration::from_micros(80); 2]);
+        pairs.insert(misfit, (arrivals[misfit], SourcedRequest { class: "misfit", plan: short }));
+        let run = || {
+            let pairs = pairs.iter().map(|(t, r)| {
+                (*t, SourcedRequest { class: r.class, plan: r.plan.share() })
+            });
+            Engine::new(
+                system.clone(),
+                Workload::from_source(VecSource::new(pairs.collect())),
+                SimDuration::from_secs(12),
+                seed,
+            )
+            .run()
+        };
+        let report = run();
+        let fault = report.workload_fault.as_deref().unwrap_or("");
+        prop_assert_eq!(
+            fault,
+            format!(
+                "arrival at {}: plan depth 2 does not match the system's 3 tiers",
+                arrivals[misfit]
+            )
+        );
+        prop_assert!(report.is_conserved(),
+            "inj {} != comp {} + fail {} + shed {} + canc {} + infl {}",
+            report.injected, report.completed, report.failed,
+            report.shed, report.cancelled, report.in_flight_end);
+        prop_assert_eq!(report.injected, misfit as u64);
         prop_assert!(report.control.is_some());
         prop_assert!(report.metrics.is_some());
         prop_assert_eq!(format!("{report:?}"), format!("{:?}", run()));

@@ -41,7 +41,7 @@ fn millibottlenecks_are_invisible_to_coarse_monitoring() {
     // 5-second granularity — the paper's motivation for fine-grained
     // monitoring.
     let r = exp::fig3(42).run();
-    let fine = r.tiers[1].combined_util();
+    let fine = r.tiers[1].combined_util(r.horizon);
     assert!(
         fine.iter().any(|u| *u >= 0.99),
         "50 ms windows must saturate"
