@@ -266,14 +266,19 @@ fn window_series_csv(
     // "3599950,278,12,3,1.0000,0.0000\n" is 31 bytes; most rows are shorter.
     let mut out = String::with_capacity(HEADER.len() + windows * 32);
     out.push_str(HEADER);
-    for w in 0..windows {
+    // The sparse counters are walked in window order alongside the rows,
+    // not looked up per row.
+    fn counts(s: &CounterSeries) -> impl Iterator<Item = u32> + '_ {
+        s.iter().map(|(_, n)| n).chain(std::iter::repeat(0))
+    }
+    for ((w, dropped), late) in (0..windows).zip(counts(drops)).zip(counts(vlrt)) {
         let _ = writeln!(
             out,
             "{},{},{},{},{:.4},{:.4}",
             w as u64 * ntier_telemetry::MONITOR_WINDOW_MS,
             queue_depth.peak(w),
-            drops.count(w),
-            vlrt.count(w),
+            dropped,
+            late,
             util.utilization(w),
             interferer_util.get(w).copied().unwrap_or(0.0),
         );

@@ -369,7 +369,7 @@ impl Engine {
             events_handled: 0,
             events_by_kind: EventCounts::default(),
             latency: LatencyHistogram::paper_default(),
-            vlrt_by_completion: CounterSeries::paper_default_for(horizon),
+            vlrt_by_completion: CounterSeries::paper_default(),
             injected: 0,
             completed: 0,
             failed: 0,

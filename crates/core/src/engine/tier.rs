@@ -104,8 +104,8 @@ impl Replica {
             conn_pool: tc.downstream_pool.map(ConnectionPool::new),
             util: UtilizationSeries::paper_default_for(tc.cores, horizon),
             queue_depth: PeakSeries::paper_default_for(horizon),
-            drops: CounterSeries::paper_default_for(horizon),
-            vlrt: CounterSeries::paper_default_for(horizon),
+            drops: CounterSeries::paper_default(),
+            vlrt: CounterSeries::paper_default(),
             drops_total: 0,
             peak_queue: 0,
             life: ReplicaLife::Active,

@@ -5,7 +5,7 @@
 //! EXPERIMENTS.md embeds the same table.
 
 use ntier_des::time::{SimDuration, SimTime};
-use ntier_telemetry::MONITOR_WINDOW_MS;
+use ntier_telemetry::CounterSeries;
 
 use super::{
     fig1, fig10, fig11, fig12_async, fig12_sync, fig3, fig5, fig7, fig8, fig9, nx1_mysql_stall,
@@ -346,6 +346,11 @@ fn peak(r: &RunReport, tier: usize) -> f64 {
     r.tiers[tier].peak_queue as f64
 }
 
+/// The largest count any one window of `series` holds.
+fn peak_count(series: &CounterSeries) -> u32 {
+    series.iter().map(|(_, n)| n).max().unwrap_or(0)
+}
+
 /// `yes` if every detected CTQO episode has class `class`.
 fn all_episodes(r: &RunReport, s: &SystemConfig, class: CtqoClass) -> f64 {
     let episodes = analysis::detect(r, s, SimDuration::from_secs(1));
@@ -389,8 +394,7 @@ fn vlrt_share_after_stalls(r: &RunReport, s: &SystemConfig, tier: usize) -> f64 
         .collect();
     let mut near = 0u64;
     let mut total = 0u64;
-    for (w, &n) in r.vlrt_by_completion.counts().iter().enumerate() {
-        let t = SimTime::from_millis(w as u64 * MONITOR_WINDOW_MS);
+    for (t, n) in r.vlrt_by_completion.iter() {
         total += u64::from(n);
         if starts
             .iter()
@@ -453,7 +457,7 @@ pub fn claims() -> Vec<Claim> {
         one("fig3.mysql-peak", "MySQL peak queue", "≤ 50 (JDBC pool)",
             Fig3, Count, at_most(50.0), |r, _| peak(r, 2)),
         one("fig3.vlrt-peak", "Apache VLRT per 50 ms, peak", "up to ~80",
-            Fig3, Count, between(1.0, 80.0), |r, _| f64::from(r.tiers[0].vlrt.counts().iter().copied().max().unwrap_or(0))),
+            Fig3, Count, between(1.0, 80.0), |r, _| f64::from(peak_count(&r.tiers[0].vlrt))),
         // Fig. 4: during upstream CTQO even static requests drop; NX=3 has no VLRT in any class.
         one("fig4.static-completed", "static requests completed", "present",
             Fig3, Count, at_least(1.0), |r, _| r.class("static").map_or(0.0, |c| c.completed as f64)),
@@ -508,7 +512,7 @@ pub fn claims() -> Vec<Claim> {
         one("fig8.mysql-peak", "MySQL peak queue", "228 = 100 + 128",
             Fig8, Count, exactly(228.0), |r, _| peak(r, 2)),
         one("fig8.vlrt-peak", "MySQL VLRT per 50 ms, peak", "~30–40",
-            Fig8, Count, between(20.0, 60.0), |r, _| f64::from(r.tiers[2].vlrt.counts().iter().copied().max().unwrap_or(0))),
+            Fig8, Count, between(20.0, 60.0), |r, _| f64::from(peak_count(&r.tiers[2].vlrt))),
         // Fig. 9: NX=2, XTomcat stall — the post-stall batch floods MySQL.
         one("fig9.stall-site", "stalled tier", "1 (XTomcat)",
             Fig9, Count, exactly(1.0), |_, s| stalled_tier(s)),

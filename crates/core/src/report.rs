@@ -360,7 +360,7 @@ impl RunReport {
                 name: t.name.clone(),
                 util: t.util.utilizations(),
                 interferer_util: t.interferer_util.clone(),
-                drops: t.drops.counts().to_vec(),
+                drops: t.drops.iter().map(|(_, n)| n).collect(),
                 replicas: t
                     .replicas
                     .iter()
@@ -368,7 +368,7 @@ impl RunReport {
                         name: t.name.clone(),
                         util: r.util.utilizations(),
                         interferer_util: r.interferer_util.clone(),
-                        drops: r.drops.counts().to_vec(),
+                        drops: r.drops.iter().map(|(_, n)| n).collect(),
                         replicas: Vec::new(),
                     })
                     .collect(),

@@ -5,8 +5,9 @@
 //! resource use is aggregated in 50 ms windows. This crate provides those
 //! instruments for the reproduction:
 //!
-//! * [`series::CounterSeries`] / [`series::PeakSeries`] — one integer per
-//!   50 ms window: drops and VLRT counts, queue-depth peaks;
+//! * [`series::CounterSeries`] — drops and VLRT counts per 50 ms window,
+//!   stored sparsely (only the windows that counted);
+//! * [`series::PeakSeries`] — queue-depth peaks, one integer per window;
 //! * [`series::UtilizationSeries`] — busy-time accounting per window
 //!   (the CPU-utilization timelines in Figs. 3, 5, 7–11);
 //! * [`histogram::LatencyHistogram`] — response-time histograms with

@@ -1,15 +1,17 @@
 //! Fixed-window time series: the 50 ms aggregates the paper's figures plot.
 //!
 //! Every per-window quantity the engine records is an integer, and every
-//! reader takes exactly one aggregate of it, so each series stores one
-//! `u32` per window:
+//! reader takes exactly one aggregate of it:
 //!
-//! * [`CounterSeries`] — events per window (drops, VLRT requests); replica
-//!   sets pool by adding;
-//! * [`PeakSeries`] — the highest gauge reading per window (queue depth);
-//!   replica sets pool by taking the larger peak;
-//! * [`UtilizationSeries`] — busy microseconds per window, read back as
-//!   CPU utilization; replica sets pool busy time and cores.
+//! * [`CounterSeries`] — events per window (drops, VLRT requests), kept
+//!   sparsely as one `(window, count)` pair per window that saw any: both
+//!   events are rare and cluster in millibottleneck episodes; replica sets
+//!   pool by adding;
+//! * [`PeakSeries`] — the highest gauge reading per window (queue depth),
+//!   one `u32` per window; replica sets pool by taking the larger peak;
+//! * [`UtilizationSeries`] — busy microseconds per window, one `u32` per
+//!   window, read back as CPU utilization; replica sets pool busy time and
+//!   cores.
 
 use ntier_des::time::{SimDuration, SimTime};
 
@@ -21,12 +23,25 @@ use ntier_des::time::{SimDuration, SimTime};
 pub const PREALLOC_HORIZON_CAP: SimDuration = SimDuration::from_secs(600);
 
 /// One `u32` per window, from time zero through the last touched window:
-/// the storage behind all three series. Untouched windows read as 0.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// the storage behind [`PeakSeries`] and [`UtilizationSeries`]. Untouched
+/// windows read as 0.
+#[derive(Debug, Clone)]
 struct Windows {
     size: SimDuration,
     values: Vec<u32>,
+    /// Windows to reserve on the first touch (0 once made): a series that
+    /// never records allocates nothing.
+    reserve: usize,
 }
+
+/// Equality is by contents: a pending reservation is capacity, not data.
+impl PartialEq for Windows {
+    fn eq(&self, other: &Self) -> bool {
+        self.size == other.size && self.values == other.values
+    }
+}
+
+impl Eq for Windows {}
 
 impl Windows {
     fn new(size: SimDuration) -> Self {
@@ -34,6 +49,7 @@ impl Windows {
         Windows {
             size,
             values: Vec::new(),
+            reserve: 0,
         }
     }
 
@@ -44,14 +60,13 @@ impl Windows {
         (PREALLOC_HORIZON_CAP.as_micros() / self.size.as_micros()) as usize + 2
     }
 
-    /// Reserves capacity for every window up to `horizon` (plus the spill
-    /// window), capped at one [`chunk`](Self::chunk). Only capacity is
-    /// reserved: `len()` still reports the windows actually touched.
+    /// Plans capacity for every window up to `horizon` (plus the spill
+    /// window), capped at one [`chunk`](Self::chunk), and reserved on the
+    /// first touch. Only capacity is reserved: `len()` still reports the
+    /// windows actually touched.
     fn reserve_through(&mut self, horizon: SimDuration) {
         let want = (horizon.as_micros() / self.size.as_micros()) as usize + 2;
-        let n = want.min(self.chunk());
-        self.values
-            .reserve_exact(n.saturating_sub(self.values.len()));
+        self.reserve = want.min(self.chunk());
     }
 
     #[inline]
@@ -67,11 +82,15 @@ impl Windows {
         t.window_index(self.size) as usize
     }
 
-    /// Extends the series through window `idx`. Past one chunk, capacity
-    /// grows a whole chunk at a time: doubling would leave an hour-long
-    /// run holding up to twice the windows it uses.
+    /// Extends the series through window `idx`, first making the planned
+    /// reservation. Past one chunk, capacity grows a whole chunk at a time:
+    /// doubling would leave an hour-long run holding up to twice the
+    /// windows it uses.
     #[cold]
     fn grow_to(&mut self, idx: usize) {
+        if self.reserve > 0 {
+            self.values.reserve_exact(std::mem::take(&mut self.reserve));
+        }
         let chunk = self.chunk();
         if idx >= self.values.capacity() && idx >= chunk {
             let target = (idx / chunk + 1) * chunk;
@@ -92,20 +111,18 @@ impl Windows {
         self.values.get(idx).copied().unwrap_or(0)
     }
 
-    /// Drops the capacity past the last touched window: a finished series
-    /// keeps exactly the windows it observed, and one never touched holds
-    /// no buffer at all.
+    /// Drops the capacity past the last touched window and any pending
+    /// reservation: a finished series keeps exactly the windows it
+    /// observed, and one never touched holds no buffer at all.
     fn shrink_to_fit(&mut self) {
+        self.reserve = 0;
         self.values.shrink_to_fit();
     }
 
     /// Folds `other` in window by window with `f`, extending `self` to
     /// cover every window either side touched.
     fn merge(&mut self, other: &Windows, f: impl Fn(u32, u32) -> u32) {
-        assert_eq!(
-            self.size, other.size,
-            "cannot absorb series with a different window size"
-        );
+        assert_same_window(self.size, other.size);
         if other.values.len() > self.values.len() {
             self.grow_to(other.values.len() - 1);
         }
@@ -123,7 +140,15 @@ fn checked_sum(a: u32, b: u32) -> u32 {
     a.checked_add(b).expect("per-window total overflows u32")
 }
 
+fn assert_same_window(a: SimDuration, b: SimDuration) {
+    assert_eq!(a, b, "cannot absorb series with a different window size");
+}
+
 /// Events counted per window (default 50 ms): drops, VLRT requests.
+///
+/// Only windows with a nonzero count are stored, as window-ordered
+/// `(window, count)` pairs; every reader still sees one count per window
+/// from time zero through the last touched window, zeros included.
 ///
 /// # Example
 ///
@@ -137,9 +162,17 @@ fn checked_sum(a: u32, b: u32) -> u32 {
 /// assert_eq!(vlrt.count(2), 2);
 /// assert_eq!(vlrt.count(0), 0);
 /// assert_eq!(vlrt.total(), 2);
+/// assert_eq!(vlrt.len(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterSeries(Windows);
+pub struct CounterSeries {
+    size: SimDuration,
+    /// Windows from time zero through the last touched window.
+    len: usize,
+    /// `(window, count)` of every window with a nonzero count, in window
+    /// order.
+    nonzero: Vec<(u32, u32)>,
+}
 
 impl CounterSeries {
     /// Creates a series with the given window size.
@@ -148,7 +181,12 @@ impl CounterSeries {
     ///
     /// Panics if `window` is zero.
     pub fn with_window(window: SimDuration) -> Self {
-        CounterSeries(Windows::new(window))
+        assert!(!window.is_zero(), "window must be non-zero");
+        CounterSeries {
+            size: window,
+            len: 0,
+            nonzero: Vec::new(),
+        }
     }
 
     /// Creates a series with the paper's 50 ms monitoring window.
@@ -156,66 +194,84 @@ impl CounterSeries {
         Self::with_window(SimDuration::from_millis(crate::MONITOR_WINDOW_MS))
     }
 
-    /// Like [`CounterSeries::paper_default`], with storage reserved for a
-    /// run of length `horizon` (capped at [`PREALLOC_HORIZON_CAP`]) so the
-    /// hot path does not reallocate. Observable state is unchanged.
-    pub fn paper_default_for(horizon: SimDuration) -> Self {
-        let mut s = Self::paper_default();
-        s.0.reserve_through(horizon);
-        s
-    }
-
-    /// Adds `n` events to the window containing `t`.
+    /// Adds `n` events to the window containing `t`. Adding 0 still
+    /// extends the series through that window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window's count overflows `u32`, or if its index does.
     #[inline]
     pub fn add(&mut self, t: SimTime, n: u32) {
-        self.0.add(self.0.index(t), n);
+        let w = u32::try_from(t.window_index(self.size)).expect("window index overflows u32");
+        self.len = self.len.max(w as usize + 1);
+        if n == 0 {
+            return;
+        }
+        // Drops and VLRT completions are counted at the current time, so
+        // the last entry is the common case; a replica's VLRT is charged
+        // back to its first drop's window.
+        match self.nonzero.last_mut() {
+            Some((last, c)) if *last == w => *c = checked_sum(*c, n),
+            Some(&mut (last, _)) if last > w => self.add_back_dated(w, n),
+            _ => self.nonzero.push((w, n)),
+        }
+    }
+
+    fn add_back_dated(&mut self, w: u32, n: u32) {
+        match self.nonzero.binary_search_by_key(&w, |&(at, _)| at) {
+            Ok(i) => self.nonzero[i].1 = checked_sum(self.nonzero[i].1, n),
+            Err(i) => self.nonzero.insert(i, (w, n)),
+        }
     }
 
     /// Events in window `idx` (0 if never touched).
     pub fn count(&self, idx: usize) -> u32 {
-        self.0.get(idx)
-    }
-
-    /// Events per window, from time zero through the last touched window.
-    pub fn counts(&self) -> &[u32] {
-        &self.0.values
+        let Ok(w) = u32::try_from(idx) else {
+            return 0;
+        };
+        self.nonzero
+            .binary_search_by_key(&w, |&(at, _)| at)
+            .map_or(0, |i| self.nonzero[i].1)
     }
 
     /// The per-window counts as `f64`s, for readers that plot or compare
     /// floats.
     pub fn sums(&self) -> Vec<f64> {
-        self.0.to_f64()
+        self.iter().map(|(_, n)| f64::from(n)).collect()
     }
 
     /// Total events across all windows.
     pub fn total(&self) -> u64 {
-        self.0.values.iter().map(|&v| u64::from(v)).sum()
+        self.nonzero.iter().map(|&(_, n)| u64::from(n)).sum()
     }
 
-    /// Iterates `(window_start_time, count)` over all windows.
+    /// Iterates `(window_start_time, count)` over all windows, from time
+    /// zero through the last touched window, zeros included.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, u32)> + '_ {
-        let w = self.0.size.as_micros();
-        self.0
-            .values
-            .iter()
-            .enumerate()
-            .map(move |(i, &v)| (SimTime::from_micros(i as u64 * w), v))
+        let w = self.size.as_micros();
+        let mut nonzero = self.nonzero.iter().peekable();
+        (0..self.len).map(move |i| {
+            let n = nonzero
+                .next_if(|&&(at, _)| at as usize == i)
+                .map_or(0, |&(_, n)| n);
+            (SimTime::from_micros(i as u64 * w), n)
+        })
     }
 
     /// Number of windows from time zero through the last touched window.
     pub fn len(&self) -> usize {
-        self.0.values.len()
+        self.len
     }
 
     /// `true` if no window was ever touched.
     pub fn is_empty(&self) -> bool {
-        self.0.values.is_empty()
+        self.len == 0
     }
 
-    /// Releases the storage reserved past the last touched window. Every
-    /// reading is unchanged.
+    /// Releases the storage past the last nonzero window. Every reading is
+    /// unchanged.
     pub fn shrink_to_fit(&mut self) {
-        self.0.shrink_to_fit();
+        self.nonzero.shrink_to_fit();
     }
 
     /// Pools `other` into `self` (one replica into a tier-wide view):
@@ -225,7 +281,22 @@ impl CounterSeries {
     ///
     /// Panics if the window sizes differ.
     pub fn absorb(&mut self, other: &CounterSeries) {
-        self.0.merge(&other.0, checked_sum);
+        assert_same_window(self.size, other.size);
+        self.len = self.len.max(other.len);
+        if other.nonzero.is_empty() {
+            return;
+        }
+        // Two window-ordered runs: the stable sort merges them, and each
+        // window then appears at most twice, adjacent.
+        self.nonzero.extend_from_slice(&other.nonzero);
+        self.nonzero.sort_by_key(|&(at, _)| at);
+        self.nonzero.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = checked_sum(kept.1, later.1);
+            }
+            same
+        });
     }
 }
 
@@ -261,8 +332,9 @@ impl PeakSeries {
         Self::with_window(SimDuration::from_millis(crate::MONITOR_WINDOW_MS))
     }
 
-    /// Like [`PeakSeries::paper_default`], with storage reserved for a run
-    /// of length `horizon` (capped at [`PREALLOC_HORIZON_CAP`]).
+    /// Like [`PeakSeries::paper_default`], with storage for a run of length
+    /// `horizon` (capped at [`PREALLOC_HORIZON_CAP`]) reserved on the first
+    /// record, so a series that never records allocates nothing.
     pub fn paper_default_for(horizon: SimDuration) -> Self {
         let mut s = Self::paper_default();
         s.0.reserve_through(horizon);
@@ -374,9 +446,9 @@ impl UtilizationSeries {
     }
 
     /// Like [`UtilizationSeries::paper_default`], but with busy-time storage
-    /// reserved for a run of length `horizon` (capacity only — observable
-    /// state is identical to the on-demand series), capped at
-    /// [`PREALLOC_HORIZON_CAP`].
+    /// for a run of length `horizon` (capped at [`PREALLOC_HORIZON_CAP`])
+    /// reserved on the first record: capacity only — observable state is
+    /// identical to the on-demand series.
     pub fn paper_default_for(cores: u32, horizon: SimDuration) -> Self {
         let mut s = UtilizationSeries::paper_default(cores);
         s.busy_micros.reserve_through(horizon);
@@ -535,7 +607,7 @@ mod tests {
         p1.record(ms(120), 5);
         c0.absorb(&c1);
         p0.absorb(&p1);
-        assert_eq!(c0.counts(), &[5, 0, 1]);
+        assert_eq!(c0.sums(), vec![5.0, 0.0, 1.0]);
         assert_eq!(p0.peaks(), &[9, 0, 5]);
     }
 
@@ -549,13 +621,25 @@ mod tests {
     #[test]
     fn preallocation_is_capped_past_ten_minutes() {
         let day = SimDuration::from_secs(24 * 3_600);
-        let s = CounterSeries::paper_default_for(day);
-        assert_eq!(s.0.values.capacity(), chunk());
-        let u = UtilizationSeries::paper_default_for(2, day);
+        let mut p = PeakSeries::paper_default_for(day);
+        let mut u = UtilizationSeries::paper_default_for(2, day);
+        let mut short = PeakSeries::paper_default_for(SimDuration::from_secs(20));
+        let mut c = CounterSeries::paper_default();
+        // Nothing is reserved before the first record.
+        assert_eq!(p.0.values.capacity(), 0);
+        assert_eq!(u.busy_micros.values.capacity(), 0);
+        assert_eq!(short.0.values.capacity(), 0);
+        assert_eq!(c.nonzero.capacity(), 0);
+        p.record(ms(0), 1);
+        u.record_busy(ms(0), ms(1));
+        short.record(ms(0), 1);
+        c.add(ms(0), 0);
+        assert_eq!(p.0.values.capacity(), chunk());
         assert_eq!(u.busy_micros.values.capacity(), chunk());
         // short horizons get their exact reservation
-        let short = PeakSeries::paper_default_for(SimDuration::from_secs(20));
         assert_eq!(short.0.values.capacity(), 402);
+        // an add of 0 extends the counter without storing a window
+        assert_eq!((c.len(), c.nonzero.capacity()), (1, 0));
     }
 
     #[test]
@@ -571,15 +655,19 @@ mod tests {
         assert_eq!(s.len(), 72_000);
         assert_eq!(s.0.values.capacity(), 6 * chunk());
         // Unreserved series double while small, then step by chunks.
+        let mut p = PeakSeries::paper_default();
+        p.record(ms(50 * 20_000), 1);
+        assert_eq!(p.0.values.capacity(), 2 * chunk());
+        // A counter stores only the windows that counted.
         let mut c = CounterSeries::paper_default();
         c.add(ms(50 * 20_000), 1);
-        assert_eq!(c.0.values.capacity(), 2 * chunk());
+        assert_eq!((c.len(), c.nonzero.len()), (20_001, 1));
     }
 
     #[test]
     fn shrink_to_fit_keeps_every_reading() {
         let horizon = SimDuration::from_secs(20);
-        let mut c = CounterSeries::paper_default_for(horizon);
+        let mut c = CounterSeries::paper_default();
         let mut p = PeakSeries::paper_default_for(horizon);
         let mut u = UtilizationSeries::paper_default_for(2, horizon);
         c.add(ms(120), 3);
@@ -602,13 +690,17 @@ mod tests {
             assert_eq!(p.peak(w), p0.peak(w), "window {w}");
             assert_eq!(u.utilization(w).to_bits(), u0.utilization(w).to_bits());
         }
-        assert_eq!(c.0.values.capacity(), c.len());
+        assert_eq!(c.nonzero.capacity(), 2);
+        assert_eq!(p.0.values.capacity(), p.len());
         assert_eq!(u.busy_micros.values.capacity(), u.len());
-        // A counter that never fired keeps no buffer.
-        let mut idle = CounterSeries::paper_default_for(horizon);
+        // A series that never recorded keeps no buffer, and trimming drops
+        // its pending reservation.
+        let mut idle = PeakSeries::paper_default_for(horizon);
+        assert_eq!(idle, PeakSeries::paper_default());
         idle.shrink_to_fit();
-        assert_eq!(idle.0.values.capacity(), 0);
-        assert_eq!(idle, CounterSeries::paper_default());
+        idle.absorb(&p);
+        assert_eq!(idle.0.values.capacity(), p.len());
+        assert_eq!(idle, p);
         // A trimmed series still grows on demand.
         c.add(ms(9_000), 1);
         assert_eq!((c.count(180), c.total()), (1, 5));
@@ -721,12 +813,25 @@ mod tests {
         /// Both integer series read exactly what the f64 aggregate read —
         /// counters its `sum`, gauges its `max`, over the same windows — for
         /// one replica and after pooling two replicas (counters add, gauges
-        /// keep the larger peak).
+        /// keep the larger peak). Replica `a` is fed in time order, each
+        /// sample followed by one charged up to 3 s in the past (the replica
+        /// `vlrt` pattern: a VLRT request is charged to its first drop's
+        /// window when it completes); replica `b` is fed in random order,
+        /// with `n = 0` adds that only extend the series. Their windows
+        /// interleave when pooled.
         #[test]
         fn integer_series_match_the_f64_reference(
-            a in proptest::collection::vec((0u64..10_000, 0u32..1_000), 0..100),
+            a in proptest::collection::vec((0u64..10_000, 0u32..1_000, 0u64..3_000), 0..100),
             b in proptest::collection::vec((0u64..10_000, 0u32..1_000), 0..100),
+            zeros in proptest::collection::vec(0u64..12_000, 0..4),
         ) {
+            let mut a = a;
+            a.sort_unstable_by_key(|&(t, _, _)| t);
+            let a: Vec<(u64, u32)> = a
+                .iter()
+                .flat_map(|&(t, v, back)| [(t, v), (t.saturating_sub(back), 1)])
+                .collect();
+            let b: Vec<(u64, u32)> = b.into_iter().chain(zeros.into_iter().map(|t| (t, 0))).collect();
             let build = |samples: &[(u64, u32)]| {
                 let mut c = CounterSeries::paper_default();
                 let mut p = PeakSeries::paper_default();
@@ -736,22 +841,38 @@ mod tests {
                 }
                 (c, p)
             };
+            let sums = |r: &[WindowAgg]| r.iter().map(|w| w.sum).collect::<Vec<_>>();
+            let maxima = |r: &[WindowAgg]| r.iter().map(|w| w.max).collect::<Vec<_>>();
+            // Every reader of a counter, including past its last window.
+            let check = |c: &CounterSeries, r: &[WindowAgg]| {
+                prop_assert_eq!(c.sums(), sums(r));
+                prop_assert_eq!(c.len(), r.len());
+                prop_assert_eq!(c.total() as f64, r.iter().map(|w| w.sum).sum::<f64>());
+                for w in 0..r.len() + 3 {
+                    let want = r.get(w).map_or(0.0, |x| x.sum);
+                    prop_assert_eq!(f64::from(c.count(w)), want, "window {}", w);
+                }
+                let iter: Vec<_> = c.iter().collect();
+                prop_assert_eq!(iter.len(), r.len());
+                for (w, &(t, n)) in iter.iter().enumerate() {
+                    prop_assert_eq!(t, ms(w as u64 * 50));
+                    prop_assert_eq!(f64::from(n), r[w].sum);
+                }
+            };
             let (mut ca, mut pa) = build(&a);
             let (cb, pb) = build(&b);
             let mut ra = reference(&a);
-            let sums = |r: &[WindowAgg]| r.iter().map(|w| w.sum).collect::<Vec<_>>();
-            let maxima = |r: &[WindowAgg]| r.iter().map(|w| w.max).collect::<Vec<_>>();
-            prop_assert_eq!(ca.sums(), sums(&ra));
+            let rb = reference(&b);
+            check(&ca, &ra);
+            check(&cb, &rb);
             prop_assert_eq!(pa.maxima(), maxima(&ra));
 
             ca.absorb(&cb);
             pa.absorb(&pb);
-            absorb_reference(&mut ra, &reference(&b));
-            prop_assert_eq!(ca.sums(), sums(&ra));
+            absorb_reference(&mut ra, &rb);
+            check(&ca, &ra);
             prop_assert_eq!(pa.maxima(), maxima(&ra));
-            prop_assert_eq!(ca.len(), ra.len());
             prop_assert_eq!(pa.len(), ra.len());
-            prop_assert_eq!(ca.total() as f64, ra.iter().map(|w| w.sum).sum::<f64>());
         }
     }
 }

@@ -74,10 +74,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Peak-live-heap ceiling, about twice the 7.8–7.9 MiB this probe peaks
+/// Peak-live-heap ceiling, about 2.4 times the 6.6 MiB this probe peaks
 /// at (both arms, then the 1- and 8-thread reruns with only fingerprints
-/// kept). With horizon-sized series reservations and zero interferer
-/// vectors kept in every report, it peaked at 8.3 MiB. An eager `Vec<(SimTime, Plan)>` of the 1.03M-instance fixture
+/// kept). With one `u32` per drop or VLRT counter window it peaked at
+/// 7.8–7.9 MiB, and with horizon-sized series reservations and zero
+/// interferer vectors also kept in every report at 8.3 MiB. An eager `Vec<(SimTime, Plan)>` of the 1.03M-instance fixture
 /// alone would add ~350 MiB. Building each report's whole `Debug` string
 /// to fingerprint it, with both arms' reports held across the reruns,
 /// peaked at 20.5 MiB.

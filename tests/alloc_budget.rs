@@ -1,7 +1,8 @@
 //! The request lifecycle's allocation budget: in steady state a
 //! closed-loop request costs about one heap allocation, its plan buffer;
-//! the heap a fig1 run at WL 7000 and the trace replay's first surge hold
-//! at their peaks; and the heap the Fig. 12 grid's finished reports keep.
+//! the heap a fig1 engine holds once built; the heap a fig1 run at WL 7000
+//! and the trace replay's first surge hold at their peaks; and the heap
+//! the Fig. 12 grid's finished reports keep.
 //!
 //! This binary holds a single test because it installs a counting global
 //! allocator, and any other test running in the same process would add to
@@ -13,6 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 use ntier_core::experiment::{self, TraceReplayArm};
+use ntier_core::Engine;
 use ntier_des::time::SimDuration;
 
 /// Forwards to the system allocator, counts every block it hands out and
@@ -87,6 +89,17 @@ fn fig1(secs: u64) -> (u64, u64, usize) {
     (ALLOCS.load(Relaxed) - before, report.injected, peak)
 }
 
+/// Live heap bytes that `Engine::new` holds for the fig1 preset at WL 7000
+/// over 600 s, before any event runs.
+fn fig1_engine_footprint() -> usize {
+    let spec = experiment::fig1(7000, SimDuration::from_secs(600), 7);
+    let before = LIVE.load(Relaxed);
+    let engine = Engine::new(spec.system, spec.workload, spec.horizon, spec.seed);
+    let held = LIVE.load(Relaxed) - before;
+    drop(std::hint::black_box(engine));
+    held
+}
+
 /// The peak live heap of `run()` over the trace replay's first ten minutes
 /// and first submission surge: the bundled hour's CSV up to and including
 /// its `surge_0` row, under the baseline arm at seed 7. The horizon stays
@@ -124,29 +137,51 @@ fn fig12_reports_retained() -> usize {
     retained
 }
 
-/// Bound on the peak live heap of one 60 s fig1 run at WL 7000 (1.5 MiB).
-/// With a one-record drop history per request slot the run peaks at
-/// 0.78 MiB; with a four-record drop log per slot it peaked at 0.90 MiB,
-/// and with a buffer kept per calendar-queue wheel bucket at 2.19 MiB.
-const PEAK_HEAP_BOUND: usize = 3 << 19;
+/// Bound on the live heap [`fig1_engine_footprint`] holds (192 KiB): with
+/// the window series reserving their horizon-sized buffers on first touch
+/// and the drop and VLRT counters stored sparsely, a built engine holds
+/// 162 KiB (166 248 bytes); reserving every series at construction, it held
+/// 772 KiB (790 256 bytes). The footprint also sets what dropping an
+/// engine frees at once: with sparse counters but reservations still made
+/// at construction, glibc trimmed the heap top on 50 of 51 fig1 engine
+/// drops, so each next construction grew the heap again and the
+/// benchmark's `setup_s` nearly doubled (DESIGN.md §16.6).
+const ENGINE_FOOTPRINT_BOUND: usize = 192 << 10;
 
-/// Bound on the peak live heap of [`trace_replay_prefix`] (4 MiB). With
-/// one drop record per request slot and the slab freed before the report
-/// is built, the run peaks at 3.00 MiB. With a four-record drop log per
-/// slot, the slab alive through report assembly and a second, integer
-/// buffer per tier for the interferer utilization, it peaked at 5.71 MiB.
-const TRACE_PREFIX_PEAK_BOUND: usize = 4 << 20;
+/// Bound on the peak live heap of one 60 s fig1 run at WL 7000 (896 KiB,
+/// 16 % over the 770 KiB, 788 816 bytes, measured with sparse counters;
+/// 802 KiB before them). With a four-record drop log per slot it once
+/// peaked at 0.90 MiB, and with a buffer kept per calendar-queue wheel
+/// bucket at 2.19 MiB.
+const PEAK_HEAP_BOUND: usize = 7 << 17;
 
-/// Bound on [`fig12_reports_retained`] (192 KiB). With each series trimmed
-/// to the windows it touched and no interferer vector for a stall-free
-/// replica, the 10 reports hold 135 KiB (138 626 bytes). With the series'
-/// horizon-sized reservations and 400 zero interferer windows per tier
-/// they held 347 KiB; with the reservations alone 253 KiB, with the zero
-/// windows alone 229 KiB.
-const FIG12_REPORTS_BOUND: usize = 192 << 10;
+/// Bound on the peak live heap of [`trace_replay_prefix`] (3 MiB, 18 %
+/// over the 2.55 MiB, 2 669 857 bytes, measured with sparse counters; it
+/// peaked at 3.00 MiB, 3 148 945 bytes, with one `u32` per counter window
+/// reserved at set-up). With a four-record drop log per slot, the slab alive through
+/// report assembly and a second, integer buffer per tier for the
+/// interferer utilization, it peaked at 5.71 MiB.
+const TRACE_PREFIX_PEAK_BOUND: usize = 3 << 20;
+
+/// Bound on [`fig12_reports_retained`] (160 KiB, 16 % over the 138 KiB,
+/// 140 858 bytes, measured). Each series is trimmed to the windows it
+/// touched and a stall-free replica has no interferer vector. The sparse
+/// counters hold 2 KiB more than one `u32` per window did (138 626 bytes):
+/// a `(window, count)` pair takes 8 bytes, so a counter that fires in over
+/// half its windows is larger stored sparsely. With the
+/// series' horizon-sized reservations and 400 zero interferer windows per
+/// tier the reports held 347 KiB; with the reservations alone 253 KiB,
+/// with the zero windows alone 229 KiB.
+const FIG12_REPORTS_BOUND: usize = 160 << 10;
 
 #[test]
 fn closed_loop_requests_allocate_about_once() {
+    let footprint = fig1_engine_footprint();
+    assert!(
+        footprint < ENGINE_FOOTPRINT_BOUND,
+        "a fig1 engine holds {footprint} live heap bytes once built, over the \
+         {ENGINE_FOOTPRINT_BOUND} bound"
+    );
     let (short_allocs, short_reqs, _) = fig1(30);
     let (long_allocs, long_reqs, peak) = fig1(60);
     let per_request = (long_allocs - short_allocs) as f64 / (long_reqs - short_reqs) as f64;
