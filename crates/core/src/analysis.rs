@@ -140,8 +140,8 @@ mod tests {
     use super::*;
     use crate::config::TierSpec;
     use crate::engine::{Engine, Workload};
+    use crate::interference::StallSchedule;
     use crate::topology::Topology;
-    use ntier_interference::StallSchedule;
     use ntier_workload::{BurstSchedule, RequestMix};
 
     fn run_with_stall(stall_tier: usize) -> (RunReport, SystemConfig) {

@@ -14,12 +14,12 @@
 //! testbed's `ChainBuilder` consumes the same type, so there is a single
 //! definition of admission capacity across simulator and testbed.
 
+use crate::interference::StallSchedule;
+use crate::net::RetransmitPolicy;
+use crate::resilience::{CallerPolicy, FaultPlan, ShedPolicy};
+use crate::server::ThreadOverheadModel;
 use crate::topology::{Balancer, TopologyShape};
 use ntier_des::time::SimDuration;
-use ntier_interference::StallSchedule;
-use ntier_net::RetransmitPolicy;
-use ntier_resilience::{CallerPolicy, FaultPlan, ShedPolicy};
-use ntier_server::ThreadOverheadModel;
 use ntier_trace::TraceConfig;
 
 /// The server architecture of one tier.
@@ -289,12 +289,12 @@ pub struct SystemConfig {
     /// Closed-loop control plane (autoscaling, policy auto-tuning, overload
     /// governor); `None` by default. Uncontrolled runs take exactly the
     /// pre-control code paths, so their event streams stay bit-identical.
-    pub control: Option<ntier_control::ControlConfig>,
+    pub control: Option<crate::control::ControlConfig>,
     /// Gray-failure detection (passive health scoring + outlier ejection)
     /// on one replicated tier; `None` by default. Undetected runs take
     /// exactly the pre-health code paths — no `HealthTick` events, no rng
     /// fork consumption — so their event streams stay bit-identical.
-    pub health: Option<ntier_resilience::HealthPolicy>,
+    pub health: Option<crate::resilience::HealthPolicy>,
     /// Streaming metrics plane (periodic [`MetricsSnapshot`] emission plus
     /// run-wide latency sketch and bounded ring series); `None` by default.
     /// Unmetered runs take exactly the pre-metrics code paths — no
@@ -366,13 +366,13 @@ impl SystemConfig {
         self
     }
 
-    /// Installs a closed-loop control plane (see [`ntier_control`]).
+    /// Installs a closed-loop control plane (see [`crate::control`]).
     ///
     /// # Panics
     ///
     /// Panics if the autoscaler, AIMD tuner, or governor targets a tier
     /// outside the chain.
-    pub fn with_control(mut self, control: ntier_control::ControlConfig) -> Self {
+    pub fn with_control(mut self, control: crate::control::ControlConfig) -> Self {
         let n = self.tiers.len();
         if let Some(a) = &control.autoscaler {
             assert!(a.tier < n, "autoscaler targets tier {} of {n}", a.tier);
@@ -394,12 +394,12 @@ impl SystemConfig {
     }
 
     /// Installs gray-failure detection on the policy's tier (see
-    /// [`ntier_resilience::health`]).
+    /// [`crate::resilience`]).
     ///
     /// # Panics
     ///
     /// Panics if the policy is invalid or targets a tier outside the chain.
-    pub fn with_health(mut self, health: ntier_resilience::HealthPolicy) -> Self {
+    pub fn with_health(mut self, health: crate::resilience::HealthPolicy) -> Self {
         health.validate();
         let n = self.tiers.len();
         assert!(

@@ -13,6 +13,7 @@ use std::path::Path;
 use ntier_telemetry::render::to_csv;
 use ntier_telemetry::{CounterSeries, PeakSeries, UtilizationSeries};
 
+use crate::control::Action;
 use crate::report::{horizon_windows, RunReport};
 
 /// Serializes a report into `(file name, CSV content)` pairs:
@@ -93,12 +94,7 @@ pub fn csv_bundle(report: &RunReport) -> Vec<(String, String)> {
     // ejected or reinstated a replica so undetected bundles stay byte
     // for byte what they were.
     let health_decisions = report.control.as_ref().map_or(0, |log| {
-        log.count(|a| {
-            matches!(
-                a,
-                ntier_control::Action::Ejected { .. } | ntier_control::Action::Reinstated { .. }
-            )
-        })
+        log.count(|a| matches!(a, Action::Ejected { .. } | Action::Reinstated { .. }))
     });
     if health_decisions > 0 {
         summary_rows.push(vec![
@@ -230,15 +226,52 @@ pub fn csv_bundle(report: &RunReport) -> Vec<(String, String)> {
 
 /// Writes the bundle under `dir` (created if missing).
 ///
+/// A bundle written over an earlier one replaces it: files with a name the
+/// bundle format can produce but this report does not (an earlier run's
+/// trace, control or metrics file, or a larger topology's tier files) are
+/// removed first. Files of any other name are left alone.
+///
 /// # Errors
 ///
-/// Propagates filesystem errors from directory creation or file writes.
+/// Propagates filesystem errors from directory creation, listing, removal
+/// or file writes.
 pub fn write_csv_bundle(report: &RunReport, dir: &Path) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    for (name, content) in csv_bundle(report) {
+    let bundle = csv_bundle(report);
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let stale = entry
+            .file_name()
+            .to_str()
+            .is_some_and(|name| is_bundle_name(name) && bundle.iter().all(|(n, _)| n != name));
+        if stale && entry.file_type()?.is_file() {
+            std::fs::remove_file(entry.path())?;
+        }
+    }
+    for (name, content) in bundle {
         std::fs::write(dir.join(name), content)?;
     }
     Ok(())
+}
+
+/// `true` for every file name [`csv_bundle`] can produce.
+fn is_bundle_name(name: &str) -> bool {
+    let tier_file = name
+        .strip_prefix("tier_")
+        .and_then(|rest| rest.split_once('_'))
+        .is_some_and(|(i, _)| !i.is_empty() && i.bytes().all(|b| b.is_ascii_digit()))
+        && name.ends_with(".csv");
+    tier_file
+        || matches!(
+            name,
+            "summary.csv"
+                | "latency_histogram.csv"
+                | "resilience.csv"
+                | "trace_events.csv"
+                | "trace_chains.csv"
+                | "control_decisions.csv"
+                | "metrics.csv"
+        )
 }
 
 /// One 50 ms window per row: queue peak, drops, VLRT, own CPU and
@@ -558,6 +591,59 @@ mod tests {
         // Unmetered runs must not grow the bundle.
         let base = csv_bundle(&small_report());
         assert!(base.iter().all(|(n, _)| n != "metrics.csv"));
+    }
+
+    #[test]
+    fn rewriting_a_bundle_removes_stale_files_only() {
+        let dir = std::env::temp_dir().join(format!("ntier-csv-stale-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let listing = |dir: &Path| {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        // A metered, traced run over a replicated tier writes every kind of
+        // optional file, including per-replica tier files.
+        let full = Engine::new(
+            Topology::three_tier(
+                TierSpec::sync("Web", 4, 2),
+                TierSpec::sync("App", 2, 2).replicas(2),
+                TierSpec::sync("Db", 4, 2),
+            )
+            .with_trace(ntier_trace::TraceConfig::always())
+            .with_metrics(ntier_telemetry::MetricsConfig::every(
+                SimDuration::from_millis(500),
+            )),
+            Workload::open(
+                (0..20).map(|i| SimTime::from_millis(i * 10)).collect(),
+                RequestMix::view_story(),
+            ),
+            SimDuration::from_secs(2),
+            1,
+        )
+        .run();
+        write_csv_bundle(&full, &dir).expect("write full bundle");
+        assert!(dir.join("metrics.csv").exists());
+        assert!(dir.join("trace_chains.csv").exists());
+        assert!(dir.join("tier_1_r1_app.csv").exists());
+        std::fs::write(dir.join("notes.txt"), "kept").unwrap();
+
+        let plain = small_report();
+        let mut expected: Vec<String> = csv_bundle(&plain).into_iter().map(|(n, _)| n).collect();
+        expected.push("notes.txt".to_string());
+        expected.sort();
+        for _ in 0..2 {
+            write_csv_bundle(&plain, &dir).expect("write plain bundle");
+            assert_eq!(listing(&dir), expected);
+        }
+        assert_eq!(
+            std::fs::read_to_string(dir.join("notes.txt")).unwrap(),
+            "kept"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

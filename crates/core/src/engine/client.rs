@@ -2,8 +2,8 @@
 //! tickets, inner-hop retry policies, hedged logical requests, cancel
 //! chases, and every terminal outcome (complete, fail, shed).
 
+use crate::resilience::{CancelPolicy, HedgeDelay, HedgePolicy};
 use ntier_des::prelude::*;
-use ntier_resilience::{CancelPolicy, HedgeDelay, HedgePolicy};
 use ntier_trace::{TerminalClass, TraceEventKind, TraceHandle, TRACE_NONE};
 
 use super::slab::ReqId;

@@ -58,8 +58,8 @@
 
 use std::collections::HashMap;
 
+use crate::resilience::TokenBucket;
 use ntier_des::prelude::*;
-use ntier_resilience::TokenBucket;
 use ntier_telemetry::{CounterSeries, LatencyHistogram};
 use ntier_trace::Tracer;
 
@@ -159,7 +159,7 @@ enum Event {
     /// golden fingerprints) stay byte-identical to the pre-control engine.
     ControllerTick,
     /// The gray-failure detector's scoring tick. Scheduled only when the
-    /// run has a [`ntier_resilience::HealthPolicy`], so undetected event
+    /// run has a [`crate::resilience::HealthPolicy`], so undetected event
     /// streams stay byte-identical to the pre-health engine.
     HealthTick,
     /// A provisioned replica's lag elapsed: it comes online at `tier` and

@@ -3,9 +3,9 @@
 //! tick event, re-armed after its work; health and control also hook the
 //! pick, reply, drop and completion hot paths through `Planes` methods.
 
-use ntier_control::{Action, ControlLog, Controller, Directive, Observation, ReplicaObs, TierObs};
+use crate::control::{Action, ControlLog, Controller, Directive, Observation, ReplicaObs, TierObs};
+use crate::resilience::{HealthDetector, HealthVerdict};
 use ntier_des::prelude::*;
-use ntier_resilience::{HealthDetector, HealthVerdict};
 use ntier_telemetry::metrics::{MetricsSample, ReplicaSample, TierSample};
 use ntier_telemetry::{MetricsRegistry, QuantileSketch};
 

@@ -1,8 +1,8 @@
 //! Report assembly: [`Engine::into_report`] folds a finished run's
 //! per-replica series, counters and plane logs into a [`RunReport`].
 
+use crate::resilience::ResilienceStats;
 use ntier_des::prelude::*;
-use ntier_resilience::ResilienceStats;
 
 use super::Engine;
 use crate::report::{ClassReport, ReplicaReport, RunReport, TierReport};

@@ -3,8 +3,8 @@
 
 use std::ops::{Index, IndexMut};
 
+use crate::net::RetransmitState;
 use ntier_des::prelude::*;
-use ntier_net::RetransmitState;
 use ntier_trace::{TraceHandle, TRACE_NONE};
 
 use super::client::LOGICAL_NONE;

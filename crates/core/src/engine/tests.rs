@@ -1,8 +1,8 @@
 use super::*;
 use crate::config::TierSpec;
+use crate::interference::StallSchedule;
 use crate::plan::Plan;
 use crate::topology::Topology;
-use ntier_interference::StallSchedule;
 use ntier_workload::{BurstSchedule, ClosedLoopSpec, RequestMix};
 
 #[test]
@@ -187,7 +187,7 @@ fn async_tiers_absorb_the_same_batch_without_drops() {
 
 #[test]
 fn retry_tickets_are_recycled_not_accumulated() {
-    use ntier_resilience::{CallerPolicy, FaultPlan};
+    use crate::resilience::{CallerPolicy, FaultPlan};
     // The app tier drops every message, so every attempt times out and
     // the clients retry over and over. A client has at most one retry
     // pending at a time, so the ticket table never needs more slots
@@ -339,7 +339,7 @@ fn deep_chain_upstream_ctqo_propagates_to_tier_zero() {
 
 #[test]
 fn crash_fault_drops_arrivals_in_window() {
-    use ntier_resilience::FaultPlan;
+    use crate::resilience::FaultPlan;
     let sys = tiny_sync_system().with_faults(FaultPlan::none().crash(
         0,
         SimTime::from_millis(100),
@@ -362,7 +362,7 @@ fn crash_fault_drops_arrivals_in_window() {
 
 #[test]
 fn drop_fault_with_prob_one_drops_every_message() {
-    use ntier_resilience::FaultPlan;
+    use crate::resilience::FaultPlan;
     let sys = tiny_sync_system().with_faults(FaultPlan::none().drop_messages(
         1,
         1.0,
@@ -384,7 +384,7 @@ fn drop_fault_with_prob_one_drops_every_message() {
 
 #[test]
 fn slow_hop_fault_adds_latency_inside_window_only() {
-    use ntier_resilience::FaultPlan;
+    use crate::resilience::FaultPlan;
     let slow = |from_ms: u64| {
         tiny_sync_system()
             .with_hop_delay(SimDuration::ZERO)
@@ -419,7 +419,7 @@ fn slow_hop_fault_adds_latency_inside_window_only() {
 
 #[test]
 fn stuck_workers_shrink_capacity_then_restore_it() {
-    use ntier_resilience::FaultPlan;
+    use crate::resilience::FaultPlan;
     // All 4 web threads wedge; backlog holds 2; a 3-request batch inside
     // the window parks 2 and drops 1, then completes after the window.
     let sys = tiny_sync_system().with_faults(FaultPlan::none().stuck_workers(
@@ -441,7 +441,7 @@ fn stuck_workers_shrink_capacity_then_restore_it() {
 
 #[test]
 fn client_timeout_retry_completes_logical_request_once() {
-    use ntier_resilience::{CallerPolicy, FaultPlan, RetryPolicy};
+    use crate::resilience::{CallerPolicy, FaultPlan, RetryPolicy};
     // The app tier eats every message for 1 s; a 200 ms attempt timeout
     // with generous retries rides through it. Retries do not inflate
     // `injected`, and the orphaned attempts' completions are discarded.
@@ -476,7 +476,7 @@ fn client_timeout_retry_completes_logical_request_once() {
 
 #[test]
 fn open_client_breaker_sheds_at_injection() {
-    use ntier_resilience::{BreakerConfig, CallerPolicy, RetryPolicy};
+    use crate::resilience::{BreakerConfig, CallerPolicy, RetryPolicy};
     // No retries + a 1-failure breaker held open for a long time: the
     // first timeout trips it and every later injection is shed.
     let policy = CallerPolicy {
@@ -507,7 +507,7 @@ fn open_client_breaker_sheds_at_injection() {
 
 #[test]
 fn depth_shed_policy_rejects_fast_and_counts_shed() {
-    use ntier_resilience::ShedPolicy;
+    use crate::resilience::ShedPolicy;
     let mut sys = tiny_sync_system();
     // Web admits everything (deep backlog); the app tier sheds at depth 2.
     sys.tiers[0] = TierSpec::sync("Web", 64, 64);
@@ -530,7 +530,7 @@ fn depth_shed_policy_rejects_fast_and_counts_shed() {
 
 #[test]
 fn inner_hop_policy_replaces_kernel_rto() {
-    use ntier_resilience::{CallerPolicy, FaultPlan, RetryPolicy};
+    use crate::resilience::{CallerPolicy, FaultPlan, RetryPolicy};
     // Drops into the app tier for 300 ms. Kernel RTO would stall the
     // request 3 s; the app-level hop policy retries every ~40 ms and the
     // request completes well under a second.
@@ -569,7 +569,7 @@ fn inner_hop_policy_replaces_kernel_rto() {
 
 #[test]
 fn vlrt_is_charged_to_the_first_of_many_drops() {
-    use ntier_resilience::{CallerPolicy, FaultPlan, RetryPolicy};
+    use crate::resilience::{CallerPolicy, FaultPlan, RetryPolicy};
     // One request, six drops: the web tier (two replicas) drops the
     // original SYN at 1.23 s and its first kernel retransmit at 4.23 s;
     // the second retransmit gets in at 7.23 s, and the app tier then
@@ -637,7 +637,7 @@ fn vlrt_is_charged_to_the_first_of_many_drops() {
 #[test]
 #[should_panic(expected = "fault targets tier 5 outside the chain")]
 fn fault_on_missing_tier_rejected() {
-    use ntier_resilience::FaultPlan;
+    use crate::resilience::FaultPlan;
     let mut sys = tiny_sync_system();
     sys.faults = FaultPlan::none().crash(5, SimTime::ZERO, SimTime::from_secs(1));
     let _ = Engine::new(sys, open_workload(vec![]), SimDuration::from_secs(1), 1);
@@ -728,7 +728,7 @@ fn tracing_does_not_change_the_report() {
 
 #[test]
 fn retried_request_accumulates_one_trace_across_attempts() {
-    use ntier_resilience::{CallerPolicy, RetryPolicy};
+    use crate::resilience::{CallerPolicy, RetryPolicy};
     use ntier_trace::{TraceConfig, TraceEventKind};
     // One request into a 30 s stall: the 1 s attempt timeout fires, the
     // retry relaunches, and both attempts land in one trace.

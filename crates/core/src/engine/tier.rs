@@ -2,13 +2,12 @@
 //! downstream calls and scatter-gather, drops and the kernel retransmit
 //! ladder, and the fault windows that act on tiers.
 
-use ntier_des::prelude::*;
-use ntier_net::{Backlog, RetransmitState, RetryDecision};
-use ntier_resilience::{
+use crate::net::{Backlog, RetransmitState, RetryDecision};
+use crate::resilience::{
     AimdLimiter, CircuitBreaker, Fault, ResilienceStats, ShedPolicy, TokenBucket,
 };
-use ntier_server::conn_pool::Lease;
-use ntier_server::{ConnectionPool, CpuModel, EventLoop, ProcessGroup, StallTimeline};
+use crate::server::{ConnectionPool, CpuModel, EventLoop, Lease, ProcessGroup, StallTimeline};
+use ntier_des::prelude::*;
 use ntier_telemetry::{CounterSeries, PeakSeries, UtilizationSeries};
 use ntier_trace::{TraceEventKind, TRACE_NONE};
 

@@ -7,9 +7,9 @@
 //! [`claims`] pairs each figure's claims with the preset that backs them;
 //! the claims test asserts them and EXPERIMENTS.md embeds their table.
 
+use crate::interference::{Colocation, LogFlush, StallSchedule};
+use crate::server::ThreadOverheadModel;
 use ntier_des::prelude::*;
-use ntier_interference::{Colocation, LogFlush, StallSchedule};
-use ntier_server::ThreadOverheadModel;
 use ntier_workload::{ClosedLoopSpec, RequestMix};
 
 use crate::config::{SystemConfig, TierSpec};
@@ -409,7 +409,7 @@ pub enum RetryStormVariant {
 ///   the abandoned attempt wherever it sits; [`hedging_frontier`] measures
 ///   that difference.
 ///
-/// [`CancelPolicy`]: ntier_resilience::CancelPolicy
+/// [`CancelPolicy`]: crate::resilience::CancelPolicy
 /// * [`RetryStormVariant::Hardened`] — the same timeout and retry bound,
 ///   but retries spend from a token-bucket budget, a breaker trips after
 ///   consecutive failures (failing fast instead of amplifying), and the
@@ -417,7 +417,7 @@ pub enum RetryStormVariant {
 ///   fraction falls back to (near) the baseline's, at the cost of
 ///   explicitly failed/shed requests.
 pub fn retry_storm(variant: RetryStormVariant, seed: u64) -> ExperimentSpec {
-    use ntier_resilience::{BreakerConfig, CallerPolicy, RetryBudget, RetryPolicy, ShedPolicy};
+    use crate::resilience::{BreakerConfig, CallerPolicy, RetryBudget, RetryPolicy, ShedPolicy};
     let stall = StallSchedule::at_marks(
         [SimTime::from_secs(2), SimTime::from_secs(6)],
         SimDuration::from_millis(1_500),
@@ -568,7 +568,7 @@ fn hedging_spec(web: TierSpec, load: HedgingLoad, seed: u64) -> ExperimentSpec {
 ///   cancellation returns loser capacity, which is what keeps
 ///   [`HedgingVariant::HedgedCancelling`] stable there.
 pub fn hedging_frontier(variant: HedgingVariant, load: HedgingLoad, seed: u64) -> ExperimentSpec {
-    use ntier_resilience::{
+    use crate::resilience::{
         AimdConfig, BreakerConfig, CallerPolicy, CancelPolicy, HedgePolicy, RetryBudget,
         RetryPolicy, ShedPolicy,
     };
@@ -616,12 +616,12 @@ pub fn hedging_frontier(variant: HedgingVariant, load: HedgingLoad, seed: u64) -
 /// hedging with the given backup `delay` and per-request bound
 /// `max_hedges`, on the same plant as [`hedging_frontier`].
 fn hedging_frontier_point(
-    delay: ntier_resilience::HedgeDelay,
+    delay: crate::resilience::HedgeDelay,
     max_hedges: u32,
     load: HedgingLoad,
     seed: u64,
 ) -> ExperimentSpec {
-    use ntier_resilience::{CallerPolicy, CancelPolicy, HedgePolicy, RetryBudget};
+    use crate::resilience::{CallerPolicy, CancelPolicy, HedgePolicy, RetryBudget};
     let hedge = HedgePolicy {
         delay,
         max_hedges,
@@ -638,7 +638,7 @@ fn hedging_frontier_point(
 /// delays (eager fixed, patient fixed, p95-adaptive) × K ∈ {1, 2} × both
 /// load points — 12 specs, shaped for `ntier_runner::run_all`.
 pub fn hedging_frontier_sweep(seed: u64) -> Vec<ExperimentSpec> {
-    use ntier_resilience::HedgeDelay;
+    use crate::resilience::HedgeDelay;
     let delays = [
         HedgeDelay::Fixed(SimDuration::from_millis(300)),
         HedgeDelay::Fixed(SimDuration::from_millis(1_100)),
@@ -813,10 +813,10 @@ impl ControlVariant {
 ///   naive retries re-drop and climb the retransmit ladder, and replacement
 ///   capacity is still in its 2.5 s provisioning pipe.
 pub fn control_frontier(variant: ControlVariant, seed: u64) -> ExperimentSpec {
-    use ntier_control::{
+    use crate::control::{
         AimdTuner, AutoscalerConfig, ControlConfig, GovernorConfig, HedgeTuner, TunerConfig,
     };
-    use ntier_resilience::{
+    use crate::resilience::{
         AimdConfig, CallerPolicy, CancelPolicy, HedgePolicy, RetryBudget, ShedPolicy,
     };
     use ntier_trace::TraceConfig;
@@ -941,7 +941,7 @@ pub enum DetectionVariant {
     /// keeps feeding the slow instance, its backlog overflows, and the
     /// 3/6/9 s ladder mints VLRT — the baseline the tuned arm must beat.
     Undetected,
-    /// The same gray plant with [`ntier_resilience::HealthPolicy::monitor`]
+    /// The same gray plant with [`crate::resilience::HealthPolicy::monitor`]
     /// defaults: the
     /// sick replica's latency/error score crosses 1.0 with peer agreement,
     /// ejection reroutes fresh picks to the healthy peer, and probation
@@ -993,7 +993,7 @@ impl DetectionVariant {
 /// 128 so a wedged replica's residence climbs past the detector's 1 s
 /// latency reference *before* overflow drops begin — latent, then loud.
 /// The sick instance is *gray*, not stalled: a
-/// [`ntier_resilience::FaultPlan::gray_degradation`] envelope ramps
+/// [`crate::resilience::FaultPlan::gray_degradation`] envelope ramps
 /// App#0's service time to 10× nominal over 0.5 s, holds the plateau for
 /// 6 s and recovers — the replica keeps answering, just slowly (capacity
 /// ≈ 110 req/s against ~240 offered), so nothing but passive
@@ -1017,7 +1017,7 @@ impl DetectionVariant {
 ///   the survivor ~107 % subscribed — the retry-storm recipe of
 ///   `retry_storm` all over again, i.e. false-ejection amplification.
 pub fn detection_frontier(variant: DetectionVariant, seed: u64) -> ExperimentSpec {
-    use ntier_resilience::{CallerPolicy, FaultPlan, GrayEnvelope, HealthPolicy};
+    use crate::resilience::{CallerPolicy, FaultPlan, GrayEnvelope, HealthPolicy};
     use ntier_trace::TraceConfig;
     let web = TierSpec::sync("Web", 64, 16)
         .with_caller_policy(CallerPolicy::naive(SimDuration::from_secs(2), 4));
@@ -1197,7 +1197,7 @@ pub fn trace_replay(arm: TraceReplayArm, seed: u64) -> ExperimentSpec {
 /// surfaces in [`RunReport::workload_fault`] instead of panicking.
 pub fn trace_replay_csv(csv: &'static str, arm: TraceReplayArm, seed: u64) -> ExperimentSpec {
     use crate::arrivals::{TraceDemandModel, TracePlans};
-    use ntier_resilience::{BreakerConfig, CallerPolicy, RetryBudget, RetryPolicy, ShedPolicy};
+    use crate::resilience::{BreakerConfig, CallerPolicy, RetryBudget, RetryPolicy, ShedPolicy};
     use ntier_workload::cluster_trace::{ClusterTraceReader, TraceArrivals, TraceDialect};
 
     let reader = ClusterTraceReader::new(std::io::Cursor::new(csv), TraceDialect::Alibaba);

@@ -15,6 +15,10 @@
 //! * [`topology`] — the typed call-graph builder: replicated tiers behind
 //!   pluggable load balancers and scatter-gather fan-out with quorums;
 //! * [`engine`] — the event-driven simulator of the call graph;
+//! * the models the engine drives: [`net`] (accept backlog, retransmission),
+//!   [`server`] (thread pools, event loops, CPU), [`interference`]
+//!   (millibottleneck injectors), [`resilience`] (faults, caller policies,
+//!   health detection) and [`control`] (the closed-loop control plane);
 //! * [`presets`] — the paper's server configurations (Apache, Tomcat,
 //!   MySQL, Nginx, XTomcat, XMySQL) and the NX=0..3 ladder;
 //! * [`experiment`] — ready-made experiment specs for every figure;
@@ -47,14 +51,19 @@ pub mod analysis;
 pub mod arrivals;
 pub mod conditions;
 pub mod config;
+pub mod control;
 pub mod csv;
 pub mod engine;
 pub mod experiment;
+pub mod interference;
 #[cfg(test)]
 mod laws;
+pub mod net;
 pub mod plan;
 pub mod presets;
 pub mod report;
+pub mod resilience;
+pub mod server;
 pub mod servlet;
 pub mod topology;
 

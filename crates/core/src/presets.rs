@@ -13,8 +13,8 @@
 //!
 //! The sync Tomcat's JDBC pool to MySQL is 50.
 
+use crate::server::{LITE_Q_DEPTH_DEFAULT, LITE_Q_DEPTH_XMYSQL};
 use ntier_des::time::SimDuration;
-use ntier_server::{LITE_Q_DEPTH_DEFAULT, LITE_Q_DEPTH_XMYSQL};
 
 use crate::config::{SystemConfig, TierSpec};
 use crate::topology::Topology;

@@ -1,9 +1,9 @@
 //! Run reports: everything the paper's figures plot, in one structure.
 
-use ntier_control::ControlLog;
+use crate::control::ControlLog;
+use crate::resilience::ResilienceStats;
 use ntier_des::ids::{ReplicaId, TierId};
 use ntier_des::time::SimDuration;
-use ntier_resilience::ResilienceStats;
 use ntier_telemetry::histogram::Mode;
 use ntier_telemetry::{
     CounterSeries, LatencyHistogram, MetricsRegistry, PeakSeries, UtilizationSeries,

@@ -497,8 +497,8 @@ fn validate(tiers: &[TierSpec], shape: &TopologyShape) -> Result<(), TopologyErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::{CallerPolicy, CancelPolicy};
     use ntier_des::time::SimDuration;
-    use ntier_resilience::{CallerPolicy, CancelPolicy};
 
     fn t(name: &str) -> TierSpec {
         TierSpec::sync(name, 10, 10)

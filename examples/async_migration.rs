@@ -17,7 +17,7 @@
 use ntier_core::engine::{Engine, Workload};
 use ntier_core::{analysis, presets};
 use ntier_des::prelude::*;
-use ntier_interference::StallSchedule;
+use ntier_repro::interference::StallSchedule;
 use ntier_workload::{ClosedLoopSpec, RequestMix};
 
 fn run_ladder(stall_tier: usize) {

@@ -13,7 +13,7 @@
 use ntier_core::engine::{Engine, Workload};
 use ntier_core::{analysis, presets};
 use ntier_des::prelude::*;
-use ntier_interference::StallSchedule;
+use ntier_repro::interference::StallSchedule;
 use ntier_telemetry::render;
 use ntier_workload::{ClosedLoopSpec, RequestMix};
 

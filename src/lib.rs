@@ -4,15 +4,11 @@
 //! one import root. Library users should normally depend on [`ntier_core`]
 //! directly.
 
-pub use ntier_control as control;
 pub use ntier_core as core;
+pub use ntier_core::{control, interference, net, resilience, server};
 pub use ntier_des as des;
-pub use ntier_interference as interference;
 pub use ntier_live as live;
-pub use ntier_net as net;
-pub use ntier_resilience as resilience;
 pub use ntier_runner as runner;
-pub use ntier_server as server;
 pub use ntier_telemetry as telemetry;
 pub use ntier_trace as trace;
 pub use ntier_workload as workload;

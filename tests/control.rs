@@ -5,12 +5,12 @@
 
 mod common;
 
-use ntier_control::{Action, AutoscalerConfig, ControlConfig, GovernorConfig};
 use ntier_core::engine::{Engine, Workload};
 use ntier_core::{experiment, Balancer, TierSpec, Topology};
 use ntier_des::prelude::*;
-use ntier_interference::StallSchedule;
-use ntier_resilience::CallerPolicy;
+use ntier_repro::control::{Action, AutoscalerConfig, ControlConfig, GovernorConfig};
+use ntier_repro::interference::StallSchedule;
+use ntier_repro::resilience::CallerPolicy;
 use ntier_workload::{ClosedLoopSpec, RequestMix};
 use proptest::prelude::*;
 

@@ -176,7 +176,7 @@ fn golden_retry_storm_naive_seed_7() {
 /// to "byte-identical while silent".
 #[test]
 fn silent_health_monitoring_never_perturbs_the_run() {
-    use ntier_resilience::{FaultPlan, GrayEnvelope, HealthPolicy};
+    use ntier_repro::resilience::{FaultPlan, GrayEnvelope, HealthPolicy};
     let mk = |monitored: bool| {
         let plan = FaultPlan::none()
             .gray_degradation(
@@ -370,7 +370,7 @@ fn deep_fingerprint(r: &ntier_core::RunReport) -> String {
 /// App#0, health detector, sampled tracing, naive retrying client) plus an
 /// autoscaler and governor on the same run and the metrics plane.
 fn all_planes_spec() -> experiment::ExperimentSpec {
-    use ntier_control::{AutoscalerConfig, ControlConfig, GovernorConfig};
+    use ntier_repro::control::{AutoscalerConfig, ControlConfig, GovernorConfig};
     let mut spec = experiment::detection_frontier(experiment::DetectionVariant::Tuned, 7);
     let control = ControlConfig::every(SimDuration::from_millis(100))
         .with_autoscaler(AutoscalerConfig {

@@ -3,11 +3,11 @@
 
 #![deny(deprecated)]
 
-use ntier_control::{Action, ControlConfig};
 use ntier_core::engine::{Engine, Workload};
 use ntier_core::{experiment, Balancer, TierSpec, Topology};
 use ntier_des::prelude::*;
-use ntier_resilience::{CallerPolicy, FaultPlan, GrayEnvelope, HealthPolicy};
+use ntier_repro::control::{Action, ControlConfig};
+use ntier_repro::resilience::{CallerPolicy, FaultPlan, GrayEnvelope, HealthPolicy};
 use ntier_workload::RequestMix;
 
 /// The seed-7 acceptance frontier: a tuned detector lands VLRT strictly

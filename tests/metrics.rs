@@ -75,7 +75,9 @@ fn fingerprint(r: &ntier_core::RunReport) -> String {
         r.classes,
         r.resilience,
         r.vlrt_by_completion.sums(),
-        r.control.as_ref().map(ntier_control::ControlLog::summary),
+        r.control
+            .as_ref()
+            .map(ntier_repro::control::ControlLog::summary),
     )
     .unwrap();
     for t in &r.tiers {
