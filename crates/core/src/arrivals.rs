@@ -6,8 +6,8 @@
 //! stamping a fixed plan, sampling a [`RequestMix`], or mapping
 //! cluster-trace instances through a demand model — while preserving the
 //! source's determinism contract: every draw comes from the rng handed to
-//! `next_arrival` (the engine's dedicated `"arrival-source"` fork), and
-//! faults propagate unchanged.
+//! `next_arrival` (the engine's `"mix"` fork), and faults propagate
+//! unchanged.
 
 use std::collections::HashMap;
 
@@ -29,8 +29,7 @@ pub struct SourcedRequest {
     pub plan: Plan,
 }
 
-/// Stamps every arrival from `inner` with one fixed plan — the streaming
-/// analogue of the plan tables behind `Workload::open_plans`.
+/// Stamps every arrival from `inner` with one fixed plan.
 #[derive(Debug)]
 pub struct PlanStamped<S> {
     inner: S,
@@ -64,9 +63,9 @@ impl<S: ArrivalSource> ArrivalSource for PlanStamped<S> {
     }
 }
 
-/// Samples a [`RequestMix`] per arrival and compiles the 3-tier plan —
-/// the streaming analogue of `Workload::open`. Mix draws consume the same
-/// pull rng as the arrival times, so the stream stays deterministic
+/// Samples a [`RequestMix`] per arrival and compiles the 3-tier plan, as
+/// `Workload::open` does over its arrival times. Mix draws consume the
+/// same pull rng as the arrival times, so the stream stays deterministic
 /// regardless of runner thread count.
 #[derive(Debug)]
 pub struct MixPlans<S> {

@@ -87,9 +87,8 @@ enum Event {
     ClientSend {
         client: u32,
     },
-    Inject {
-        idx: u32,
-    },
+    /// The next streamed arrival of this instant (see `Feed::pending`).
+    Inject,
     Arrival {
         req: ReqId,
         tier: u8,
@@ -181,7 +180,7 @@ impl Event {
     fn kind(&self) -> usize {
         match self {
             Event::ClientSend { .. } => 0,
-            Event::Inject { .. } => 1,
+            Event::Inject => 1,
             Event::Arrival { .. } => 2,
             Event::SliceDone { .. } => 3,
             Event::ReplyArrive { .. } => 4,
@@ -267,10 +266,7 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics where [`Engine::try_new`] would return an error, and if `cfg`
-    /// has no tiers or a tier declares a downstream pool without exactly
-    /// one downstream. (Configs built through [`crate::TopologyBuilder`]
-    /// are already validated; these asserts catch hand-assembled configs.)
+    /// Panics where [`Engine::try_new`] would return an error or panic.
     pub fn new(cfg: SystemConfig, workload: Workload, horizon: SimDuration, seed: u64) -> Self {
         Self::try_new(cfg, workload, horizon, seed).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -282,22 +278,23 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`WorkloadError::MixRequiresThreeTier`] when a closed-loop
-    /// or open-mix workload is paired with anything but a plain 3-tier
-    /// chain.
+    /// workload is paired with anything but a plain 3-tier chain. (An open
+    /// mix on such a system ends its run with a plan-depth
+    /// [`RunReport::workload_fault`] instead.)
     ///
     /// # Panics
     ///
-    /// Config-structure violations (empty tier list, dangling downstream
-    /// pool, fault targets outside the chain) still panic, as in
-    /// [`Engine::new`].
-    #[allow(deprecated)]
+    /// Config-structure violations panic with their message: whatever
+    /// [`crate::TopologyBuilder`]'s `build` rejects as a [`crate::TopologyError`]
+    /// (hand-assembled configs skip that check), a shape that does not
+    /// cover the tiers, and fault targets outside the system.
     pub fn try_new(
         cfg: SystemConfig,
         workload: Workload,
         horizon: SimDuration,
         seed: u64,
     ) -> Result<Self, WorkloadError> {
-        if matches!(workload, Workload::Closed { .. } | Workload::Open { .. })
+        if matches!(workload, Workload::Closed { .. })
             && !(cfg.tiers.len() == 3 && cfg.shape.is_linear())
         {
             return Err(WorkloadError::MixRequiresThreeTier {
@@ -305,7 +302,6 @@ impl Engine {
                 linear: cfg.shape.is_linear(),
             });
         }
-        assert!(!cfg.tiers.is_empty(), "a system needs at least one tier");
         assert_eq!(
             cfg.shape.len(),
             cfg.tiers.len(),
@@ -313,12 +309,8 @@ impl Engine {
             cfg.shape.len(),
             cfg.tiers.len()
         );
-        for (i, tc) in cfg.tiers.iter().enumerate() {
-            assert!(
-                tc.downstream_pool.is_none() || cfg.shape.children[i].len() == 1,
-                "tier {}: a downstream connection pool requires exactly one downstream",
-                tc.name
-            );
+        if let Err(e) = crate::topology::validate(&cfg.tiers, &cfg.shape) {
+            panic!("{e}");
         }
         if let Some(max) = cfg.faults.max_tier() {
             assert!(
@@ -407,10 +399,13 @@ impl Engine {
 
     /// The event loop of [`Engine::run`], up to the horizon.
     fn drive(&mut self) {
+        // Exogenous events open their instant: fault-window edges first,
+        // then arrivals (see `queue_next_arrivals`), then everything else
+        // in push order.
         for (i, fault) in self.cfg.faults.faults().iter().enumerate() {
-            let (from, until) = fault.window();
-            self.queue.push(from, Event::FaultBegin { idx: i as u16 });
-            self.queue.push(until, Event::FaultEnd { idx: i as u16 });
+            let ((from, until), idx) = (fault.window(), i as u16);
+            self.queue.push_first(from, Event::FaultBegin { idx });
+            self.queue.push_first(until, Event::FaultEnd { idx });
         }
         self.schedule_arrivals();
         self.planes.arm(&mut self.queue);
@@ -438,8 +433,8 @@ impl Engine {
     fn handle(&mut self, ev: Event) {
         self.events_by_kind.add(ev.kind());
         match ev {
-            Event::ClientSend { client } => self.inject(Some(client), 0),
-            Event::Inject { idx } => self.inject(None, idx),
+            Event::ClientSend { client } => self.inject(Some(client)),
+            Event::Inject => self.inject(None),
             Event::Arrival { req, tier, visit } => self.on_arrival(req, tier as usize, visit),
             Event::SliceDone { req, tier, visit } => self.on_slice_done(req, tier as usize, visit),
             Event::ReplyArrive { req, tier } => self.on_reply(req, tier as usize),

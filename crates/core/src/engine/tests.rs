@@ -10,7 +10,7 @@ fn event_kinds_index_their_names() {
     let req = ReqId { slot: 0, gen: 0 };
     let every_kind = [
         Event::ClientSend { client: 0 },
-        Event::Inject { idx: 0 },
+        Event::Inject,
         Event::Arrival {
             req,
             tier: 0,
@@ -644,15 +644,36 @@ fn fault_on_missing_tier_rejected() {
 }
 
 #[test]
-#[should_panic(expected = "mix-based workloads compile 3-tier plans")]
 fn mix_workload_rejects_non_three_tier_system() {
-    let sys = Topology::chain(vec![TierSpec::sync("A", 2, 2), TierSpec::sync("B", 2, 2)]);
-    let _ = Engine::new(
-        sys,
-        open_workload(vec![SimTime::from_millis(1)]),
-        SimDuration::from_secs(1),
-        1,
-    );
+    let sys = || Topology::chain(vec![TierSpec::sync("A", 2, 2), TierSpec::sync("B", 2, 2)]);
+    let closed = Workload::closed(ClosedLoopSpec::rubbos(10), RequestMix::view_story());
+    let err = Engine::try_new(sys(), closed, SimDuration::from_secs(1), 1).err();
+    assert!(matches!(
+        err,
+        Some(WorkloadError::MixRequiresThreeTier { tiers: 2, .. })
+    ));
+    // An open mix streams 3-tier plans: the first one ends the run.
+    let open = open_workload(vec![SimTime::from_millis(1)]);
+    let report = Engine::new(sys(), open, SimDuration::from_secs(1), 1).run();
+    let fault = report.workload_fault.as_deref().unwrap_or_default();
+    assert!(fault.contains("plan depth 3 does not match the system's 2 tiers"));
+    assert_eq!(report.injected, 0);
+    assert!(report.is_conserved());
+}
+
+#[test]
+fn out_of_range_replica_counts_fail_at_construction() {
+    for (n, message) in [
+        (300, "tier App: 300 replicas exceeds the 255-replica limit"),
+        (0, "tier App needs at least one replica"),
+    ] {
+        let mut sys = tiny_sync_system();
+        sys.tiers[1] = sys.tiers[1].clone().replicas(n);
+        let horizon = SimDuration::from_secs(1);
+        let build = || Engine::try_new(sys, open_workload(vec![]), horizon, 1).is_ok();
+        let panic = std::panic::catch_unwind(build).unwrap_err();
+        assert_eq!(panic.downcast_ref::<String>().unwrap(), message);
+    }
 }
 
 #[test]

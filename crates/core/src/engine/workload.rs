@@ -2,24 +2,24 @@
 //! [`Feed`] that draws arrivals from it, and the injection path that turns
 //! each arrival into a request.
 
+use std::collections::VecDeque;
+
 use ntier_des::prelude::*;
 use ntier_trace::{TerminalClass, TraceEventKind};
-use ntier_workload::source::ArrivalSource;
+use ntier_workload::source::{ArrivalSource, VecSource};
 use ntier_workload::{ClosedLoopSpec, RequestMix, SampledRequest};
 
 use super::slab::ReqId;
 use super::{Engine, Event};
-use crate::arrivals::SourcedRequest;
+use crate::arrivals::{MixPlans, SourcedRequest};
 use crate::plan::Plan;
 
-/// The workload driving a run.
-///
-/// Construct workloads through the builders — [`Workload::closed`],
-/// [`Workload::open`], [`Workload::open_plans`], [`Workload::from_source`] —
-/// rather than naming variants directly. The materialized `Open`/`OpenPlans`
-/// variants hold every arrival in memory up front and are deprecated as
-/// construction targets; [`Workload::from_source`] streams arrivals on
-/// demand, keeping memory proportional to the *active* request population.
+/// The workload driving a run: a closed-loop population, or arrivals
+/// streamed from an [`ArrivalSource`] of which the engine holds only the
+/// next instant's, so memory stays proportional to the active requests.
+/// Build it with [`Workload::closed`], [`Workload::open`],
+/// [`Workload::open_plans`] or [`Workload::from_source`].
+#[derive(Debug)]
 pub enum Workload {
     /// Closed-loop clients (RUBBoS style): each completes, thinks, resends.
     /// Requires a 3-tier system (plans come from the request mix).
@@ -29,69 +29,22 @@ pub enum Workload {
         /// Request classes.
         mix: RequestMix,
     },
-    /// Open-loop: requests injected at the given (pre-generated) times.
-    /// Requires a 3-tier system.
-    #[deprecated(
-        since = "0.2.0",
-        note = "construct via Workload::open(..), or stream with Workload::from_source(..)"
-    )]
-    Open {
-        /// Sorted injection times.
-        arrivals: Vec<SimTime>,
-        /// Request classes.
-        mix: RequestMix,
-    },
-    /// Open-loop with explicit per-request plans — supports chains of any
-    /// depth (the plan depth must equal the system depth).
-    #[deprecated(
-        since = "0.2.0",
-        note = "construct via Workload::open_plans(..), or stream with Workload::from_source(..)"
-    )]
-    OpenPlans {
-        /// `(injection time, plan)` pairs.
-        arrivals: Vec<(SimTime, Plan)>,
-    },
     /// Streaming arrivals pulled lazily from an [`ArrivalSource`] (built
-    /// with [`Workload::from_source`]): the engine holds at most one
-    /// pending arrival, so memory is O(active requests) no matter how many
-    /// arrivals the source ultimately emits.
+    /// with [`Workload::from_source`] or the open-loop builders).
     Source(WorkloadSource),
 }
 
 /// A boxed streaming arrival source (opaque in debug output).
 ///
 /// All of the source's randomness — arrival gaps, mix samples, demand
-/// multipliers — is drawn from the engine's dedicated `"arrival-source"`
-/// rng fork at pull time, on the single thread driving the event loop, so
-/// streamed runs stay bit-identical across runner thread counts.
+/// multipliers — is drawn from the engine's `"mix"` rng fork at pull time,
+/// on the single thread driving the event loop, so streamed runs stay
+/// bit-identical across runner thread counts.
 pub struct WorkloadSource(Box<dyn ArrivalSource<Payload = SourcedRequest> + Send>);
 
 impl std::fmt::Debug for WorkloadSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("WorkloadSource(..)")
-    }
-}
-
-impl std::fmt::Debug for Workload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        #[allow(deprecated)]
-        match self {
-            Workload::Closed { spec, mix } => f
-                .debug_struct("Closed")
-                .field("spec", spec)
-                .field("mix", mix)
-                .finish(),
-            Workload::Open { arrivals, mix } => f
-                .debug_struct("Open")
-                .field("arrivals", arrivals)
-                .field("mix", mix)
-                .finish(),
-            Workload::OpenPlans { arrivals } => f
-                .debug_struct("OpenPlans")
-                .field("arrivals", arrivals)
-                .finish(),
-            Workload::Source(s) => f.debug_tuple("Source").field(s).finish(),
-        }
     }
 }
 
@@ -101,32 +54,45 @@ impl Workload {
         Workload::Closed { spec, mix }
     }
 
-    /// Open-loop arrivals at pre-generated `arrivals` times, each compiled
-    /// from one `mix` sample. The times are materialized eagerly; prefer
-    /// [`Workload::from_source`] for long runs.
-    #[allow(deprecated)]
+    /// Open-loop arrivals at non-decreasing `arrivals` times, each compiled
+    /// from one `mix` sample ([`MixPlans`] over a [`VecSource`]). The plans
+    /// are 3-tier: on any other system the first arrival ends the run with
+    /// a plan-depth `workload_fault`.
     pub fn open(arrivals: Vec<SimTime>, mix: RequestMix) -> Workload {
-        Workload::Open { arrivals, mix }
+        Workload::from_source(MixPlans::new(VecSource::times(arrivals), mix))
     }
 
     /// Open-loop arrivals with explicit per-request plans (any chain
-    /// depth). The table is materialized eagerly; prefer
-    /// [`Workload::from_source`] for long runs.
-    #[allow(deprecated)]
+    /// depth), at non-decreasing times, all of class `"custom"`.
     pub fn open_plans(arrivals: Vec<(SimTime, Plan)>) -> Workload {
-        Workload::OpenPlans { arrivals }
+        Workload::from_source(CustomPlans(VecSource::new(arrivals)))
     }
 
-    /// Streams arrivals lazily from `source`. The engine pulls one arrival
-    /// at a time from its `"arrival-source"` rng fork; the source must
-    /// emit non-decreasing times and stay exhausted after returning
-    /// `None`. A source-reported fault (e.g. a trace parse error) ends the
-    /// stream and is surfaced in
+    /// Streams arrivals lazily from `source`. The engine pulls from its
+    /// `"mix"` rng fork; the source must emit non-decreasing times (an
+    /// earlier time ends the stream as a fault) and stay exhausted after
+    /// returning `None`. A source-reported fault (e.g. a trace parse
+    /// error) ends the stream and is surfaced in
     /// [`RunReport::workload_fault`](crate::report::RunReport::workload_fault).
     pub fn from_source(
         source: impl ArrivalSource<Payload = SourcedRequest> + Send + 'static,
     ) -> Workload {
         Workload::Source(WorkloadSource(Box::new(source)))
+    }
+}
+
+/// [`Workload::open_plans`]' table, each plan labelled `"custom"` as it is
+/// pulled, so building the workload makes no pass over the table.
+#[derive(Debug)]
+struct CustomPlans(VecSource<Plan>);
+
+impl ArrivalSource for CustomPlans {
+    type Payload = SourcedRequest;
+
+    fn next_arrival(&mut self, rng: &mut SimRng) -> Option<(SimTime, SourcedRequest)> {
+        let (t, plan) = self.0.next_arrival(rng)?;
+        let class = "custom";
+        Some((t, SourcedRequest { class, plan }))
     }
 }
 
@@ -164,23 +130,23 @@ impl std::fmt::Display for WorkloadError {
 impl std::error::Error for WorkloadError {}
 
 /// The arrival state of a run: the workload, the rng streams it draws
-/// from, and the one arrival a streamed source has pulled ahead.
+/// from, and the streamed arrivals pulled ahead.
 #[derive(Debug)]
 pub(super) struct Feed {
     pub(super) workload: Workload,
+    /// The closed loop's mix samples, or every pull of a streamed source: a
+    /// run is one or the other, so the two never share the stream.
     rng_mix: SimRng,
-    /// The closed/open mixes' reused sample: drawing a request allocates
-    /// nothing once its query buffer has grown to the mix's widest class.
+    /// The closed mix's reused sample: drawing a request allocates nothing
+    /// once its query buffer has grown to the mix's widest class.
     sample: SampledRequest,
     rng_clients: SimRng,
-    /// Dedicated rng fork feeding [`Workload::Source`] pulls, so streamed
-    /// arrivals consume randomness independently of every other plane.
-    rng_source: SimRng,
-    /// The one arrival pulled ahead under [`Workload::Source`] (its
-    /// `Inject` event is already queued).
-    pending: Option<SourcedRequest>,
-    /// Last streamed arrival time, for the monotonicity guard.
-    last: SimTime,
+    /// The streamed arrivals of the next instant, in arrival order, each
+    /// with its `Inject` already queued.
+    pending: VecDeque<SourcedRequest>,
+    /// The first arrival after `pending`'s instant (pulling it is how the
+    /// group ends), or `None` once the stream has ended.
+    ahead: Option<(SimTime, SourcedRequest)>,
     /// A fault reported by the arrival source, the monotonicity guard or
     /// the plan check; it ends the stream and is copied into the report.
     pub(super) fault: Option<String>,
@@ -193,108 +159,102 @@ impl Feed {
             rng_mix: root.fork("mix"),
             sample: SampledRequest::default(),
             rng_clients: root.fork("clients"),
-            rng_source: root.fork("arrival-source"),
-            pending: None,
-            last: SimTime::ZERO,
+            pending: VecDeque::new(),
+            ahead: None,
             fault: None,
         }
     }
 
-    /// Pulls one arrival from a streaming source, parks its payload in
-    /// `pending` and returns its time. On exhaustion the source's fault (if
-    /// any) is recorded; a time regression trips the monotonicity guard
-    /// and ends the stream the same way.
-    fn pull(&mut self) -> Option<SimTime> {
+    /// Pulls one arrival from a streaming source, recording the source's
+    /// fault (if any) when it is exhausted.
+    fn pull(&mut self) -> Option<(SimTime, SourcedRequest)> {
         let Workload::Source(src) = &mut self.workload else {
             return None;
         };
-        if self.fault.is_some() {
-            return None;
+        let next = src.0.next_arrival(&mut self.rng_mix);
+        if next.is_none() {
+            self.fault = src.0.fault().map(str::to_owned);
         }
-        match src.0.next_arrival(&mut self.rng_source) {
-            Some((t, _)) if t < self.last => {
-                self.fault = Some(format!(
-                    "arrival source emitted {t} after {}: times must be non-decreasing",
-                    self.last
-                ));
-                None
-            }
-            Some((t, req)) => {
-                self.last = t;
-                self.pending = Some(req);
-                Some(t)
-            }
-            None => {
-                self.fault = src.0.fault().map(str::to_owned);
-                None
-            }
-        }
+        next
     }
 }
 
 impl Engine {
     /// Queues the workload's first arrivals: every closed-loop client's
-    /// first send, every eager arrival, or a streamed source's first pull.
-    #[allow(deprecated)]
+    /// first send, or a streamed source's first instant.
     pub(super) fn schedule_arrivals(&mut self) {
-        match &self.feed.workload {
-            Workload::Closed { spec, .. } => {
-                for client in 0..spec.clients() {
-                    let offset = spec.start_offset(&mut self.feed.rng_clients);
-                    self.queue
-                        .push(SimTime::ZERO + offset, Event::ClientSend { client });
-                }
+        if let Workload::Closed { spec, .. } = &self.feed.workload {
+            for client in 0..spec.clients() {
+                let offset = spec.start_offset(&mut self.feed.rng_clients);
+                self.queue
+                    .push(SimTime::ZERO + offset, Event::ClientSend { client });
             }
-            Workload::Open { arrivals, .. } => {
-                for (i, t) in arrivals.iter().enumerate() {
-                    self.queue.push(*t, Event::Inject { idx: i as u32 });
-                }
-            }
-            Workload::OpenPlans { arrivals } => {
-                for (i, (t, _)) in arrivals.iter().enumerate() {
-                    self.queue.push(*t, Event::Inject { idx: i as u32 });
-                }
-            }
-            Workload::Source(_) => self.pull_next_arrival(),
+        } else {
+            self.queue_next_arrivals();
         }
     }
 
-    /// Pulls the streamed source's next arrival and queues its `Inject`.
-    fn pull_next_arrival(&mut self) {
-        if let Some(t) = self.feed.pull() {
-            self.queue.push(t, Event::Inject { idx: u32::MAX });
+    /// Pulls every arrival of the streamed source's next instant into
+    /// `pending` and queues an `Inject` for each with `push_first`, so they
+    /// open their instant in arrival order, after only the fault-window
+    /// edges `drive` queued first. The pull that ends the instant parks the
+    /// next arrival in `ahead`, unless its time regresses: that trips the
+    /// monotonicity guard, which ends the stream.
+    fn queue_next_arrivals(&mut self) {
+        let feed = &mut self.feed;
+        let mut next = feed.ahead.take().or_else(|| feed.pull());
+        let Some(&(t, _)) = next.as_ref() else {
+            return;
+        };
+        // The first instant may be t = 0; every later one is pulled while
+        // the previous instant drains and must lie strictly after it.
+        debug_assert!(self.events_handled == 0 || t > self.now);
+        while let Some((at, req)) = next {
+            if at > t {
+                self.feed.ahead = Some((at, req));
+                return;
+            }
+            if at < t {
+                self.feed.fault = Some(format!(
+                    "arrival source emitted {at} after {t}: times must be non-decreasing"
+                ));
+                return;
+            }
+            self.feed.pending.push_back(req);
+            self.queue.push_first(t, Event::Inject);
+            next = self.feed.pull();
         }
     }
 
-    #[allow(deprecated)]
-    pub(super) fn inject(&mut self, client: Option<u32>, idx: u32) {
+    pub(super) fn inject(&mut self, client: Option<u32>) {
         let feed = &mut self.feed;
         let (class, plan) = match &feed.workload {
-            Workload::Source(_) => {
-                let Some(req) = feed.pending.take() else {
-                    return;
-                };
-                (req.class, req.plan)
-            }
-            _ if feed.fault.is_some() => return, // a misfit plan ended the eager stream
-            Workload::Closed { mix, .. } | Workload::Open { mix, .. } => {
+            Workload::Closed { mix, .. } => {
                 mix.sample_into(&mut feed.rng_mix, &mut feed.sample);
                 (feed.sample.class, Plan::compile(&feed.sample))
             }
-            Workload::OpenPlans { arrivals } => ("custom", arrivals[idx as usize].1.share()),
+            Workload::Source(_) => {
+                let Some(req) = feed.pending.pop_front() else {
+                    return; // the stream ended before this arrival
+                };
+                (req.class, req.plan)
+            }
         };
         // A plan that does not fit the system is a fault of the input, not
         // of the engine: end the stream here, before this arrival counts as
         // injected, so conservation still holds.
         if let Err(e) = self.check_plan(&plan) {
-            self.feed.fault = Some(format!("arrival at {}: {e}", self.now));
+            let feed = &mut self.feed;
+            feed.fault = Some(format!("arrival at {}: {e}", self.now));
+            feed.pending.clear();
+            feed.ahead = None;
             return;
         }
-        // Pull a streamed successor before processing this arrival: the
-        // next Inject takes an earlier sequence number than anything this
-        // request schedules at the same timestamp, matching the order the
-        // eager paths produce by pushing all arrivals up front.
-        self.pull_next_arrival();
+        // The last arrival of its instant queues the next instant, if the
+        // stream has one.
+        if self.feed.pending.is_empty() && self.feed.ahead.is_some() {
+            self.queue_next_arrivals();
+        }
         // Fast-fail at the client while its breaker refuses the hop (in
         // half-open this admits the request as the probe).
         if let Some(br) = self.tiers[0].hop_breaker.as_mut() {

@@ -446,7 +446,7 @@ impl TopologyBuilder {
 }
 
 /// Structural validation shared by every construction path.
-fn validate(tiers: &[TierSpec], shape: &TopologyShape) -> Result<(), TopologyError> {
+pub(crate) fn validate(tiers: &[TierSpec], shape: &TopologyShape) -> Result<(), TopologyError> {
     if tiers.is_empty() {
         return Err(TopologyError::Empty);
     }

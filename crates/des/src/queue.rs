@@ -1,8 +1,9 @@
 //! The simulation event queue.
 //!
 //! A two-level calendar queue (timing wheel + overflow heap) that orders
-//! events by timestamp and breaks ties by insertion sequence number, so
-//! simulations are deterministic regardless of internal layout.
+//! events by timestamp and breaks ties by class ([`EventQueue::push_first`]
+//! first), then insertion sequence number, so simulations are deterministic
+//! regardless of internal layout.
 //!
 //! # Why not a flat `BinaryHeap`?
 //!
@@ -36,7 +37,7 @@
 //! `VecDeque` ring with an append fast path, the contiguous `Vec` wins on
 //! the engine's real workloads.
 //!
-//! Pop order is identical to the old heap implementation: the earliest
+//! Pop order is identical to a flat binary heap's: the earliest
 //! `(time, seq)` pair always pops first, which is what the golden-report
 //! determinism tests in `tests/determinism.rs` pin down.
 
@@ -59,11 +60,15 @@ const WHEEL_SPAN: u64 = BUCKET_WIDTH * NUM_BUCKETS as u64;
 const DECAY_FLOOR: usize = 64;
 /// End of a bucket chain or of the pool's free list.
 const NIL: u32 = u32::MAX;
+/// Sequence-number bit of every [`EventQueue::push`] entry: clear on
+/// [`EventQueue::push_first`] entries, so those sort first at their time.
+const ORDINARY: u64 = 1 << 63;
 
 /// A time-ordered queue of pending simulation events.
 ///
 /// Events with equal timestamps are delivered in insertion order (FIFO),
-/// which makes whole-simulation runs reproducible.
+/// [`EventQueue::push_first`] entries first, which makes whole-simulation
+/// runs reproducible.
 ///
 /// # Example
 ///
@@ -71,12 +76,14 @@ const NIL: u32 = u32::MAX;
 /// use ntier_des::prelude::*;
 ///
 /// let mut q = EventQueue::new();
-/// q.push(SimTime::from_millis(5), 'b');
-/// q.push(SimTime::from_millis(1), 'a');
 /// q.push(SimTime::from_millis(5), 'c');
+/// q.push(SimTime::from_millis(1), 'a');
+/// q.push(SimTime::from_millis(5), 'd');
+/// q.push_first(SimTime::from_millis(5), 'b');
 ///
 /// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-/// assert_eq!(order, vec!['a', 'b', 'c']);
+/// assert_eq!(order, vec!['a', 'b', 'c', 'd']);
+/// assert_eq!(q.scheduled_total(), 4);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
@@ -98,7 +105,9 @@ pub struct EventQueue<E> {
     /// Index of the bucket `active` was promoted from.
     cursor: usize,
     len: usize,
+    /// Pushes so far through [`Self::push`] and [`Self::push_first`].
     next_seq: u64,
+    next_first: u64,
 }
 
 #[derive(Debug)]
@@ -160,6 +169,7 @@ impl<E> EventQueue<E> {
             cursor: 0,
             len: 0,
             next_seq: 0,
+            next_first: 0,
         }
     }
 
@@ -184,11 +194,26 @@ impl<E> EventQueue<E> {
     /// relative to later events); the engine layer asserts monotonicity where
     /// it matters.
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
+        let seq = ORDINARY | self.next_seq;
         self.next_seq += 1;
+        self.insert(Entry { time, seq, event });
+    }
+
+    /// Schedules `event` at `time` ahead of every [`Self::push`] entry for
+    /// that time, whenever either was pushed; `push_first` entries keep
+    /// their own FIFO order. `time` must not be the instant a
+    /// [`Self::pop_run`] batch is being drained at: that batch has already
+    /// left the queue, so the entry would fire after it.
+    pub fn push_first(&mut self, time: SimTime, event: E) {
+        let seq = self.next_first;
+        self.next_first += 1;
+        self.insert(Entry { time, seq, event });
+    }
+
+    /// Files `entry` into the active bucket, the wheel or the overflow.
+    fn insert(&mut self, entry: Entry<E>) {
         self.len += 1;
-        let entry = Entry { time, seq, event };
-        let t = time.as_micros();
+        let t = entry.time.as_micros();
         if t < self.active_end() {
             // Hot path for same-bucket scheduling and the occasional past
             // event: keep `active` sorted descending so pop stays O(1).
@@ -230,15 +255,7 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.active.is_empty() {
-            self.refill_active();
-        }
-        let e = self.active.pop().expect("len > 0 guarantees a refill");
-        self.len -= 1;
-        Some((e.time, e.event))
+        self.pop_run(&mut Vec::new(), 1)
     }
 
     /// Drains the maximal run of front events sharing the earliest pending
@@ -248,7 +265,8 @@ impl<E> EventQueue<E> {
     /// active bucket in O(1) per event. Events the caller schedules while
     /// applying the batch take later sequence numbers, so they sort after
     /// the whole run — batch application preserves the serial pop order
-    /// bit-for-bit.
+    /// bit-for-bit. That holds for [`Self::push_first`] only while it
+    /// targets a later instant than the run being drained.
     pub fn pop_run(&mut self, batch: &mut Vec<E>, max: usize) -> Option<(SimTime, E)> {
         if self.len == 0 {
             return None;
@@ -381,7 +399,7 @@ impl<E> EventQueue<E> {
 
     /// Total number of events ever scheduled on this queue.
     pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
+        self.next_seq + self.next_first
     }
 }
 
@@ -547,15 +565,16 @@ mod tests {
         );
     }
 
-    /// The retained reference implementation: the flat `(time, seq)` binary
-    /// heap the engine used before the calendar queue. The equivalence
-    /// proptest below pins the calendar queue to its exact pop order.
+    /// The reference implementation: a flat binary heap keyed
+    /// `(time, class, seq)`, where class `false` is
+    /// [`EventQueue::push_first`]. The equivalence proptests below pin the
+    /// calendar queue to its exact pop order.
     struct HeapQueue<E> {
-        heap: BinaryHeap<Entry<E>>,
+        heap: BinaryHeap<std::cmp::Reverse<(SimTime, bool, u64, E)>>,
         next_seq: u64,
     }
 
-    impl<E> HeapQueue<E> {
+    impl<E: Ord> HeapQueue<E> {
         fn new() -> Self {
             HeapQueue {
                 heap: BinaryHeap::new(),
@@ -563,14 +582,25 @@ mod tests {
             }
         }
 
-        fn push(&mut self, time: SimTime, event: E) {
+        fn push(&mut self, time: SimTime, first: bool, event: E) {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.heap.push(Entry { time, seq, event });
+            self.heap
+                .push(std::cmp::Reverse((time, !first, seq, event)));
         }
 
         fn pop(&mut self) -> Option<(SimTime, E)> {
-            self.heap.pop().map(|e| (e.time, e.event))
+            self.heap
+                .pop()
+                .map(|std::cmp::Reverse((t, _, _, e))| (t, e))
+        }
+    }
+
+    fn push<E>(q: &mut EventQueue<E>, time: SimTime, first: bool, event: E) {
+        if first {
+            q.push_first(time, event);
+        } else {
+            q.push(time, event);
         }
     }
 
@@ -620,25 +650,27 @@ mod tests {
             prop_assert!(q.is_empty());
         }
 
-        /// The calendar queue pops the exact sequence the old binary heap
-        /// popped, under interleaved pushes and pops that straddle bucket
-        /// boundaries, epochs, and the overflow horizon.
+        /// The calendar queue pops the exact sequence the reference heap
+        /// pops, under interleaved pushes, first-class pushes and pops that
+        /// straddle bucket boundaries, epochs, and the overflow horizon.
         #[test]
         fn matches_heap_reference(
             ops in proptest::collection::vec(
-                // (op selector: 0..7 = push, 7..10 = pop; time µs reaching
-                // past several epochs)
-                (0u32..10, 0u64..20_000_000),
+                // (op selector: 0..5 = push, 5..7 = push_first, 7..10 =
+                // pop; time µs reaching past several epochs, drawn coarse
+                // half the time so that classes collide at one instant)
+                (0u32..10, 0u64..20_000_000, any::<bool>()),
                 1..400,
             )
         ) {
             let mut cal = EventQueue::new();
             let mut heap = HeapQueue::new();
             let mut i = 0usize;
-            for (op, t) in ops {
+            for (op, t, coarse) in ops {
+                let t = SimTime::from_micros(if coarse { t % 8 * 1_000_000 } else { t });
                 if op < 7 {
-                    cal.push(SimTime::from_micros(t), i);
-                    heap.push(SimTime::from_micros(t), i);
+                    push(&mut cal, t, op >= 5, i);
+                    heap.push(t, op >= 5, i);
                     i += 1;
                 } else {
                     prop_assert_eq!(cal.pop(), heap.pop());
@@ -657,14 +689,14 @@ mod tests {
         /// heap reference sequence too.
         #[test]
         fn pop_run_matches_heap_reference(
-            times in proptest::collection::vec(0u64..5_000, 1..300),
+            times in proptest::collection::vec((0u64..5_000, any::<bool>()), 1..300),
             cap in 1usize..16,
         ) {
             let mut cal = EventQueue::new();
             let mut heap = HeapQueue::new();
-            for (i, t) in times.iter().enumerate() {
-                cal.push(SimTime::from_micros(*t), i);
-                heap.push(SimTime::from_micros(*t), i);
+            for (i, &(t, first)) in times.iter().enumerate() {
+                push(&mut cal, SimTime::from_micros(t), first, i);
+                heap.push(SimTime::from_micros(t), first, i);
             }
             let mut batch = Vec::new();
             while let Some((t, first)) = cal.pop_run(&mut batch, cap) {

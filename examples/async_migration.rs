@@ -12,8 +12,6 @@
 //!
 //! Run with: `cargo run --release --example async_migration`
 
-#![deny(deprecated)]
-
 use ntier_core::engine::{Engine, Workload};
 use ntier_core::{analysis, presets};
 use ntier_des::prelude::*;

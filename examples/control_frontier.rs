@@ -28,8 +28,6 @@
 //!
 //! [`RootCause`]: ntier_trace::RootCause
 
-#![deny(deprecated)]
-
 use ntier_core::experiment::{self, ControlVariant};
 use ntier_core::RunReport;
 use ntier_trace::RootCause;

@@ -33,8 +33,6 @@
 //!
 //! [`RootCause`]: ntier_trace::RootCause
 
-#![deny(deprecated)]
-
 use ntier_core::experiment::{self, DetectionVariant};
 use ntier_core::RunReport;
 use ntier_trace::RootCause;

@@ -9,8 +9,6 @@
 //!
 //! Run with: `cargo run --release --example live_testbed`
 
-#![deny(deprecated)]
-
 use std::time::Duration;
 
 use ntier_live::chain::{ChainBuilder, LiveTier};

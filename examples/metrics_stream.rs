@@ -23,8 +23,6 @@
 //! [`QuantileSketch`]: ntier_telemetry::QuantileSketch
 //! [`LatencyHistogram`]: ntier_telemetry::LatencyHistogram
 
-#![deny(deprecated)]
-
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::PathBuf;

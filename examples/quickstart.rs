@@ -8,8 +8,6 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-#![deny(deprecated)]
-
 use ntier_core::engine::{Engine, Workload};
 use ntier_core::{analysis, presets};
 use ntier_des::prelude::*;

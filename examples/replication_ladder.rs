@@ -18,8 +18,6 @@
 //!
 //! [`RootCause`]: ntier_trace::RootCause
 
-#![deny(deprecated)]
-
 use ntier_core::experiment::{self, ExperimentSpec};
 use ntier_core::{Balancer, RunReport};
 use ntier_trace::RootCause;

@@ -9,8 +9,6 @@
 //!
 //! Run with: `cargo run --release --example slashdot_effect`
 
-#![deny(deprecated)]
-
 use ntier_core::analysis::{causal_chains, detect_millibottlenecks_default};
 use ntier_core::engine::{Engine, Workload};
 use ntier_core::presets;

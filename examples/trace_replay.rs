@@ -21,8 +21,6 @@
 //!
 //! The final line `TRACE_REPLAY OK` is grepped by CI.
 
-#![deny(deprecated)]
-
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::Write as _;

@@ -13,8 +13,6 @@
 //!
 //! [`RootCause`]: ntier_trace::RootCause
 
-#![deny(deprecated)]
-
 use ntier_core::experiment;
 use ntier_trace::{chrome_trace_json, RootCause};
 

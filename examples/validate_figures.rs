@@ -7,8 +7,6 @@
 //! cargo run -q --release --example validate_figures
 //! ```
 
-#![deny(deprecated)]
-
 use ntier_core::experiment::Measured;
 use ntier_runner::{default_threads, run_all};
 

@@ -1,8 +1,6 @@
 //! Assertion-backed versions of the ablation sweeps: the CTQO mechanism
 //! responds to each design knob exactly as the theory says.
 
-#![deny(deprecated)]
-
 use ntier_repro::core::engine::{Engine, Workload};
 use ntier_repro::core::{RunReport, SystemConfig, TierSpec, Topology};
 use ntier_repro::des::prelude::*;

@@ -6,8 +6,6 @@
 //! configuration and check the simulation agrees with the closed form —
 //! including the no-drop side of the threshold.
 
-#![deny(deprecated)]
-
 use ntier_repro::core::conditions::DynamicConditions;
 use ntier_repro::core::engine::{Engine, Workload};
 use ntier_repro::core::{SystemConfig, TierSpec, Topology};

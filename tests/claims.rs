@@ -3,8 +3,6 @@
 //! measured value must land in its band, every run must conserve requests,
 //! and EXPERIMENTS.md must embed the rendered claims table byte for byte.
 
-#![deny(deprecated)]
-
 use std::sync::OnceLock;
 use std::time::Instant;
 

@@ -2,8 +2,6 @@
 //! workload, burstiness or stall layout, requests are conserved and the
 //! accounting stays coherent.
 
-#![deny(deprecated)]
-
 mod common;
 
 use ntier_repro::control::{AutoscalerConfig, ControlConfig};

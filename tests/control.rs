@@ -1,8 +1,6 @@
 //! Closed-loop control plane: conservation under autoscaling, bit-identical
 //! determinism for controlled runs, and the seed-7 damp/amplify frontier.
 
-#![deny(deprecated)]
-
 mod common;
 
 use ntier_core::engine::{Engine, Workload};

@@ -1,7 +1,5 @@
 //! Extension tests: the CTQO mechanism at chain depths beyond the paper's 3.
 
-#![deny(deprecated)]
-
 use ntier_repro::core::experiment;
 
 #[test]

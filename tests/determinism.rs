@@ -5,8 +5,6 @@
 //! landed. Seeded runs must keep reproducing them bit-for-bit: the hot-path
 //! work is pure mechanics, not a model change.
 
-#![deny(deprecated)]
-
 use ntier_core::engine::{Engine, Workload};
 use ntier_core::{experiment, TierSpec, Topology};
 use ntier_des::prelude::*;

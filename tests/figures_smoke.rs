@@ -3,8 +3,6 @@
 //! conservation. `tests/claims.rs` checks the whole list at once and the
 //! EXPERIMENTS.md table; these name the figure that regressed.
 
-#![deny(deprecated)]
-
 use ntier_repro::core::experiment::Measured;
 use ntier_repro::runner::{default_threads, run_all};
 

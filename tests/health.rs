@@ -1,8 +1,6 @@
 //! Gray-failure detection: the seed-7 detection frontier, controller/health
 //! decision-log merging, and bit-identical determinism for detected runs.
 
-#![deny(deprecated)]
-
 use ntier_core::engine::{Engine, Workload};
 use ntier_core::{experiment, Balancer, TierSpec, Topology};
 use ntier_des::prelude::*;

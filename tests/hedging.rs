@@ -2,8 +2,6 @@
 //! adaptive admission: the two regimes of the hedging frontier, plus the
 //! bit-identical-across-threads guarantee for hedged runs.
 
-#![deny(deprecated)]
-
 use ntier_core::experiment::{
     hedging_frontier, hedging_frontier_sweep, HedgingLoad, HedgingVariant,
 };

@@ -3,8 +3,6 @@
 //! Runs the live (wall-clock, OS-thread) chains and checks that the drop
 //! site moves exactly as the simulator — and the paper — say it should.
 
-#![deny(deprecated)]
-
 use std::time::Duration;
 
 use ntier_repro::live::chain::{ChainBuilder, LiveTier};

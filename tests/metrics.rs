@@ -12,8 +12,6 @@
 //!   event order, so it must be bit-identical across runner thread counts
 //!   and across repeated runs of the same seed.
 
-#![deny(deprecated)]
-
 use ntier_core::engine::{Engine, Workload};
 use ntier_core::{experiment, ExperimentSpec, TierSpec, Topology};
 use ntier_des::prelude::*;

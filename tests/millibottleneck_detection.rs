@@ -1,8 +1,6 @@
 //! Tests of the millibottleneck detector and causal-chain reconstruction —
 //! the measurement methodology the paper's analysis rests on.
 
-#![deny(deprecated)]
-
 use ntier_repro::core::analysis::{
     causal_chains, detect_millibottlenecks_default, mean_util_at_granularity, CtqoClass,
 };

@@ -2,8 +2,6 @@
 //! the `experiment::nx_ladder` presets behind the `ladder.*` entries of
 //! `experiment::claims()` and asserts each band and request conservation.
 
-#![deny(deprecated)]
-
 use ntier_repro::core::experiment::Measured;
 use ntier_repro::runner::{default_threads, run_all};
 

@@ -4,8 +4,6 @@
 //! with request conservation (including the shed/failed classes) holding in
 //! every arm.
 
-#![deny(deprecated)]
-
 use ntier_repro::core::engine::{Engine, Workload};
 use ntier_repro::core::experiment::{retry_storm, RetryStormVariant};
 use ntier_repro::core::{RunReport, TierSpec, Topology};

@@ -7,15 +7,12 @@
 //!   `VecSource` produce **field-for-field identical** reports (including
 //!   trace logs) — proptest over seeds/rates;
 //! * streamed runs are bit-identical across runner thread counts (1/8),
-//!   because source pulls consume a dedicated rng fork on the single
-//!   driving thread;
-//! * the `Workload::open`/`open_plans` builders are drop-in equal to the
-//!   deprecated direct variant constructions they wrap;
-//! * mix/system mismatches surface as typed [`WorkloadError`]s, and trace
-//!   parse failures and streamed plans that do not fit the system surface
-//!   as `RunReport::workload_fault`, never panics.
-
-#![deny(deprecated)]
+//!   because source pulls consume the `"mix"` rng fork, which nothing else
+//!   draws from in a streamed run, on the single driving thread;
+//! * a closed mix on the wrong system is a typed [`WorkloadError`], while
+//!   trace parse failures, unsorted or non-monotone arrivals and streamed
+//!   plans that do not fit the system (an open mix included) surface as
+//!   `RunReport::workload_fault`, never panics.
 
 mod common;
 
@@ -25,8 +22,8 @@ use ntier_core::{ExperimentSpec, Plan, TierSpec, Topology};
 use ntier_des::prelude::*;
 use ntier_workload::source::{ArrivalSource, MmppSource, PoissonSource, VecSource};
 use ntier_workload::{
-    ClusterTraceReader, Mmpp2, PoissonProcess, RequestKind, RequestMix, SampledRequest,
-    TraceArrivals, TraceDialect,
+    ClosedLoopSpec, ClusterTraceReader, Mmpp2, PoissonProcess, RequestKind, RequestMix,
+    SampledRequest, TraceArrivals, TraceDialect,
 };
 use proptest::prelude::*;
 
@@ -43,12 +40,12 @@ fn traced_system() -> ntier_core::SystemConfig {
 }
 
 /// Pull every arrival out of a source exactly the way the engine would:
-/// with the run's `"arrival-source"` fork of the seed.
+/// with the run's `"mix"` fork of the seed.
 fn materialize_as_engine(
     mut src: impl ArrivalSource<Payload = SourcedRequest>,
     seed: u64,
 ) -> Vec<(SimTime, SourcedRequest)> {
-    let mut rng = SimRng::seed_from(seed).fork("arrival-source");
+    let mut rng = SimRng::seed_from(seed).fork("mix");
     let mut out = Vec::new();
     while let Some(pair) = src.next_arrival(&mut rng) {
         out.push(pair);
@@ -149,58 +146,15 @@ fn streamed_runs_are_runner_thread_count_invariant() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn builders_match_the_deprecated_variants_they_wrap() {
-    let arrivals: Vec<SimTime> = (0..200).map(|i| SimTime::from_millis(i * 5)).collect();
-    let horizon = SimDuration::from_secs(3);
-    let via_builder = Engine::new(
-        traced_system(),
-        Workload::open(arrivals.clone(), RequestMix::rubbos_browse()),
-        horizon,
-        3,
-    )
-    .run();
-    let via_variant = Engine::new(
-        traced_system(),
-        Workload::Open {
-            arrivals: arrivals.clone(),
-            mix: RequestMix::rubbos_browse(),
-        },
-        horizon,
-        3,
-    )
-    .run();
-    assert_eq!(format!("{via_builder:?}"), format!("{via_variant:?}"));
-
-    let plan = Plan::compile(&RequestMix::view_story().sample(&mut SimRng::seed_from(1)));
-    let plans: Vec<(SimTime, Plan)> = arrivals.iter().map(|t| (*t, plan.share())).collect();
-    let built = Engine::new(
-        traced_system(),
-        Workload::open_plans(plans.clone()),
-        horizon,
-        3,
-    )
-    .run();
-    let direct = Engine::new(
-        traced_system(),
-        Workload::OpenPlans { arrivals: plans },
-        horizon,
-        3,
-    )
-    .run();
-    assert_eq!(format!("{built:?}"), format!("{direct:?}"));
-}
-
-#[test]
 fn mix_on_wrong_depth_is_a_typed_error() {
-    let sys = Topology::chain(vec![TierSpec::sync("A", 2, 2), TierSpec::sync("B", 2, 2)]);
+    let sys = || Topology::chain(vec![TierSpec::sync("A", 2, 2), TierSpec::sync("B", 2, 2)]);
     let err = Engine::try_new(
-        sys,
-        Workload::open(vec![SimTime::from_millis(1)], RequestMix::view_story()),
+        sys(),
+        Workload::closed(ClosedLoopSpec::rubbos(10), RequestMix::view_story()),
         SimDuration::from_secs(1),
         1,
     )
-    .expect_err("2-tier system cannot take a mix workload");
+    .expect_err("2-tier system cannot take a closed mix workload");
     assert_eq!(
         err,
         WorkloadError::MixRequiresThreeTier {
@@ -211,6 +165,53 @@ fn mix_on_wrong_depth_is_a_typed_error() {
     let msg = err.to_string();
     assert!(msg.contains("3-tier"), "{msg}");
     assert!(msg.contains("from_source"), "{msg}");
+
+    // An open mix streams 3-tier plans like `from_source(MixPlans)`: the
+    // first arrival ends the run before it counts as injected.
+    let report = Engine::new(
+        sys(),
+        Workload::open(vec![SimTime::from_millis(1)], RequestMix::view_story()),
+        SimDuration::from_secs(1),
+        1,
+    )
+    .run();
+    let fault = report.workload_fault.as_deref().expect("plan misfit");
+    assert!(fault.contains("plan depth 3"), "{fault}");
+    assert!(fault.contains("2 tiers"), "{fault}");
+    assert_eq!(report.injected, 0, "{}", report.summary());
+    assert!(report.is_conserved(), "{}", report.summary());
+}
+
+#[test]
+fn unsorted_open_times_trip_the_engine_guard() {
+    let times = [100, 200, 150, 300].map(SimTime::from_millis).to_vec();
+    let report = Engine::new(
+        small_system(),
+        Workload::open(times, RequestMix::view_story()),
+        SimDuration::from_secs(2),
+        1,
+    )
+    .run();
+    let fault = report.workload_fault.as_deref().expect("guard tripped");
+    assert!(fault.contains("non-decreasing"), "{fault}");
+    assert_eq!(report.injected, 2, "{}", report.summary());
+    assert!(report.is_conserved(), "{}", report.summary());
+}
+
+/// CTQO is decided at single instants, so the same-instant order is part
+/// of the model: every arrival of an instant runs ahead of the events
+/// scheduled earlier for that instant — here the metrics plane's 1 s tick,
+/// queued before the source had emitted either 1 s arrival.
+#[test]
+fn arrivals_open_their_instant() {
+    let sys = small_system().with_metrics(ntier_telemetry::MetricsConfig::paper_default());
+    let times = [500, 1_000, 1_000].map(SimTime::from_millis).to_vec();
+    let workload = Workload::open(times, RequestMix::view_story());
+    let report = Engine::new(sys, workload, SimDuration::from_secs(2), 1).run();
+    let metrics = report.metrics.as_ref().expect("metrics plane on");
+    let first = &metrics.snapshots()[0];
+    assert_eq!(first.t_us, 1_000_000);
+    assert_eq!(first.injected, 3, "the 1 s tick ran before a 1 s arrival");
 }
 
 #[test]

@@ -19,8 +19,6 @@
 //!    reproduces the pre-topology chain report field-for-field, for both
 //!    rng-free and rng-consuming balancer policies.
 
-#![deny(deprecated)]
-
 mod common;
 
 use ntier_repro::core::engine::{Engine, Workload};

@@ -14,8 +14,6 @@
 //!    is identical to the report with tracing off, and traced runs are
 //!    bit-identical whether the runner uses 1 thread or 8.
 
-#![deny(deprecated)]
-
 mod common;
 
 use ntier_repro::core::engine::{Engine, Workload};

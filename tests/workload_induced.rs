@@ -8,8 +8,6 @@
 //! requests. The detector finds the saturation without being told where
 //! the stall is.
 
-#![deny(deprecated)]
-
 use ntier_repro::core::analysis::detect_millibottlenecks_default;
 use ntier_repro::core::engine::{Engine, Workload};
 use ntier_repro::core::{presets, RunReport};
