@@ -1,10 +1,8 @@
 //! Client-side load generation and measurement for live chains.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::unbounded;
 
 use crate::tier::{LiveRequest, Tier};
 use crate::LiveError;
@@ -71,7 +69,7 @@ pub fn fire_burst_with_rto(
     deadline: Duration,
     client_rto: Duration,
 ) -> Result<BurstOutcome, LiveError> {
-    let (reply_tx, reply_rx) = unbounded();
+    let (reply_tx, reply_rx) = mpsc::channel();
     let retransmits = Arc::new(AtomicU64::new(0));
     let start = Instant::now();
     let deadline_at = start + deadline;
@@ -136,7 +134,6 @@ mod tests {
     use super::*;
     use crate::chain::{ChainBuilder, LiveTier};
     use crate::stall::StallGate;
-    use crossbeam::channel::bounded;
 
     const SERVICE: Duration = Duration::from_micros(200);
 
@@ -286,7 +283,7 @@ mod tests {
     fn within_5s(
         drive: impl FnOnce() -> Result<BurstOutcome, LiveError> + Send + 'static,
     ) -> BurstOutcome {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = mpsc::channel();
         let caller = std::thread::spawn(move || {
             let _ = tx.send(drive());
         });

@@ -4,13 +4,13 @@
 //! experiments; this crate demonstrates the same CTQO mechanics with *actual
 //! OS threads and wall-clock time*, laptop-scale:
 //!
-//! * a **sync tier** is a pool of worker threads behind a bounded channel
-//!   (the accept backlog). A worker forwards downstream and **blocks** on
-//!   the reply — RPC semantics, thread held end-to-end;
-//! * an **async tier** is a large bounded channel (`LiteQDepth`) in front of
+//! * a **sync tier** is a pool of worker threads behind a bounded std
+//!   `sync_channel` (the accept backlog). A worker forwards downstream and
+//!   **blocks** on the reply — RPC semantics, thread held end-to-end;
+//! * an **async tier** is a large `sync_channel` (`LiteQDepth`) in front of
 //!   a small worker pool; workers forward downstream with the *original*
 //!   reply address and move on — continuation semantics, nothing held;
-//! * a full channel rejects the send — the **drop** — and the sender
+//! * a full channel rejects the `try_send` — the **drop** — and the sender
 //!   retransmits after a fixed timeout (a scaled-down TCP RTO);
 //! * a [`stall::StallGate`] freezes a tier's workers for a few hundred
 //!   milliseconds — the **millibottleneck**.

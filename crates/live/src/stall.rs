@@ -5,9 +5,7 @@
 //! gate for 200 ms is the live equivalent of a 200 ms CPU millibottleneck —
 //! the tier stops serving while its queues keep filling.
 
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -29,21 +27,32 @@ impl StallGate {
 
     /// Blocks the calling worker while the gate is raised.
     pub fn wait_if_stalled(&self) {
-        let mut stalled = self.inner.stalled.lock();
-        while *stalled {
-            self.inner.cv.wait(&mut stalled);
-        }
+        let stalled = self.stalled();
+        let _open = self
+            .inner
+            .cv
+            .wait_while(stalled, |stalled| *stalled)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 
     /// Raises the gate.
     pub fn begin(&self) {
-        *self.inner.stalled.lock() = true;
+        *self.stalled() = true;
     }
 
     /// Lowers the gate and releases all waiting workers.
     pub fn end(&self) {
-        *self.inner.stalled.lock() = false;
+        *self.stalled() = false;
         self.inner.cv.notify_all();
+    }
+
+    /// The flag's guard. A poisoned lock is recovered: the flag is a plain
+    /// `bool`, never left half-written.
+    fn stalled(&self) -> MutexGuard<'_, bool> {
+        self.inner
+            .stalled
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -1,11 +1,11 @@
 //! Live tiers: thread-pool RPC servers and event-loop async servers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Sender, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Sender, TrySendError};
 use ntier_core::TierKind;
 
 use crate::stall::StallGate;
@@ -56,9 +56,10 @@ fn submit_with_retransmit(target: &Arc<dyn Tier>, mut req: LiveRequest, rto: Dur
     }
 }
 
-/// One running tier: a bounded accept queue in front of a worker pool.
-/// The tier's [`TierKind`] sets the queue bound and what a worker does with
-/// a request it has served:
+/// One running tier: a bounded accept queue (a `sync_channel` whose
+/// receiver the workers share) in front of a worker pool. The tier's
+/// [`TierKind`] sets the queue bound and what a worker does with a request
+/// it has served:
 ///
 /// * **sync (RPC)** — `threads` workers behind a `threads + backlog` queue,
 ///   the tier's `MaxSysQDepth`. A worker forwards downstream on a private
@@ -70,7 +71,7 @@ fn submit_with_retransmit(target: &Arc<dyn Tier>, mut req: LiveRequest, rto: Dur
 #[derive(Debug)]
 pub(crate) struct Server {
     name: String,
-    input: Sender<LiveRequest>,
+    input: SyncSender<LiveRequest>,
     drops: AtomicU64,
 }
 
@@ -112,7 +113,8 @@ impl Server {
         };
         assert!(workers > 0, "a live tier needs at least one worker");
         let holds_thread = kind.is_sync();
-        let (tx, rx) = bounded::<LiveRequest>(capacity);
+        let (tx, rx) = mpsc::sync_channel::<LiveRequest>(capacity);
+        let rx = Arc::new(Mutex::new(rx));
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
             let rx = rx.clone();
@@ -122,7 +124,13 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("{name}-{role}-{i}"))
                     .spawn(move || {
-                        while let Ok(req) = rx.recv() {
+                        // The guard lives in its own block: one taken in the
+                        // `while let` scrutinee would be held through the
+                        // body and serialise the workers.
+                        while let Ok(req) = {
+                            let rx = rx.lock().unwrap_or_else(PoisonError::into_inner);
+                            rx.recv()
+                        } {
                             gate.wait_if_stalled();
                             std::thread::sleep(service);
                             match &downstream {
@@ -135,7 +143,7 @@ impl Server {
                                 Some(d) if holds_thread => {
                                     // RPC: forward with a private reply
                                     // channel and BLOCK until it answers.
-                                    let (tx, rx_reply) = bounded(1);
+                                    let (tx, rx_reply) = mpsc::channel();
                                     let fwd = LiveRequest {
                                         id: req.id,
                                         sent_at: req.sent_at,
@@ -186,8 +194,8 @@ impl Tier for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use ntier_core::TierSpec;
+    use std::sync::mpsc::channel;
 
     fn req(id: u64, reply: &Sender<LiveReply>) -> LiveRequest {
         LiveRequest {
@@ -218,7 +226,7 @@ mod tests {
             Duration::from_micros(100),
             StallGate::new(),
         );
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         for i in 0..4 {
             tier.submit(req(i, &tx)).unwrap();
         }
@@ -237,7 +245,7 @@ mod tests {
             Duration::from_millis(200),
             StallGate::new(),
         );
-        let (tx, _rx) = unbounded();
+        let (tx, _rx) = channel();
         let mut dropped = 0;
         for i in 0..6 {
             if tier.submit(req(i, &tx)).is_err() {
@@ -259,7 +267,7 @@ mod tests {
             Duration::from_micros(50),
             StallGate::new(),
         );
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         for i in 0..200 {
             tier.submit(req(i, &tx)).unwrap();
         }
@@ -278,12 +286,38 @@ mod tests {
             gate.clone(),
         );
         gate.begin();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let t0 = Instant::now();
         tier.submit(req(1, &tx)).unwrap();
         std::thread::sleep(Duration::from_millis(120));
         gate.end();
         rx.recv_timeout(Duration::from_secs(1)).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(120));
+    }
+
+    #[test]
+    fn sync_workers_serve_one_tier_concurrently() {
+        // Four workers, four 100 ms requests at once: served in parallel
+        // they all reply after about 100 ms; a receiver lock held through
+        // service would serialise them to 400 ms.
+        let tier = spawn(
+            TierSpec::sync("t", 4, 0),
+            Duration::from_millis(100),
+            StallGate::new(),
+        );
+        let (tx, rx) = channel();
+        let t0 = Instant::now();
+        for i in 0..4 {
+            tier.submit(req(i, &tx)).unwrap();
+        }
+        for _ in 0..4 {
+            rx.recv_timeout(Duration::from_secs(1)).unwrap();
+        }
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(250),
+            "4 requests on 4 workers took {elapsed:?}"
+        );
+        assert_eq!(tier.drops(), 0);
     }
 }

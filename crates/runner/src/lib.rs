@@ -10,14 +10,13 @@
 //! Determinism argument: an [`ExperimentSpec`] owns every input of its
 //! simulation (config, workload, horizon, seed) and `run()` touches no
 //! global state; the engine draws randomness only from its own seeded RNG.
-//! Workers claim specs by atomically incrementing a shared index — *which*
+//! Workers take `(index, spec)` pairs from one shared queue — *which*
 //! thread runs a spec is racy, but each report is a pure function of its
-//! spec, and reports are written into a slot keyed by submission index.
-//! `run_all(specs, n)` therefore returns bit-identical reports for every
-//! `n`, which `tests/` asserts field-for-field.
+//! spec, and the reports are merged by submission index after every worker
+//! has been joined. `run_all(specs, n)` therefore returns bit-identical
+//! reports for every `n`, which `tests/` asserts field-for-field.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use ntier_core::experiment::ExperimentSpec;
@@ -29,22 +28,12 @@ use ntier_core::RunReport;
 pub enum RunnerError {
     /// A worker thread panicked while running an experiment.
     WorkerPanicked,
-    /// A report slot was still empty after every worker exited — the spec
-    /// at `index` was claimed but produced no report (a worker died between
-    /// claiming and storing).
-    MissingReport {
-        /// Submission index of the spec whose report is missing.
-        index: usize,
-    },
 }
 
 impl std::fmt::Display for RunnerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RunnerError::WorkerPanicked => write!(f, "an experiment worker thread panicked"),
-            RunnerError::MissingReport { index } => {
-                write!(f, "no report was stored for spec #{index}")
-            }
         }
     }
 }
@@ -80,9 +69,7 @@ pub fn run_all(specs: Vec<ExperimentSpec>, threads: usize) -> Vec<RunReport> {
 ///
 /// # Errors
 ///
-/// Returns [`RunnerError::WorkerPanicked`] when any worker thread panicked,
-/// or [`RunnerError::MissingReport`] when a claimed spec never stored its
-/// report.
+/// Returns [`RunnerError::WorkerPanicked`] when any worker thread panicked.
 ///
 /// # Panics
 ///
@@ -93,54 +80,39 @@ pub fn try_run_all(
 ) -> Result<Vec<RunReport>, RunnerError> {
     assert!(threads > 0, "runner needs at least one worker thread");
     let n = specs.len();
-    if n == 0 {
-        return Ok(Vec::new());
+    // The queue's lock is held only while a worker takes its next spec, so
+    // no experiment can poison it; recovering the guard anyway keeps a
+    // worker from dying where its panic message is least visible.
+    let queue = Mutex::new(specs.into_iter().enumerate());
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Its own statement, so the guard drops before the run.
+                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                        let Some((index, spec)) = next else {
+                            return done;
+                        };
+                        // Boxed: a `RunReport` is almost a kilobyte inline,
+                        // and a growing list of them would hold up to twice
+                        // that per report.
+                        done.push((index, Box::new(spec.run())));
+                    }
+                })
+            })
+            .collect();
+        // Join every worker, not just up to the first panic: a handle left
+        // unjoined makes `scope` itself panic instead of returning.
+        workers.into_iter().map(|worker| worker.join()).collect()
+    });
+    let mut reports = Vec::with_capacity(n);
+    for done in joined {
+        reports.extend(done.map_err(|_| RunnerError::WorkerPanicked)?);
     }
-
-    // One slot per spec: workers take the spec out and put the report in.
-    // Slots are claimed exclusively via `next`, so each mutex is touched by
-    // exactly one worker; the locks exist to satisfy the borrow checker,
-    // not to arbitrate contention. Poisoning is recovered rather than
-    // unwrapped — a slot holds a whole `Option`, never a half-written one,
-    // and the panic that poisoned it is reported via `WorkerPanicked`.
-    let jobs: Vec<Mutex<Option<ExperimentSpec>>> =
-        specs.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    let slots: Vec<Mutex<Option<RunReport>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-
-    let workers = threads.min(n);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let spec = jobs[i]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take();
-                // An empty job slot is unreachable (each index is claimed
-                // once); treat it as already-run rather than dying in a
-                // worker, where the panic message is least visible.
-                if let Some(spec) = spec {
-                    let report = spec.run();
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(report);
-                }
-            });
-        }
-    })
-    .map_err(|_| RunnerError::WorkerPanicked)?;
-
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(index, m)| {
-            m.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .ok_or(RunnerError::MissingReport { index })
-        })
-        .collect()
+    reports.sort_unstable_by_key(|&(index, _)| index);
+    Ok(reports.into_iter().map(|(_, report)| *report).collect())
 }
 
 #[cfg(test)]
@@ -213,6 +185,41 @@ mod tests {
         let reports = try_run_all(tiny_specs(), 2).expect("no worker failures");
         assert_eq!(reports.len(), 5);
         assert!(reports.iter().all(|r| r.completed > 0));
+    }
+
+    /// `tiny_specs` between two specs whose zero-replica tier makes
+    /// `Engine::new` panic. At two threads both workers then panic,
+    /// whichever takes the first spec, so a runner that stops joining at
+    /// the first panic leaves a handle unjoined.
+    fn specs_with_panicking_ends() -> Vec<ExperimentSpec> {
+        let bad = || {
+            let mut spec = experiment::fig12_sync(100, 7);
+            spec.system.tiers[0] = spec.system.tiers[0].clone().replicas(0);
+            spec
+        };
+        let mut specs = vec![bad()];
+        specs.extend(tiny_specs());
+        specs.push(bad());
+        specs
+    }
+
+    #[test]
+    fn a_panicking_spec_surfaces_as_worker_panicked() {
+        for threads in [1, 2] {
+            let result = try_run_all(specs_with_panicking_ends(), threads);
+            assert!(
+                matches!(result, Err(RunnerError::WorkerPanicked)),
+                "{threads} threads: {result:?}"
+            );
+            let payload =
+                std::panic::catch_unwind(|| run_all(specs_with_panicking_ends(), threads))
+                    .expect_err("run_all must panic");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("an experiment worker thread panicked"),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]
