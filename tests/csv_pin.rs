@@ -2,10 +2,11 @@
 //!
 //! `csv::csv_bundle` is what users re-plot the paper's figures from, so its
 //! bytes are part of the output contract: a change to how the 50 ms windows
-//! are stored or printed must not move a single character. Each file of two
+//! are stored or printed must not move a single character. Each file of three
 //! small bundles is hashed (64-bit FNV-1a over its contents) and compared,
 //! name by name, with constants captured from the engine before the window
-//! storage moved to integers.
+//! storage moved to integers; the metered bundle's `metrics.csv` and its
+//! snapshot JSONL were captured before the event loop dropped batched pops.
 
 use ntier_core::csv::csv_bundle;
 use ntier_core::experiment;
@@ -78,5 +79,36 @@ fn two_replica_bundle_is_pinned() {
             ("trace_events.csv", 0x9a8d_80d8_12df_022d),
             ("trace_chains.csv", 0x6792_0204_25d2_a2fd),
         ],
+    );
+}
+
+/// The single-replica run with the metrics plane on: its six files keep
+/// `single_replica_bundle_is_pinned`'s bytes (the plane only observes), the
+/// bundle gains `metrics.csv`, and the snapshot stream's JSONL is pinned
+/// too.
+#[test]
+fn metered_bundle_is_pinned() {
+    let mut spec = experiment::fig1(7_000, SimDuration::from_secs(20), 7);
+    spec.system = spec
+        .system
+        .with_metrics(ntier_telemetry::MetricsConfig::paper_default());
+    let report = spec.run();
+    assert_pinned(
+        &hashes(&report),
+        &[
+            ("summary.csv", 0xf636_9b3a_d0fb_22f3),
+            ("latency_histogram.csv", 0x26dc_0859_bdb0_b558),
+            ("resilience.csv", 0xdf85_74cf_e752_1074),
+            ("tier_0_apache.csv", 0xd160_9b13_fe45_239f),
+            ("tier_1_tomcat.csv", 0x6a5e_f815_a60e_2a4b),
+            ("tier_2_mysql.csv", 0xd585_32f0_045c_d52e),
+            ("metrics.csv", 0xd183_bd03_5c75_aeab),
+        ],
+    );
+    let jsonl = report.metrics.as_ref().expect("metered").jsonl();
+    assert_eq!(
+        fnv1a(jsonl.as_bytes()),
+        0x70a7_0c40_8b2a_9f2b,
+        "metrics JSONL bytes moved"
     );
 }
