@@ -62,7 +62,7 @@ fn committed_events_per_sec() -> Option<f64> {
 
 /// The metered `events_per_sec` recorded in the committed `metrics`
 /// section, if present — the regression floor for the metrics-enabled
-/// hot path (per-completion sketch/ring records plus one tick per second).
+/// hot path (per-completion sketch records plus one tick per second).
 fn committed_metrics_events_per_sec() -> Option<f64> {
     let json = std::fs::read_to_string(BENCH_JSON_PATH).ok()?;
     let section = &json[json.find("\"metrics\"")?..];
@@ -165,8 +165,8 @@ fn main() {
     }
 
     // --- Metrics overhead: the streaming plane must observe, not tax ---
-    // Per completion the plane records into the run sketch, the tick-window
-    // sketch and the ring; per simulated second one MetricsTick freezes a
+    // Per completion the plane records into the run sketch and the
+    // tick-window sketch; per simulated second one MetricsTick freezes a
     // snapshot. Everything else about the run must be untouched — each tick
     // is itself one engine event, so the event count grows by exactly one
     // per snapshot and nothing else moves.

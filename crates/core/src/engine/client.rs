@@ -622,7 +622,7 @@ impl Engine {
         self.completed += 1;
         let latency = self.terminal(i, TerminalClass::Completed);
         self.latency.record(latency);
-        self.planes.on_complete(self.now, latency);
+        self.planes.on_complete(latency);
         let stats = self.class_stats.entry(self.slab[i].class).or_default();
         stats.completed += 1;
         stats.latency_sum_us += u128::from(latency.as_micros());

@@ -201,10 +201,6 @@ impl Event {
     }
 }
 
-/// Cap on events applied per same-timestamp batch drain in [`Engine::run`]
-/// (bounds the reusable batch buffer; order is unaffected).
-const EVENT_BATCH: usize = 64;
-
 /// The simulation engine for one run.
 #[derive(Debug)]
 pub struct Engine {
@@ -410,23 +406,13 @@ impl Engine {
         self.schedule_arrivals();
         self.planes.arm(&mut self.queue);
         let end = SimTime::ZERO + self.horizon;
-        let mut batch = Vec::with_capacity(EVENT_BATCH);
-        while let Some((t, ev)) = self.queue.pop_run(&mut batch, EVENT_BATCH) {
+        while let Some((t, ev)) = self.queue.pop() {
             if t > end {
                 break;
             }
             self.now = t;
             self.events_handled += 1;
             self.handle(ev);
-            if !batch.is_empty() {
-                // Anything the first handler scheduled at `t` carries a
-                // later seq than the drained run, so applying the batch
-                // before re-polling the queue is exactly the serial order.
-                for ev in batch.drain(..) {
-                    self.events_handled += 1;
-                    self.handle(ev);
-                }
-            }
         }
     }
 
@@ -458,7 +444,7 @@ impl Engine {
 
     /// Schedules `ev` at `now + after` unless that lands past the horizon.
     /// An event the run would never handle must not be queued: the metrics
-    /// plane reports `queue.scheduled_total()` as `events_scheduled`.
+    /// plane reports `queue.len()` as the calendar occupancy.
     fn push_within_horizon(&mut self, after: SimDuration, ev: Event) {
         let at = self.now + after;
         if at <= SimTime::ZERO + self.horizon {

@@ -178,12 +178,12 @@ impl Planes {
     }
 
     /// A request completed with end-to-end `latency`.
-    pub(super) fn on_complete(&mut self, now: SimTime, latency: SimDuration) {
+    pub(super) fn on_complete(&mut self, latency: SimDuration) {
         if let Some(cr) = self.control.as_mut() {
             cr.window.record(latency);
         }
         if let Some(reg) = self.metrics.as_mut() {
-            reg.record_latency(now, latency);
+            reg.record_latency(latency);
         }
     }
 
@@ -261,7 +261,7 @@ impl Engine {
         let sample = MetricsSample {
             now: self.now,
             events_handled: self.events_handled,
-            events_scheduled: self.queue.scheduled_total(),
+            calendar_occupancy: self.queue.len() as u64,
             slab_live,
             slab_slots,
             injected: self.injected,

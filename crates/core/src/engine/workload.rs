@@ -207,7 +207,9 @@ impl Engine {
             return;
         };
         // The first instant may be t = 0; every later one is pulled while
-        // the previous instant drains and must lie strictly after it.
+        // the previous instant drains and must lie strictly after it, so
+        // these `push_first` entries never land on an instant that has
+        // already started to drain.
         debug_assert!(self.events_handled == 0 || t > self.now);
         while let Some((at, req)) = next {
             if at > t {

@@ -10,31 +10,21 @@
 use ntier_des::time::{SimDuration, SimTime};
 
 /// A retransmission schedule: how long to wait before attempt `n + 1`.
+/// Retry `i` (0-based) waits `delays[i]`; past the table's end the sender
+/// gives up, so an empty table gives up on the first drop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetransmitPolicy {
     delays: Vec<SimDuration>,
 }
 
 impl RetransmitPolicy {
-    /// Builds a policy from an explicit delay table; attempt `i` (0-based
-    /// retry index) waits `delays[i]`. After the table is exhausted the
-    /// sender gives up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delays` is empty.
-    fn from_delays(delays: Vec<SimDuration>) -> Self {
-        assert!(
-            !delays.is_empty(),
-            "a retransmit policy needs at least one delay"
-        );
-        RetransmitPolicy { delays }
-    }
-
     /// The schedule observed by the paper: a retry every 3 s, up to
     /// `retries` attempts (clusters at 3/6/9 s need `retries >= 3`).
+    /// `retries = 0` means no retransmit: the first drop fails the request.
     pub fn rhel6_syn(retries: usize) -> Self {
-        RetransmitPolicy::from_delays(vec![SimDuration::from_secs(3); retries.max(1)])
+        RetransmitPolicy {
+            delays: vec![SimDuration::from_secs(3); retries],
+        }
     }
 
     /// The ceiling applied by [`RetransmitPolicy::exponential`]: Linux's
@@ -44,7 +34,8 @@ impl RetransmitPolicy {
     /// Exponential backoff: `initial, 2*initial, 4*initial, ...` for
     /// `retries` attempts (modern kernel behaviour; ablation only), clamped
     /// at `RetransmitPolicy::DEFAULT_MAX_DELAY` (120 s) like a real kernel's
-    /// `TCP_RTO_MAX`.
+    /// `TCP_RTO_MAX`. `retries = 0` means no retransmit, as for
+    /// [`RetransmitPolicy::rhel6_syn`].
     pub fn exponential(initial: SimDuration, retries: usize) -> Self {
         RetransmitPolicy::exponential_capped(initial, retries, Self::DEFAULT_MAX_DELAY)
     }
@@ -62,13 +53,13 @@ impl RetransmitPolicy {
             max_delay >= initial,
             "max_delay {max_delay} is below the initial delay {initial}"
         );
-        let mut delays = Vec::with_capacity(retries.max(1));
+        let mut delays = Vec::with_capacity(retries);
         let mut d = initial;
-        for _ in 0..retries.max(1) {
+        for _ in 0..retries {
             delays.push(d);
             d = SimDuration::from_micros(d.as_micros().saturating_mul(2)).min(max_delay);
         }
-        RetransmitPolicy::from_delays(delays)
+        RetransmitPolicy { delays }
     }
 
     /// The delay before retry `attempt` (0-based), or `None` when the retry
@@ -155,6 +146,19 @@ mod tests {
             RetryDecision::GiveUp => unreachable!(),
         }
         assert_eq!(state.attempts(), 1);
+    }
+
+    #[test]
+    fn zero_retries_give_up_on_the_first_drop() {
+        for policy in [
+            RetransmitPolicy::rhel6_syn(0),
+            RetransmitPolicy::exponential(SimDuration::from_secs(1), 0),
+        ] {
+            assert_eq!(policy.max_retries(), 0);
+            let mut state = RetransmitState::new();
+            assert_eq!(state.on_drop(&policy, SimTime::ZERO), RetryDecision::GiveUp);
+            assert_eq!(state.attempts(), 0);
+        }
     }
 
     #[test]

@@ -221,9 +221,9 @@ pub struct RunReport {
     /// The control plane's decision log, when the run had a controller
     /// (`None` for uncontrolled runs).
     pub control: Option<ControlLog>,
-    /// The streaming metrics registry — periodic snapshots, the run-level
-    /// quantile sketch and the bounded-memory ring series — when the run
-    /// had the metrics plane enabled (`None` for unmetered runs).
+    /// The streaming metrics registry — periodic snapshots and the
+    /// run-level quantile sketch — when the run had the metrics plane
+    /// enabled (`None` for unmetered runs).
     pub metrics: Option<MetricsRegistry>,
     /// A fault that truncated the arrival stream: a streaming source's
     /// report (e.g. a trace parse error), a non-monotone arrival time, or

@@ -83,7 +83,6 @@ const ORDINARY: u64 = 1 << 63;
 ///
 /// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
 /// assert_eq!(order, vec!['a', 'b', 'c', 'd']);
-/// assert_eq!(q.scheduled_total(), 4);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
@@ -105,7 +104,8 @@ pub struct EventQueue<E> {
     /// Index of the bucket `active` was promoted from.
     cursor: usize,
     len: usize,
-    /// Pushes so far through [`Self::push`] and [`Self::push_first`].
+    /// Pushes so far through [`Self::push`] and [`Self::push_first`]:
+    /// the sequence numbers that order entries sharing a time.
     next_seq: u64,
     next_first: u64,
 }
@@ -201,9 +201,7 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at `time` ahead of every [`Self::push`] entry for
     /// that time, whenever either was pushed; `push_first` entries keep
-    /// their own FIFO order. `time` must not be the instant a
-    /// [`Self::pop_run`] batch is being drained at: that batch has already
-    /// left the queue, so the entry would fire after it.
+    /// their own FIFO order.
     pub fn push_first(&mut self, time: SimTime, event: E) {
         let seq = self.next_first;
         self.next_first += 1;
@@ -253,38 +251,18 @@ impl<E> EventQueue<E> {
         };
     }
 
-    /// Removes and returns the earliest event, if any.
+    /// Removes and returns the earliest event, if any. Once the active
+    /// bucket is filled this is a `Vec::pop` off its back.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_run(&mut Vec::new(), 1)
-    }
-
-    /// Drains the maximal run of front events sharing the earliest pending
-    /// timestamp (capped at `max`): the earliest event is returned
-    /// directly with its timestamp, and the *rest* of the run is appended
-    /// to `batch`. The run never re-touches the wheel: it comes off the
-    /// active bucket in O(1) per event. Events the caller schedules while
-    /// applying the batch take later sequence numbers, so they sort after
-    /// the whole run — batch application preserves the serial pop order
-    /// bit-for-bit. That holds for [`Self::push_first`] only while it
-    /// targets a later instant than the run being drained.
-    pub fn pop_run(&mut self, batch: &mut Vec<E>, max: usize) -> Option<(SimTime, E)> {
         if self.len == 0 {
             return None;
         }
         if self.active.is_empty() {
             self.refill_active();
         }
-        let first = self.active.pop().expect("len > 0 guarantees a refill");
+        let e = self.active.pop().expect("len > 0 guarantees a refill");
         self.len -= 1;
-        let t = first.time;
-        // Runs of one — the common case — never touch `batch`: they cost
-        // exactly one extra back-of-bucket compare over `pop`.
-        while batch.len() + 1 < max && self.active.last().is_some_and(|e| e.time == t) {
-            let e = self.active.pop().expect("peeked");
-            self.len -= 1;
-            batch.push(e.event);
-        }
-        Some((t, first.event))
+        Some((e.time, e.event))
     }
 
     /// Promotes the next non-empty bucket (or overflow epoch) into `active`.
@@ -396,11 +374,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq + self.next_first
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -451,15 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn counts_total_scheduled() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, ());
-        q.push(SimTime::ZERO, ());
-        q.pop();
-        assert_eq!(q.scheduled_total(), 2);
-    }
-
-    #[test]
     fn past_pushes_fire_before_pending_future_events() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(10), "first");
@@ -484,30 +448,6 @@ mod tests {
         }
         assert_eq!(got, vec![0, 3, 9, 27, 3_000]);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_run_drains_equal_timestamps_in_order() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_millis(3);
-        for i in 0..10 {
-            q.push(t, i);
-        }
-        q.push(SimTime::from_millis(4), 99);
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_run(&mut batch, 8), Some((t, 0)));
-        assert_eq!(batch, vec![1, 2, 3, 4, 5, 6, 7]);
-        batch.clear();
-        assert_eq!(q.pop_run(&mut batch, 8), Some((t, 8)));
-        assert_eq!(batch, vec![9]);
-        batch.clear();
-        assert_eq!(
-            q.pop_run(&mut batch, 8),
-            Some((SimTime::from_millis(4), 99))
-        );
-        assert!(batch.is_empty());
-        assert!(q.is_empty());
-        assert_eq!(q.pop_run(&mut batch, 8), None);
     }
 
     #[test]
@@ -683,29 +623,6 @@ mod tests {
                     break;
                 }
             }
-        }
-
-        /// `pop_run` batches are just pops: draining via runs yields the
-        /// heap reference sequence too.
-        #[test]
-        fn pop_run_matches_heap_reference(
-            times in proptest::collection::vec((0u64..5_000, any::<bool>()), 1..300),
-            cap in 1usize..16,
-        ) {
-            let mut cal = EventQueue::new();
-            let mut heap = HeapQueue::new();
-            for (i, &(t, first)) in times.iter().enumerate() {
-                push(&mut cal, SimTime::from_micros(t), first, i);
-                heap.push(SimTime::from_micros(t), first, i);
-            }
-            let mut batch = Vec::new();
-            while let Some((t, first)) = cal.pop_run(&mut batch, cap) {
-                prop_assert_eq!(heap.pop(), Some((t, first)));
-                for e in batch.drain(..) {
-                    prop_assert_eq!(heap.pop(), Some((t, e)));
-                }
-            }
-            prop_assert_eq!(heap.pop(), None);
         }
     }
 }

@@ -15,8 +15,6 @@
 //! * [`sketch::QuantileSketch`] — a deterministic, mergeable log-linear
 //!   quantile sketch: the streaming/hot-path alternative to full
 //!   histograms, with a documented relative-error bound;
-//! * [`ring::RingSeries`] — bounded-memory windowed series via tiered
-//!   downsampling (recent 50 ms windows, older collapsed 10:1);
 //! * [`metrics`] — the streaming metrics plane: periodic
 //!   [`metrics::MetricsSnapshot`]s rendered as JSONL/CSV;
 //! * [`stats`] — summary statistics (means, percentiles);
@@ -28,14 +26,12 @@
 pub mod histogram;
 pub mod metrics;
 pub mod render;
-pub mod ring;
 pub mod series;
 pub mod sketch;
 pub mod stats;
 
 pub use histogram::LatencyHistogram;
 pub use metrics::{MetricsConfig, MetricsRegistry, MetricsSample, MetricsSnapshot};
-pub use ring::RingSeries;
 pub use series::{CounterSeries, PeakSeries, UtilizationSeries};
 pub use sketch::QuantileSketch;
 

@@ -1,14 +1,16 @@
-//! The streaming metrics plane: periodic engine snapshots with bounded
-//! memory, rendered as JSONL or CSV.
+//! The streaming metrics plane: periodic engine snapshots, rendered as
+//! JSONL or CSV.
 //!
 //! The final run report tells you what happened after the run; the
 //! paper's method needs to see queue depth, drops and latency
 //! quantiles *while* the run executes — millibottlenecks are invisible at
 //! end-of-run aggregation. A [`MetricsRegistry`] accumulates completion
-//! latencies into a run-wide [`QuantileSketch`], a per-interval recent
-//! window sketch, and a bounded [`RingSeries`]; on every `MetricsTick`
-//! engine event the engine hands it a [`MetricsSample`] of raw gauges and
-//! the registry freezes a [`MetricsSnapshot`].
+//! latencies into a run-wide [`QuantileSketch`] and a per-interval recent
+//! window sketch; on every `MetricsTick` engine event the engine hands it
+//! a [`MetricsSample`] of raw gauges and the registry freezes a
+//! [`MetricsSnapshot`]. The sketches are fixed-size, but the registry keeps
+//! every snapshot, so its memory grows by one snapshot per tick (one per
+//! second of simulated time at the paper's cadence).
 //!
 //! Everything in a snapshot is an integer (utilization in ppm), so the
 //! JSONL/CSV bytes are identical across platforms and runner thread
@@ -16,7 +18,6 @@
 
 use ntier_des::time::{SimDuration, SimTime};
 
-use crate::ring::RingSeries;
 use crate::sketch::QuantileSketch;
 
 /// Configuration for the streaming metrics plane. Disabled by default —
@@ -71,10 +72,9 @@ pub struct MetricsSample {
     pub now: SimTime,
     /// Events handled so far (engine self-metric).
     pub events_handled: u64,
-    /// Events ever scheduled; `scheduled - handled` is the calendar
-    /// occupancy, stable under the hot path's equal-time batch pre-pops
-    /// where a raw queue length is not.
-    pub events_scheduled: u64,
+    /// Events pending on the calendar queue (the tick itself already
+    /// popped).
+    pub calendar_occupancy: u64,
     /// Live entries in the request slab.
     pub slab_live: u64,
     /// Total slots the request slab has grown to.
@@ -108,7 +108,7 @@ pub struct MetricsSnapshot {
     /// Events handled since the previous snapshot (divide by the interval
     /// for simulated events/s).
     pub events_delta: u64,
-    /// Scheduled-but-unhandled events (calendar occupancy).
+    /// Events pending on the calendar queue at the tick.
     pub calendar_occupancy: u64,
     /// Live request-slab entries.
     pub slab_live: u64,
@@ -233,8 +233,8 @@ impl MetricsSnapshot {
 }
 
 /// The streaming accumulator the engine feeds: completion latencies in,
-/// periodic snapshots out, memory O(retained windows) regardless of
-/// horizon.
+/// periodic snapshots out. Its sketches are fixed-size; the snapshot list
+/// grows by one per tick, so its memory is O(horizon / interval).
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     interval: SimDuration,
@@ -242,8 +242,6 @@ pub struct MetricsRegistry {
     sketch: QuantileSketch,
     /// Latencies since the last snapshot; cleared per tick.
     window: QuantileSketch,
-    /// Bounded per-window latency series (values in microseconds).
-    ring: RingSeries,
     snapshots: Vec<MetricsSnapshot>,
     prev_events: u64,
     prev_completed: u64,
@@ -256,7 +254,6 @@ impl MetricsRegistry {
             interval: cfg.interval,
             sketch: QuantileSketch::new(),
             window: QuantileSketch::new(),
-            ring: RingSeries::paper_default(),
             snapshots: Vec::new(),
             prev_events: 0,
             prev_completed: 0,
@@ -268,11 +265,10 @@ impl MetricsRegistry {
         self.interval
     }
 
-    /// Records one completion latency observed at time `t`.
-    pub fn record_latency(&mut self, t: SimTime, latency: SimDuration) {
+    /// Records one completion latency.
+    pub fn record_latency(&mut self, latency: SimDuration) {
         self.sketch.record(latency);
         self.window.record(latency);
-        self.ring.add(t, latency.as_micros() as f64);
     }
 
     /// Freezes one snapshot from the engine's raw `sample`, returning a
@@ -284,7 +280,7 @@ impl MetricsRegistry {
             t_us: sample.now.as_micros(),
             events_handled: sample.events_handled,
             events_delta: sample.events_handled - self.prev_events,
-            calendar_occupancy: sample.events_scheduled - sample.events_handled,
+            calendar_occupancy: sample.calendar_occupancy,
             slab_live: sample.slab_live,
             slab_slots: sample.slab_slots,
             injected: sample.injected,
@@ -319,11 +315,6 @@ impl MetricsRegistry {
         &self.sketch
     }
 
-    /// The bounded per-window latency series.
-    pub fn ring(&self) -> &RingSeries {
-        &self.ring
-    }
-
     /// The whole snapshot stream as JSONL (one line per snapshot).
     pub fn jsonl(&self) -> String {
         let mut s = String::new();
@@ -354,7 +345,7 @@ mod tests {
         MetricsSample {
             now: SimTime::from_secs(secs),
             events_handled: events,
-            events_scheduled: events + 5,
+            calendar_occupancy: 5,
             slab_live: 3,
             slab_slots: 16,
             injected: completed + 3,
@@ -374,8 +365,8 @@ mod tests {
     #[test]
     fn tick_computes_deltas_and_quantiles() {
         let mut reg = MetricsRegistry::new(&MetricsConfig::paper_default());
-        reg.record_latency(SimTime::from_millis(100), SimDuration::from_millis(2));
-        reg.record_latency(SimTime::from_millis(200), SimDuration::from_millis(2));
+        reg.record_latency(SimDuration::from_millis(2));
+        reg.record_latency(SimDuration::from_millis(2));
         let s1 = reg.tick(sample_at(1, 100, 2)).clone();
         assert_eq!(s1.events_delta, 100);
         assert_eq!(s1.completed_delta, 2);
@@ -395,7 +386,7 @@ mod tests {
     #[test]
     fn jsonl_is_stable_and_greppable() {
         let mut reg = MetricsRegistry::new(&MetricsConfig::paper_default());
-        reg.record_latency(SimTime::from_millis(10), SimDuration::from_millis(3));
+        reg.record_latency(SimDuration::from_millis(3));
         reg.tick(sample_at(1, 10, 1));
         let line = reg.jsonl();
         assert!(line.starts_with("{\"t_us\":1000000,"), "line: {line}");
@@ -404,7 +395,7 @@ mod tests {
         assert!(line.ends_with("}\n"));
         // identical inputs render identical bytes
         let mut reg2 = MetricsRegistry::new(&MetricsConfig::paper_default());
-        reg2.record_latency(SimTime::from_millis(10), SimDuration::from_millis(3));
+        reg2.record_latency(SimDuration::from_millis(3));
         reg2.tick(sample_at(1, 10, 1));
         assert_eq!(line, reg2.jsonl());
     }

@@ -17,9 +17,8 @@ use ntier_des::time::{SimDuration, SimTime};
 
 /// Horizon past which the `paper_default_for` constructors stop
 /// preallocating: 10 minutes of simulated time. Longer runs grow one
-/// horizon-cap-sized chunk at a time (and long-horizon telemetry should
-/// stream through [`crate::RingSeries`] instead) — O(horizon)
-/// preallocation is exactly what capped runs at Fig.-1 scale.
+/// horizon-cap-sized chunk at a time — O(horizon) preallocation is exactly
+/// what capped runs at Fig.-1 scale.
 pub const PREALLOC_HORIZON_CAP: SimDuration = SimDuration::from_secs(600);
 
 /// One `u32` per window, from time zero through the last touched window:
@@ -541,7 +540,6 @@ impl UtilizationSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::WindowAgg;
     use proptest::prelude::*;
 
     fn ms(v: u64) -> SimTime {
@@ -770,23 +768,38 @@ mod tests {
         let _ = UtilizationSeries::paper_default(100_000);
     }
 
-    /// The f64 `sum`/`count`/`max`/`last` aggregate the integer series
-    /// replaced, fed the same samples.
-    fn reference(samples: &[(u64, u32)]) -> Vec<WindowAgg> {
+    /// One window of the f64 aggregate the integer series replaced: the
+    /// sum counters read and the maximum gauges read (0 when empty).
+    #[derive(Debug, Clone, Copy, Default)]
+    struct RefWindow {
+        sum: f64,
+        max: f64,
+    }
+
+    impl RefWindow {
+        fn absorb(&mut self, w: &RefWindow) {
+            self.sum += w.sum;
+            self.max = self.max.max(w.max);
+        }
+    }
+
+    /// The f64 reference, fed the same samples as the integer series.
+    fn reference(samples: &[(u64, u32)]) -> Vec<RefWindow> {
         let mut windows = Vec::new();
         for &(t, v) in samples {
             let idx = ms(t).window_index(SimDuration::from_millis(50)) as usize;
             if idx >= windows.len() {
-                windows.resize(idx + 1, WindowAgg::default());
+                windows.resize(idx + 1, RefWindow::default());
             }
-            windows[idx].absorb(&WindowAgg::sample(f64::from(v)));
+            let v = f64::from(v);
+            windows[idx].absorb(&RefWindow { sum: v, max: v });
         }
         windows
     }
 
-    fn absorb_reference(into: &mut Vec<WindowAgg>, other: &[WindowAgg]) {
+    fn absorb_reference(into: &mut Vec<RefWindow>, other: &[RefWindow]) {
         if other.len() > into.len() {
-            into.resize(other.len(), WindowAgg::default());
+            into.resize(other.len(), RefWindow::default());
         }
         for (w, o) in into.iter_mut().zip(other) {
             w.absorb(o);
@@ -841,10 +854,10 @@ mod tests {
                 }
                 (c, p)
             };
-            let sums = |r: &[WindowAgg]| r.iter().map(|w| w.sum).collect::<Vec<_>>();
-            let maxima = |r: &[WindowAgg]| r.iter().map(|w| w.max).collect::<Vec<_>>();
+            let sums = |r: &[RefWindow]| r.iter().map(|w| w.sum).collect::<Vec<_>>();
+            let maxima = |r: &[RefWindow]| r.iter().map(|w| w.max).collect::<Vec<_>>();
             // Every reader of a counter, including past its last window.
-            let check = |c: &CounterSeries, r: &[WindowAgg]| {
+            let check = |c: &CounterSeries, r: &[RefWindow]| {
                 prop_assert_eq!(c.sums(), sums(r));
                 prop_assert_eq!(c.len(), r.len());
                 prop_assert_eq!(c.total() as f64, r.iter().map(|w| w.sum).sum::<f64>());

@@ -1,17 +1,13 @@
 //! Streaming observability smoke: an hour of simulated bursty traffic with
 //! the metrics plane on, snapshots streamed to `metrics.jsonl`, and the
-//! bounded-memory/accuracy contracts checked at the end.
+//! snapshot-count and accuracy contracts checked at the end.
 //!
-//! The run demonstrates the three tentpole pieces working together:
+//! The run demonstrates the two pieces working together:
 //!
 //! * the engine's `MetricsTick` freezes one [`MetricsSnapshot`] per
 //!   simulated second and streams it as a JSONL line through the sink —
 //!   3 600 lines for the hour, written as the run progresses, not at the
 //!   end;
-//! * the per-window latency series is a [`RingSeries`], so its retained
-//!   window count stays under the fixed retention cap no matter how long
-//!   the run — an hour is 72 000 fine windows, of which only a bounded
-//!   suffix survives at full 50 ms resolution;
 //! * the run-wide [`QuantileSketch`] must agree with the full
 //!   [`LatencyHistogram`] reference within the combined error bound
 //!   (histogram bucket width + sketch relative error) at p50/p99/p999.
@@ -19,7 +15,6 @@
 //! Run with: `cargo run --release --example metrics_stream [seed] [outdir]`
 //!
 //! [`MetricsSnapshot`]: ntier_telemetry::MetricsSnapshot
-//! [`RingSeries`]: ntier_telemetry::RingSeries
 //! [`QuantileSketch`]: ntier_telemetry::QuantileSketch
 //! [`LatencyHistogram`]: ntier_telemetry::LatencyHistogram
 
@@ -89,27 +84,6 @@ fn main() {
         reg.snapshots().len()
     );
 
-    // Bounded memory: the ring retains at most its fixed cap of windows,
-    // however many 50 ms windows the hour produced.
-    let ring = reg.ring();
-    println!(
-        "ring: {} windows retained (cap {}), {} samples folded in",
-        ring.retained_windows(),
-        ring.retention_cap(),
-        ring.total_count()
-    );
-    assert!(
-        ring.retained_windows() <= ring.retention_cap(),
-        "ring memory must stay bounded: {} > {}",
-        ring.retained_windows(),
-        ring.retention_cap()
-    );
-    assert_eq!(
-        ring.total_count(),
-        report.completed,
-        "every completion folds into exactly one ring window"
-    );
-
     // Accuracy: sketch quantiles vs the full-histogram reference. The
     // histogram resolves to 50 ms bucket upper edges, the sketch to
     // 1/256 relative error, so the two may differ by at most one bucket
@@ -131,5 +105,5 @@ fn main() {
             "q{q}: sketch {s} vs histogram {h} exceeds tolerance {tolerance}"
         );
     }
-    println!("ok: bounded memory + quantile agreement within error bound");
+    println!("ok: snapshot stream + quantile agreement within error bound");
 }

@@ -108,6 +108,14 @@ fn latency_tail_follows_the_retransmission_schedule() {
     );
     // what VLRT remains sits at 1+2=3 s (double drops), never at 6 s
     assert!(!exp.has_mode_near(6), "{:?}", exp.latency_modes());
+
+    // No retransmit at all: every drop fails its request at once, so the
+    // 3 s tail vanishes entirely.
+    let none = run(system(700, 150, 128), RetransmitPolicy::rhel6_syn(0));
+    assert!(none.drops_total > 0, "{}", none.summary());
+    assert_eq!(none.failed, none.drops_total, "{}", none.summary());
+    assert_eq!(none.vlrt_total, 0, "{}", none.summary());
+    assert!(none.is_conserved(), "{}", none.summary());
 }
 
 #[test]

@@ -147,11 +147,6 @@ fn metrics_plane_never_perturbs_golden_presets() {
             observed.completed,
             "{name}: every completion feeds the run-wide sketch"
         );
-        assert_eq!(
-            reg.ring().total_count(),
-            observed.completed,
-            "{name}: every completion folds into the ring"
-        );
     }
 }
 
