@@ -141,9 +141,7 @@ fn main() {
     // instrumentation creep shows up as a bench failure, not a silent tax.
     let (traced_wall, traced_report) = best_of(fig1_reps, || {
         let mut spec = exp::fig1(7_000, fig1_horizon, 1);
-        spec.system = spec
-            .system
-            .with_trace(TraceConfig::sampled(0.01).with_ring_capacity(32_768));
+        spec.system = spec.system.with_trace(TraceConfig::sampled(0.01));
         spec
     });
     assert_eq!(

@@ -13,7 +13,7 @@
 //! [`detect`] recovers the episodes from a [`RunReport`]: contiguous windows
 //! of drops at one tier, classified against the location of the stall.
 
-use ntier_des::time::{SimDuration, SimTime};
+use ntier_des::time::{SimDuration, SimTime, MONITOR_WINDOW};
 
 use crate::config::SystemConfig;
 use crate::report::RunReport;
@@ -70,8 +70,7 @@ pub fn detect(
     merge_gap: SimDuration,
 ) -> Vec<CtqoEpisode> {
     let stall_tier = system.stalled_tier();
-    let window = SimDuration::from_millis(ntier_telemetry::MONITOR_WINDOW_MS);
-    let gap_windows = (merge_gap.as_micros() / window.as_micros()).max(1);
+    let gap_windows = (merge_gap.as_micros() / MONITOR_WINDOW.as_micros()).max(1);
     let mut episodes = Vec::new();
     for (tier_idx, tier) in report.tiers.iter().enumerate() {
         let mut current: Option<CtqoEpisode> = None;
@@ -81,7 +80,7 @@ pub fn detect(
                 empty_run = 0;
                 match &mut current {
                     Some(ep) => {
-                        ep.end = t + window;
+                        ep.end = t + MONITOR_WINDOW;
                         ep.drops += u64::from(n);
                     }
                     None => {
@@ -89,7 +88,7 @@ pub fn detect(
                             drop_tier: tier_idx,
                             stall_tier,
                             start: t,
-                            end: t + window,
+                            end: t + MONITOR_WINDOW,
                             drops: u64::from(n),
                             class: classify(tier_idx, stall_tier),
                         });
@@ -271,19 +270,18 @@ fn detect_millibottlenecks(
     min_duration: SimDuration,
     max_duration: SimDuration,
 ) -> Vec<Millibottleneck> {
-    let window = SimDuration::from_millis(ntier_telemetry::MONITOR_WINDOW_MS);
     let mut out = Vec::new();
     for (tier_idx, tier) in report.tiers.iter().enumerate() {
         let combined = tier.combined_util(report.horizon);
         let mut run_start: Option<usize> = None;
         let mut run_sum = 0.0;
         let flush = |out: &mut Vec<Millibottleneck>, start: usize, end: usize, sum: f64| {
-            let dur = window * (end - start) as u64;
+            let dur = MONITOR_WINDOW * (end - start) as u64;
             if dur >= min_duration && dur <= max_duration {
                 out.push(Millibottleneck {
                     tier: tier_idx,
-                    start: SimTime::from_micros(start as u64 * window.as_micros()),
-                    end: SimTime::from_micros(end as u64 * window.as_micros()),
+                    start: SimTime::from_micros(start as u64 * MONITOR_WINDOW.as_micros()),
+                    end: SimTime::from_micros(end as u64 * MONITOR_WINDOW.as_micros()),
                     mean_util: sum / (end - start) as f64,
                 });
             }
@@ -333,12 +331,11 @@ pub fn mean_util_at_granularity(
     tier: usize,
     granularity: SimDuration,
 ) -> Vec<f64> {
-    let window = SimDuration::from_millis(ntier_telemetry::MONITOR_WINDOW_MS);
     assert!(
-        granularity >= window,
+        granularity >= MONITOR_WINDOW,
         "granularity must be at least the base window"
     );
-    let per = (granularity.as_micros() / window.as_micros()) as usize;
+    let per = (granularity.as_micros() / MONITOR_WINDOW.as_micros()) as usize;
     let combined = report.tiers[tier].combined_util(report.horizon);
     combined
         .chunks(per)
@@ -376,7 +373,6 @@ pub fn causal_chains(
 ) -> Vec<CausalChain> {
     let bottlenecks = detect_millibottlenecks_default(report);
     let episodes = detect(report, system, SimDuration::from_millis(500));
-    let window = SimDuration::from_millis(ntier_telemetry::MONITOR_WINDOW_MS);
     bottlenecks
         .into_iter()
         .map(|b| {
@@ -387,8 +383,8 @@ pub fn causal_chains(
                 .filter(|e| e.start >= lo && e.start <= hi)
                 .cloned()
                 .collect();
-            let w_lo = lo.window_index(window) as usize;
-            let w_hi = hi.window_index(window) as usize;
+            let w_lo = lo.window_index(MONITOR_WINDOW) as usize;
+            let w_hi = hi.window_index(MONITOR_WINDOW) as usize;
             let saturated_queues = report
                 .tiers
                 .iter()

@@ -296,7 +296,7 @@ pub struct SystemConfig {
     /// fork consumption — so their event streams stay bit-identical.
     pub health: Option<crate::resilience::HealthPolicy>,
     /// Streaming metrics plane (periodic [`MetricsSnapshot`] emission plus
-    /// run-wide latency sketch and bounded ring series); `None` by default.
+    /// a run-wide latency sketch); `None` by default.
     /// Unmetered runs take exactly the pre-metrics code paths — no
     /// `MetricsTick` events — so their event streams stay bit-identical,
     /// and the tick itself only *reads* engine state, so enabling it never
@@ -337,18 +337,11 @@ impl SystemConfig {
         self
     }
 
-    /// Installs a fault-injection plan.
+    /// Installs a fault-injection plan. [`Engine::try_new`] rejects a
+    /// fault that targets a tier or replica outside the system.
     ///
-    /// # Panics
-    ///
-    /// Panics if any fault targets a tier outside the chain.
+    /// [`Engine::try_new`]: crate::engine::Engine::try_new
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        if let Some(max) = faults.max_tier() {
-            assert!(
-                max < self.tiers.len(),
-                "fault targets tier {max} outside the chain"
-            );
-        }
         self.faults = faults;
         self
     }
@@ -367,46 +360,21 @@ impl SystemConfig {
     }
 
     /// Installs a closed-loop control plane (see [`crate::control`]).
+    /// [`Engine::try_new`] rejects an autoscaler, AIMD tuner or governor
+    /// that targets a tier outside the system.
     ///
-    /// # Panics
-    ///
-    /// Panics if the autoscaler, AIMD tuner, or governor targets a tier
-    /// outside the chain.
+    /// [`Engine::try_new`]: crate::engine::Engine::try_new
     pub fn with_control(mut self, control: crate::control::ControlConfig) -> Self {
-        let n = self.tiers.len();
-        if let Some(a) = &control.autoscaler {
-            assert!(a.tier < n, "autoscaler targets tier {} of {n}", a.tier);
-        }
-        if let Some(t) = &control.tuner {
-            if let Some(a) = &t.aimd {
-                assert!(a.tier < n, "AIMD tuner targets tier {} of {n}", a.tier);
-            }
-        }
-        if let Some(g) = &control.governor {
-            assert!(
-                g.brake_tier < n,
-                "governor brakes tier {} of {n}",
-                g.brake_tier
-            );
-        }
         self.control = Some(control);
         self
     }
 
     /// Installs gray-failure detection on the policy's tier (see
-    /// [`crate::resilience`]).
+    /// [`crate::resilience`]). [`Engine::try_new`] rejects an invalid
+    /// policy or one that targets a tier outside the system.
     ///
-    /// # Panics
-    ///
-    /// Panics if the policy is invalid or targets a tier outside the chain.
+    /// [`Engine::try_new`]: crate::engine::Engine::try_new
     pub fn with_health(mut self, health: crate::resilience::HealthPolicy) -> Self {
-        health.validate();
-        let n = self.tiers.len();
-        assert!(
-            health.tier < n,
-            "health detector targets tier {} of {n}",
-            health.tier
-        );
         self.health = Some(health);
         self
     }

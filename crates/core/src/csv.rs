@@ -191,7 +191,7 @@ pub fn csv_bundle(report: &RunReport) -> Vec<(String, String)> {
 
     if let Some(log) = &report.trace {
         let tier_data = report.trace_tier_data();
-        let analysis = ntier_trace::RootCause::default().analyze(log, &tier_data);
+        let analysis = ntier_trace::RootCause.analyze(log, &tier_data);
         files.push(("trace_events.csv".to_string(), ntier_trace::events_csv(log)));
         files.push((
             "trace_chains.csv".to_string(),
@@ -308,7 +308,7 @@ fn window_series_csv(
         let _ = writeln!(
             out,
             "{},{},{},{},{:.4},{:.4}",
-            w as u64 * ntier_telemetry::MONITOR_WINDOW_MS,
+            w as u64 * ntier_des::time::MONITOR_WINDOW.as_millis(),
             queue_depth.peak(w),
             dropped,
             late,

@@ -626,7 +626,7 @@ impl Engine {
         let stats = self.class_stats.entry(self.slab[i].class).or_default();
         stats.completed += 1;
         stats.latency_sum_us += u128::from(latency.as_micros());
-        if latency >= SimDuration::from_millis(ntier_telemetry::VLRT_THRESHOLD_MS) {
+        if latency >= ntier_des::time::VLRT_THRESHOLD {
             stats.vlrt += 1;
             self.vlrt_total += 1;
             self.vlrt_by_completion.add(self.now, 1);

@@ -283,7 +283,10 @@ impl Engine {
     /// Config-structure violations panic with their message: whatever
     /// [`crate::TopologyBuilder`]'s `build` rejects as a [`crate::TopologyError`]
     /// (hand-assembled configs skip that check), a shape that does not
-    /// cover the tiers, and fault targets outside the system.
+    /// cover the tiers, fault, health and control targets outside the
+    /// system, and an invalid [`crate::resilience::HealthPolicy`]. These are
+    /// the only checks of those fields: the `SystemConfig` builders store
+    /// what they are given.
     pub fn try_new(
         cfg: SystemConfig,
         workload: Workload,
@@ -308,11 +311,9 @@ impl Engine {
         if let Err(e) = crate::topology::validate(&cfg.tiers, &cfg.shape) {
             panic!("{e}");
         }
+        let n = cfg.tiers.len();
         if let Some(max) = cfg.faults.max_tier() {
-            assert!(
-                max < cfg.tiers.len(),
-                "fault targets tier {max} outside the chain"
-            );
+            assert!(max < n, "fault targets tier {max} outside the chain");
         }
         for f in cfg.faults.faults() {
             if let Some(r) = f.replica() {
@@ -322,6 +323,21 @@ impl Engine {
                     r < n,
                     "gray fault targets replica {r} of tier {t}, which has {n} replicas"
                 );
+            }
+        }
+        if let Some(h) = &cfg.health {
+            assert!(h.tier < n, "health detector targets tier {} of {n}", h.tier);
+        }
+        if let Some(c) = &cfg.control {
+            if let Some(a) = &c.autoscaler {
+                assert!(a.tier < n, "autoscaler targets tier {} of {n}", a.tier);
+            }
+            if let Some(a) = c.tuner.as_ref().and_then(|t| t.aimd.as_ref()) {
+                assert!(a.tier < n, "AIMD tuner targets tier {} of {n}", a.tier);
+            }
+            if let Some(g) = &c.governor {
+                let t = g.brake_tier;
+                assert!(t < n, "governor brakes tier {t} of {n}");
             }
         }
         let root = SimRng::seed_from(seed);
@@ -383,11 +399,10 @@ impl Engine {
 
     /// Runs the simulation to the horizon and returns the report.
     ///
-    /// The loop drains events in *runs* sharing one timestamp: the batch
-    /// comes off the calendar's active ring in O(1) per event without
-    /// re-touching the wheel, and events the handlers schedule take later
-    /// sequence numbers, so batch application reproduces the one-pop-at-a-
-    /// time order bit-for-bit.
+    /// The loop pops one event at a time in (timestamp, sequence) order and
+    /// hands it to its handler; events a handler schedules for the same
+    /// instant take later sequence numbers, so they run after every event
+    /// already queued there.
     pub fn run(mut self) -> RunReport {
         self.drive();
         self.into_report()

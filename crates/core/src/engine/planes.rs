@@ -4,7 +4,7 @@
 //! pick, reply, drop and completion hot paths through `Planes` methods.
 
 use crate::control::{Action, ControlLog, Controller, Directive, Observation, ReplicaObs, TierObs};
-use crate::resilience::{HealthDetector, HealthVerdict};
+use crate::resilience::{HealthDetector, HealthPolicy, HealthVerdict};
 use ntier_des::prelude::*;
 use ntier_telemetry::metrics::{MetricsSample, ReplicaSample, TierSample};
 use ntier_telemetry::{MetricsRegistry, QuantileSketch};
@@ -55,11 +55,9 @@ struct HealthRuntime {
     /// a probation replica exists, so detection on a healthy run draws
     /// nothing.
     rng: SimRng,
-    /// Copied out of the policy so the pick hot path reads them without
+    /// Copied out of the policy so the pick hot path reads it without
     /// reaching through the detector.
     tier: usize,
-    tick: SimDuration,
-    probe: f64,
     log: ControlLog,
 }
 
@@ -108,18 +106,10 @@ impl Planes {
             })
         });
         let health = cfg.health.clone().map(|h| {
-            assert!(
-                h.tier < tiers.len(),
-                "health detector targets tier {} of {}",
-                h.tier,
-                tiers.len()
-            );
             let replicas = tiers[h.tier].replicas.len();
             Box::new(HealthRuntime {
                 rng: root.fork("health"),
                 tier: h.tier,
-                tick: h.tick,
-                probe: h.probe_fraction,
                 log: ControlLog::default(),
                 det: HealthDetector::new(h, replicas),
             })
@@ -138,8 +128,8 @@ impl Planes {
         if let Some(cr) = &self.control {
             queue.push(SimTime::ZERO + cr.tick, Event::ControllerTick);
         }
-        if let Some(hr) = &self.health {
-            queue.push(SimTime::ZERO + hr.tick, Event::HealthTick);
+        if self.health.is_some() {
+            queue.push(SimTime::ZERO + HealthPolicy::TICK, Event::HealthTick);
         }
         if let Some(m) = &self.metrics {
             queue.push(SimTime::ZERO + m.interval(), Event::MetricsTick);
@@ -147,14 +137,16 @@ impl Planes {
     }
 
     /// The health detector's trickle probe at `tier`: a probation replica
-    /// receives `probe_fraction` of fresh picks, so reinstatement evidence
-    /// can accrue without re-exposing real traffic to a still-sick
-    /// instance. The draw comes from the dedicated "health" fork and only
+    /// receives [`HealthPolicy::PROBE_FRACTION`] of fresh picks, so
+    /// reinstatement evidence can accrue without re-exposing real traffic
+    /// to a still-sick instance. The draw comes from the dedicated "health" fork and only
     /// happens while somebody is on probation.
     pub(super) fn probe(&mut self, tier: usize) -> Option<u8> {
         let hr = self.health.as_mut().filter(|hr| hr.tier == tier)?;
         let p = hr.det.probe_candidate()?;
-        hr.rng.chance(hr.probe).then_some(p as u8)
+        hr.rng
+            .chance(HealthPolicy::PROBE_FRACTION)
+            .then_some(p as u8)
     }
 
     /// A visit admitted at `arrived_at` finished at replica `rep` of
@@ -448,7 +440,6 @@ impl Engine {
                 }
             }
         }
-        let tick = hr.tick;
-        self.push_within_horizon(tick, Event::HealthTick);
+        self.push_within_horizon(HealthPolicy::TICK, Event::HealthTick);
     }
 }

@@ -31,7 +31,6 @@ impl Engine {
             self.free_logicals,
             self.parked,
         ));
-        let window = SimDuration::from_millis(ntier_telemetry::MONITOR_WINDOW_MS);
         let control = self.planes.take_log();
         // Harvest breaker transition counts into the per-hop counters, then
         // aggregate the whole-run view.
@@ -69,9 +68,7 @@ impl Engine {
                             drops: rep.drops,
                             vlrt: rep.vlrt,
                             util: rep.util,
-                            interferer_util: tc
-                                .stalls_for(r)
-                                .interferer_utilization(window, horizon),
+                            interferer_util: tc.stalls_for(r).interferer_utilization(horizon),
                             drops_total: rep.drops_total,
                             peak_queue: rep.peak_queue,
                         }

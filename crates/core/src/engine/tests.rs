@@ -644,6 +644,25 @@ fn fault_on_missing_tier_rejected() {
 }
 
 #[test]
+#[should_panic(expected = "autoscaler targets tier 5 of 3")]
+fn hand_assembled_control_config_is_checked() {
+    use crate::control::{AutoscalerConfig, ControlConfig};
+    let mut sys = tiny_sync_system();
+    let autoscaler = AutoscalerConfig {
+        tier: 5,
+        min_replicas: 1,
+        max_replicas: 2,
+        up_depth: 4.0,
+        down_depth: 1.0,
+        provisioning_lag: SimDuration::from_millis(200),
+        cooldown: SimDuration::from_millis(500),
+    };
+    sys.control =
+        Some(ControlConfig::every(SimDuration::from_millis(100)).with_autoscaler(autoscaler));
+    let _ = Engine::new(sys, open_workload(vec![]), SimDuration::from_secs(1), 1);
+}
+
+#[test]
 fn mix_workload_rejects_non_three_tier_system() {
     let sys = || Topology::chain(vec![TierSpec::sync("A", 2, 2), TierSpec::sync("B", 2, 2)]);
     let closed = Workload::closed(ClosedLoopSpec::rubbos(10), RequestMix::view_story());

@@ -259,9 +259,10 @@ impl Engine {
     /// policy.
     fn pick_replica(&mut self, tier: usize) -> u8 {
         if self.tiers[tier].replicas.len() > 1 {
-            // Trickle probes: a probation replica receives `probe_fraction`
-            // of fresh picks so reinstatement evidence can accrue without
-            // re-exposing real traffic to a still-sick instance.
+            // Trickle probes: a probation replica receives
+            // `HealthPolicy::PROBE_FRACTION` of fresh picks so reinstatement
+            // evidence can accrue without re-exposing real traffic to a
+            // still-sick instance.
             if let Some(p) = self.planes.probe(tier) {
                 return p;
             }

@@ -105,9 +105,7 @@ pub fn trace_vlrt(seed: u64) -> ExperimentSpec {
     let horizon = SimDuration::from_secs(60);
     let mut spec = fig1(4_000, horizon, seed);
     spec.name = "trace-vlrt";
-    spec.system = spec
-        .system
-        .with_trace(TraceConfig::sampled(0.01).with_ring_capacity(32_768));
+    spec.system = spec.system.with_trace(TraceConfig::sampled(0.01));
     spec
 }
 
@@ -737,7 +735,7 @@ pub fn replication_ladder(replicas: usize, balancer: Balancer, seed: u64) -> Exp
         .with_replica_stalls(0, fig1_stall_train(horizon, seed));
     ExperimentSpec {
         name: "replication-ladder",
-        system: system.with_trace(TraceConfig::sampled(0.01).with_ring_capacity(32_768)),
+        system: system.with_trace(TraceConfig::sampled(0.01)),
         workload: rubbos_workload(4_000),
         horizon,
         seed,
@@ -846,8 +844,7 @@ pub fn control_frontier(variant: ControlVariant, seed: u64) -> ExperimentSpec {
         .balancer(Balancer::RoundRobin)
         .with_replica_stalls(0, stall);
     let db = TierSpec::sync("Db", 64, 64);
-    let system = Topology::three_tier(web, app, db)
-        .with_trace(TraceConfig::sampled(0.01).with_ring_capacity(32_768));
+    let system = Topology::three_tier(web, app, db).with_trace(TraceConfig::sampled(0.01));
     let system = match variant {
         ControlVariant::Uncontrolled => system,
         ControlVariant::Damped => system.with_control(
@@ -1026,8 +1023,7 @@ pub fn detection_frontier(variant: DetectionVariant, seed: u64) -> ExperimentSpe
         .balancer(Balancer::RoundRobin);
     let db = TierSpec::sync("Db", 64, 64);
     let horizon = SimDuration::from_secs(25);
-    let system = Topology::three_tier(web, app, db)
-        .with_trace(TraceConfig::sampled(0.01).with_ring_capacity(32_768));
+    let system = Topology::three_tier(web, app, db).with_trace(TraceConfig::sampled(0.01));
     let system = match variant {
         DetectionVariant::Undetected | DetectionVariant::Tuned => {
             // App#0 turns gray at t=2 s: ramp to 10× service time over

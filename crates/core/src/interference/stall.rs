@@ -1,6 +1,6 @@
 //! Explicit stall schedules — the common interchange format.
 
-use ntier_des::time::{SimDuration, SimTime};
+use ntier_des::time::{SimDuration, SimTime, MONITOR_WINDOW};
 
 /// A list of CPU stall intervals, the common currency between interference
 /// generators and the server model's `StallTimeline`.
@@ -77,22 +77,18 @@ impl StallSchedule {
         self.intervals.is_empty()
     }
 
-    /// The per-window CPU utilization an observer would attribute to the
-    /// *interfering* work (100 % during stalls) — the pink/black hog lines in
-    /// Figs. 3(a), 7(a), 8(a).
+    /// The per-[`MONITOR_WINDOW`] CPU utilization an observer would
+    /// attribute to the *interfering* work (100 % during stalls) — the
+    /// pink/black hog lines in Figs. 3(a), 7(a), 8(a).
     ///
     /// A non-empty schedule yields one value per window of `horizon` (at
     /// least one); an empty schedule yields no windows at all, since every
     /// one of them would read 0.
-    pub(crate) fn interferer_utilization(
-        &self,
-        window: SimDuration,
-        horizon: SimDuration,
-    ) -> Vec<f64> {
-        assert!(!window.is_zero(), "window must be non-zero");
+    pub(crate) fn interferer_utilization(&self, horizon: SimDuration) -> Vec<f64> {
         if self.is_empty() {
             return Vec::new();
         }
+        let window = MONITOR_WINDOW;
         let n = (horizon.as_micros() / window.as_micros()) as usize;
         // Busy µs per window, summed straight into the output vector: every
         // partial sum is an integer below 2^53, so the f64 sums are exact and
@@ -169,8 +165,7 @@ mod tests {
     fn interferer_utilization_is_one_during_stall() {
         let sch =
             StallSchedule::at_marks([SimTime::from_millis(100)], SimDuration::from_millis(100));
-        let util =
-            sch.interferer_utilization(SimDuration::from_millis(50), SimDuration::from_millis(300));
+        let util = sch.interferer_utilization(SimDuration::from_millis(300));
         assert_eq!(util.len(), 6);
         assert_eq!(util[0], 0.0);
         assert_eq!(util[2], 1.0);
@@ -180,8 +175,7 @@ mod tests {
 
     #[test]
     fn empty_schedule_yields_no_windows() {
-        let util = StallSchedule::none()
-            .interferer_utilization(SimDuration::from_millis(50), SimDuration::from_secs(60));
+        let util = StallSchedule::none().interferer_utilization(SimDuration::from_secs(60));
         assert!(util.is_empty());
         assert_eq!(util.capacity(), 0);
     }
@@ -207,7 +201,7 @@ mod tests {
                 SimDuration::from_millis(100),
             );
             let horizon = SimDuration::from_secs(20);
-            let util = sch.interferer_utilization(SimDuration::from_millis(50), horizon);
+            let util = sch.interferer_utilization(horizon);
             prop_assert_eq!(util.len(), 400);
             let total: f64 = util.iter().map(|u| u * 0.05).sum();
             prop_assert!((total - sch.total_stall().as_secs_f64()).abs() < 1e-9);

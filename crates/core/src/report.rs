@@ -3,7 +3,7 @@
 use crate::control::ControlLog;
 use crate::resilience::ResilienceStats;
 use ntier_des::ids::{ReplicaId, TierId};
-use ntier_des::time::SimDuration;
+use ntier_des::time::{SimDuration, MONITOR_WINDOW};
 use ntier_telemetry::histogram::Mode;
 use ntier_telemetry::{
     CounterSeries, LatencyHistogram, MetricsRegistry, PeakSeries, UtilizationSeries,
@@ -87,8 +87,7 @@ pub struct TierReport {
 /// stops at its last touched window and a stall-free interferer series
 /// holds none.
 pub(crate) fn horizon_windows(horizon: SimDuration) -> usize {
-    let window = SimDuration::from_millis(ntier_telemetry::MONITOR_WINDOW_MS);
-    (horizon.as_micros() / window.as_micros()).max(1) as usize
+    (horizon.as_micros() / MONITOR_WINDOW.as_micros()).max(1) as usize
 }
 
 impl TierReport {

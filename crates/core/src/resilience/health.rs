@@ -15,7 +15,7 @@
 //!   Healthy ────────────────────────────────────────────────────▶ Ejected
 //!      ▲                                                            │
 //!      │ probe replies pull score under                             │ after
-//!      │ eject_score × reinstate_hysteresis                         │ probation_after
+//!      │ eject_score × REINSTATE_HYSTERESIS                         │ probation_after
 //!      │                                                            ▼
 //!      └──────────────────────────────────────────────────────── Probation
 //!                   (probes still sick ⇒ back to Ejected)
@@ -32,14 +32,16 @@
 //!   its healthy peers (leave-one-out, spread floored at a quarter of the
 //!   threshold), so a tier-wide slowdown (everyone slow ⇒ z ≈ 0) ejects
 //!   nobody;
-//! * **max-ejected-fraction guard** — at most `max_ejected_fraction` of the
+//! * **max-ejected-fraction guard** — at most
+//!   [`MAX_EJECTED_FRACTION`](HealthPolicy::MAX_EJECTED_FRACTION) of the
 //!   replica set may be out (ejected or on probation) at once, and at least
 //!   one healthy replica always remains;
 //! * **one ejection per tick** — scores are recomputed between ejections, so
 //!   a single burst cannot cascade into mass ejection within one window;
 //! * **hysteresis** — reinstatement requires the score to fall well *below*
-//!   the ejection threshold (`reinstate_hysteresis < 1`), so a replica
-//!   hovering at the threshold does not flap.
+//!   the ejection threshold
+//!   ([`REINSTATE_HYSTERESIS`](HealthPolicy::REINSTATE_HYSTERESIS) `< 1`), so
+//!   a replica hovering at the threshold does not flap.
 
 use ntier_des::time::{SimDuration, SimTime};
 use ntier_telemetry::stats::{mean, normal_tail, stddev, Ewma};
@@ -47,20 +49,14 @@ use ntier_telemetry::stats::{mean, normal_tail, stddev, Ewma};
 /// Configuration for gray-failure detection on one replicated tier.
 ///
 /// Construct with [`HealthPolicy::monitor`] and override fields as needed;
-/// hosts call `HealthPolicy::validate` before wiring it in.
+/// the engine validates it when it is built. The tuning no run varies is
+/// fixed by the associated constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthPolicy {
     /// The monitored tier index.
     pub tier: usize,
-    /// Scoring cadence: verdicts are computed every `tick`.
-    pub tick: SimDuration,
-    /// EWMA smoothing factor for the latency and error signals, in `(0, 1]`.
-    pub alpha: f64,
     /// Reply latency at which the latency term of the score saturates at 1.
     pub lat_ref: SimDuration,
-    /// Phi-accrual suspicion level at which the phi term saturates at 1
-    /// (phi 8 ≈ the observed gap is a 1-in-10^8 event).
-    pub phi_ref: f64,
     /// Combined-score ejection threshold (each of the three terms is in
     /// `[0, 1]`, so the score lives in `[0, 3]`).
     pub eject_score: f64,
@@ -68,42 +64,43 @@ pub struct HealthPolicy {
     /// 2-replica set caps the population z at exactly 1.0, so keep this
     /// at or below 1 when sets are small.
     pub eject_z: f64,
-    /// Upper bound on the fraction of the replica set that may be ejected
-    /// or on probation at once, in `(0, 1)`.
-    pub max_ejected_fraction: f64,
     /// How long an ejected replica sits out before probation begins.
     pub probation_after: SimDuration,
-    /// Fraction of picks the host should trickle to a probation replica.
-    pub probe_fraction: f64,
-    /// Reinstate when the score drops to `eject_score × reinstate_hysteresis`
-    /// or below; must be in `(0, 1)`.
-    pub reinstate_hysteresis: f64,
-    /// Probe outcomes (replies or drops) required before a probation verdict.
-    pub min_probes: u32,
     /// Replies a replica must have produced before it can be ejected —
     /// protects cold replicas whose statistics are still noise.
     pub warmup_replies: u64,
 }
 
 impl HealthPolicy {
+    /// Scoring cadence: verdicts are computed every `TICK`.
+    pub const TICK: SimDuration = SimDuration::from_millis(100);
+    /// EWMA smoothing factor for the latency and error signals.
+    pub const ALPHA: f64 = 0.3;
+    /// Phi-accrual suspicion level at which the phi term saturates at 1
+    /// (phi 8 ≈ the observed gap is a 1-in-10^8 event).
+    pub const PHI_REF: f64 = 8.0;
+    /// Upper bound on the fraction of the replica set that may be ejected
+    /// or on probation at once.
+    pub const MAX_EJECTED_FRACTION: f64 = 0.5;
+    /// Fraction of picks the host trickles to a probation replica.
+    pub const PROBE_FRACTION: f64 = 0.05;
+    /// Reinstate when the score drops to `eject_score ×
+    /// REINSTATE_HYSTERESIS` or below.
+    pub const REINSTATE_HYSTERESIS: f64 = 0.5;
+    /// Probe outcomes (replies or drops) required before a probation verdict.
+    pub const MIN_PROBES: u32 = 3;
+
     /// A detector for `tier` with defaults tuned for the Fig.-1-style
-    /// plants in `ntier_core::experiment`: 100 ms scoring cadence, 1 s
-    /// latency reference, threshold 1.0 with 0.8-sigma peer agreement,
-    /// at most half the set out, 2 s probation with a 5 % probe trickle.
+    /// plants in `ntier_core::experiment`: 1 s latency reference, threshold
+    /// 1.0 with 0.8-sigma peer agreement, 2 s probation and an 8-reply
+    /// warmup, scored every [`TICK`](Self::TICK).
     pub fn monitor(tier: usize) -> Self {
         HealthPolicy {
             tier,
-            tick: SimDuration::from_millis(100),
-            alpha: 0.3,
             lat_ref: SimDuration::from_secs(1),
-            phi_ref: 8.0,
             eject_score: 1.0,
             eject_z: 0.8,
-            max_ejected_fraction: 0.5,
             probation_after: SimDuration::from_secs(2),
-            probe_fraction: 0.05,
-            reinstate_hysteresis: 0.5,
-            min_probes: 3,
             warmup_replies: 8,
         }
     }
@@ -126,30 +123,11 @@ impl HealthPolicy {
     ///
     /// Panics with a description of the first invalid field.
     pub(crate) fn validate(&self) {
-        assert!(!self.tick.is_zero(), "health tick must be non-zero");
-        assert!(
-            self.alpha > 0.0 && self.alpha <= 1.0,
-            "health EWMA alpha must be in (0, 1]"
-        );
         assert!(
             !self.lat_ref.is_zero(),
             "health latency reference must be non-zero"
         );
-        assert!(self.phi_ref > 0.0, "phi reference must be positive");
         assert!(self.eject_score > 0.0, "ejection score must be positive");
-        assert!(
-            self.max_ejected_fraction > 0.0 && self.max_ejected_fraction < 1.0,
-            "max ejected fraction must be in (0, 1)"
-        );
-        assert!(
-            self.probe_fraction > 0.0 && self.probe_fraction <= 1.0,
-            "probe fraction must be in (0, 1]"
-        );
-        assert!(
-            self.reinstate_hysteresis > 0.0 && self.reinstate_hysteresis < 1.0,
-            "reinstate hysteresis must be in (0, 1)"
-        );
-        assert!(self.min_probes > 0, "probation needs at least one probe");
     }
 }
 
@@ -199,7 +177,8 @@ struct ReplicaSignals {
 }
 
 impl ReplicaSignals {
-    fn new(alpha: f64) -> Self {
+    fn new() -> Self {
+        let alpha = HealthPolicy::ALPHA;
         ReplicaSignals {
             lat_ms: Ewma::new(alpha),
             err: Ewma::new(alpha),
@@ -236,9 +215,7 @@ impl HealthDetector {
         policy.validate();
         assert!(replicas > 0, "a monitored tier needs at least one replica");
         HealthDetector {
-            signals: (0..replicas)
-                .map(|_| ReplicaSignals::new(policy.alpha))
-                .collect(),
+            signals: (0..replicas).map(|_| ReplicaSignals::new()).collect(),
             phases: vec![Phase::Healthy; replicas],
             policy,
         }
@@ -247,7 +224,7 @@ impl HealthDetector {
     /// Registers a replica added at runtime (autoscaling); it starts
     /// healthy with cold statistics, protected by the warmup guard.
     pub(crate) fn on_replica_added(&mut self) {
-        self.signals.push(ReplicaSignals::new(self.policy.alpha));
+        self.signals.push(ReplicaSignals::new());
         self.phases.push(Phase::Healthy);
     }
 
@@ -326,7 +303,7 @@ impl HealthDetector {
         let lat_ref = self.policy.lat_ref.as_micros() as f64 / 1_000.0;
         let lat_term = (s.lat_ms.value_or(0.0) / lat_ref).min(1.0);
         let err_term = s.err.value_or(0.0);
-        let phi_term = (self.phi(replica, now) / self.policy.phi_ref).min(1.0);
+        let phi_term = (self.phi(replica, now) / HealthPolicy::PHI_REF).min(1.0);
         lat_term + err_term + phi_term
     }
 
@@ -353,9 +330,9 @@ impl HealthDetector {
                 Phase::Ejected { since } if now - since >= self.policy.probation_after => {
                     self.phases[i] = Phase::Probation { probes: 0 };
                 }
-                Phase::Probation { probes } if probes >= self.policy.min_probes => {
+                Phase::Probation { probes } if probes >= HealthPolicy::MIN_PROBES => {
                     let score = self.score(i, now);
-                    if score <= self.policy.eject_score * self.policy.reinstate_hysteresis {
+                    if score <= self.policy.eject_score * HealthPolicy::REINSTATE_HYSTERESIS {
                         self.phases[i] = Phase::Healthy;
                         verdicts.push(HealthVerdict::Reinstate { replica: i, score });
                     } else if score >= self.policy.eject_score {
@@ -386,7 +363,7 @@ impl HealthDetector {
             .filter(|&i| active[i] && self.phases[i] != Phase::Healthy)
             .count();
         let fraction_ok =
-            (out + 1) as f64 <= self.policy.max_ejected_fraction * active_count as f64;
+            (out + 1) as f64 <= HealthPolicy::MAX_EJECTED_FRACTION * active_count as f64;
         if !fraction_ok {
             return verdicts;
         }
@@ -638,10 +615,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "max ejected fraction must be in (0, 1)")]
+    #[should_panic(expected = "ejection score must be positive")]
     fn invalid_policy_is_rejected() {
         let mut p = HealthPolicy::monitor(0);
-        p.max_ejected_fraction = 1.5;
+        p.eject_score = 0.0;
         let _ = HealthDetector::new(p, 2);
     }
 }

@@ -135,28 +135,24 @@ impl TokenBucket {
     }
 }
 
-/// Circuit-breaker configuration.
+/// Circuit-breaker configuration. A half-open breaker admits one probe at a
+/// time and closes on the first successful one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerConfig {
     /// Consecutive failures that trip the breaker open.
     pub failure_threshold: u32,
     /// How long the breaker stays open before probing.
     pub open_for: SimDuration,
-    /// Successful probes required in half-open to close again.
-    pub success_threshold: u32,
-    /// Concurrent probes admitted while half-open.
-    pub half_open_probes: u32,
 }
 
 impl BreakerConfig {
-    /// Trip after `failure_threshold` failures, hold open for `open_for`,
-    /// close after 1 successful probe (1 probe at a time).
+    /// Trip after `failure_threshold` failures (at least 1) and hold open
+    /// for `open_for`; half-open, one probe at a time, and the first
+    /// successful probe closes it.
     pub fn new(failure_threshold: u32, open_for: SimDuration) -> Self {
         BreakerConfig {
             failure_threshold: failure_threshold.max(1),
             open_for,
-            success_threshold: 1,
-            half_open_probes: 1,
         }
     }
 }
@@ -168,20 +164,20 @@ pub(crate) enum BreakerState {
     Closed,
     /// Requests fail fast until the open window elapses.
     Open,
-    /// A limited number of probes test the downstream.
+    /// One probe at a time tests the downstream.
     HalfOpen,
 }
 
 /// Runtime circuit breaker: closed → open on consecutive failures, open →
-/// half-open after `open_for`, half-open → closed on enough successful
-/// probes (or back to open on any failure).
+/// half-open after `open_for`, half-open → closed on a successful probe
+/// (or back to open on a failed one).
 #[derive(Debug, Clone)]
 pub(crate) struct CircuitBreaker {
     cfg: BreakerConfig,
     state: BreakerState,
     consecutive_failures: u32,
-    half_open_successes: u32,
-    probes_in_flight: u32,
+    /// A half-open probe is out and its outcome not yet reported.
+    probe_in_flight: bool,
     opened_at: SimTime,
     transitions: u64,
 }
@@ -193,8 +189,7 @@ impl CircuitBreaker {
             cfg,
             state: BreakerState::Closed,
             consecutive_failures: 0,
-            half_open_successes: 0,
-            probes_in_flight: 0,
+            probe_in_flight: false,
             opened_at: SimTime::ZERO,
             transitions: 0,
         }
@@ -204,25 +199,24 @@ impl CircuitBreaker {
     pub(crate) fn state(&mut self, now: SimTime) -> BreakerState {
         if self.state == BreakerState::Open && now >= self.opened_at + self.cfg.open_for {
             self.transition(BreakerState::HalfOpen);
-            self.half_open_successes = 0;
-            self.probes_in_flight = 0;
+            self.probe_in_flight = false;
         }
         self.state
     }
 
     /// Whether a request may be sent at `now`. In half-open this *admits a
-    /// probe* (counted against `half_open_probes`); the caller must report
-    /// the probe's outcome via [`Self::on_success`] / [`Self::on_failure`].
+    /// probe* unless one is already out; the caller must report the probe's
+    /// outcome via [`Self::on_success`] / [`Self::on_failure`].
     pub(crate) fn try_acquire(&mut self, now: SimTime) -> bool {
         match self.state(now) {
             BreakerState::Closed => true,
             BreakerState::Open => false,
             BreakerState::HalfOpen => {
-                if self.probes_in_flight < self.cfg.half_open_probes {
-                    self.probes_in_flight += 1;
-                    true
-                } else {
+                if self.probe_in_flight {
                     false
+                } else {
+                    self.probe_in_flight = true;
+                    true
                 }
             }
         }
@@ -233,12 +227,9 @@ impl CircuitBreaker {
         match self.state(now) {
             BreakerState::Closed => self.consecutive_failures = 0,
             BreakerState::HalfOpen => {
-                self.probes_in_flight = self.probes_in_flight.saturating_sub(1);
-                self.half_open_successes += 1;
-                if self.half_open_successes >= self.cfg.success_threshold {
-                    self.transition(BreakerState::Closed);
-                    self.consecutive_failures = 0;
-                }
+                self.probe_in_flight = false;
+                self.transition(BreakerState::Closed);
+                self.consecutive_failures = 0;
             }
             // A success landing while open (a straggler reply) is stale
             // evidence; the open window stands.
@@ -256,7 +247,7 @@ impl CircuitBreaker {
                 }
             }
             BreakerState::HalfOpen => {
-                self.probes_in_flight = self.probes_in_flight.saturating_sub(1);
+                self.probe_in_flight = false;
                 self.open_at(now);
             }
             BreakerState::Open => {}
@@ -390,24 +381,26 @@ pub struct AimdConfig {
     pub min_limit: f64,
     /// Ceiling the limit cannot grow above.
     pub max_limit: f64,
-    /// Latency tolerance: a sample above `tolerance * min_rtt` is treated
-    /// as congestion and triggers multiplicative decrease.
-    pub tolerance: f64,
-    /// Multiplier applied on decrease (`0 < backoff_ratio < 1`).
-    pub backoff_ratio: f64,
-    /// Additive growth per uncongested sample, scaled by `1 / limit` so
-    /// growth slows as the limit rises (matching TCP-style probing).
-    pub increase_by: f64,
 }
 
 impl AimdConfig {
+    /// Latency tolerance: a sample above `TOLERANCE * min_rtt` is treated
+    /// as congestion and triggers multiplicative decrease.
+    pub const TOLERANCE: f64 = 2.0;
+    /// Multiplier applied on decrease.
+    pub const BACKOFF_RATIO: f64 = 0.9;
+    /// Additive growth per uncongested sample, scaled by `1 / limit` so
+    /// growth slows as the limit rises (matching TCP-style probing).
+    pub const INCREASE_BY: f64 = 1.0;
+
     /// A limiter starting at `initial_limit`, bounded to `[min, max]`, with
-    /// Netflix-flavoured defaults: 2.0 tolerance, 0.9 backoff, +1 additive
-    /// step.
+    /// the Netflix-flavoured [`TOLERANCE`](Self::TOLERANCE),
+    /// [`BACKOFF_RATIO`](Self::BACKOFF_RATIO) and
+    /// [`INCREASE_BY`](Self::INCREASE_BY).
     ///
     /// # Panics
     ///
-    /// Panics if the bounds are inconsistent or ratios are out of range.
+    /// Panics if the bounds are inconsistent.
     pub fn new(initial_limit: f64, min_limit: f64, max_limit: f64) -> Self {
         assert!(
             min_limit >= 1.0,
@@ -421,9 +414,6 @@ impl AimdConfig {
             initial_limit,
             min_limit,
             max_limit,
-            tolerance: 2.0,
-            backoff_ratio: 0.9,
-            increase_by: 1.0,
         }
     }
 }
@@ -457,11 +447,12 @@ impl AimdLimiter {
             }
         };
         let congested =
-            rtt.as_micros() as f64 > self.cfg.tolerance * (min_rtt.as_micros() as f64).max(1.0);
+            rtt.as_micros() as f64 > AimdConfig::TOLERANCE * (min_rtt.as_micros() as f64).max(1.0);
         if congested {
-            self.limit = (self.limit * self.cfg.backoff_ratio).max(self.cfg.min_limit);
+            self.limit = (self.limit * AimdConfig::BACKOFF_RATIO).max(self.cfg.min_limit);
         } else {
-            self.limit = (self.limit + self.cfg.increase_by / self.limit).min(self.cfg.max_limit);
+            self.limit =
+                (self.limit + AimdConfig::INCREASE_BY / self.limit).min(self.cfg.max_limit);
         }
     }
 

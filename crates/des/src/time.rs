@@ -37,6 +37,15 @@ pub struct SimTime(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
+/// The paper's monitoring window: every per-window series, the root-cause
+/// lookback and the episode detectors aggregate over 50 ms.
+pub const MONITOR_WINDOW: SimDuration = SimDuration::from_millis(50);
+
+/// The paper's VLRT bound: a response of 3 s or more is a "very long
+/// response time" request. The engine's VLRT count, the tracer's promotion
+/// rule and the root-cause analyzer all read this one value.
+pub const VLRT_THRESHOLD: SimDuration = SimDuration::from_secs(3);
+
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
@@ -81,8 +90,8 @@ impl SimTime {
 
     /// The index of the fixed-size window containing this instant.
     ///
-    /// Telemetry uses 50 ms windows throughout the reproduction, matching the
-    /// paper's monitoring granularity.
+    /// Telemetry uses [`MONITOR_WINDOW`] throughout the reproduction,
+    /// matching the paper's monitoring granularity.
     ///
     /// # Panics
     ///
@@ -298,7 +307,7 @@ mod tests {
 
     #[test]
     fn window_index_uses_50ms_windows() {
-        let w = SimDuration::from_millis(50);
+        let w = MONITOR_WINDOW;
         assert_eq!(SimTime::from_millis(0).window_index(w), 0);
         assert_eq!(SimTime::from_millis(49).window_index(w), 0);
         assert_eq!(SimTime::from_millis(50).window_index(w), 1);

@@ -25,7 +25,6 @@ use ntier_des::time::SimDuration;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
-    bucket_width: SimDuration,
     counts: Vec<u64>,
     overflow: u64,
     total: u64,
@@ -34,18 +33,17 @@ pub struct LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// Creates a histogram with `buckets` buckets of `bucket_width` each;
-    /// samples beyond the last bucket go to an overflow bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` is zero or `buckets` is zero.
-    pub fn new(bucket_width: SimDuration, buckets: usize) -> Self {
-        assert!(!bucket_width.is_zero(), "bucket width must be non-zero");
-        assert!(buckets > 0, "need at least one bucket");
+    /// Width of each bucket: the 50 ms resolution Fig. 1 plots at.
+    pub const BUCKET_WIDTH: SimDuration = SimDuration::from_millis(50);
+
+    /// Regular buckets: 240 × 50 ms covers 0–12 s; samples beyond go to an
+    /// overflow bucket.
+    pub const BUCKETS: usize = 240;
+
+    /// An empty histogram in the configuration used for Fig. 1.
+    pub fn paper_default() -> Self {
         LatencyHistogram {
-            bucket_width,
-            counts: vec![0; buckets],
+            counts: vec![0; Self::BUCKETS],
             overflow: 0,
             total: 0,
             sum_micros: 0,
@@ -53,14 +51,9 @@ impl LatencyHistogram {
         }
     }
 
-    /// The configuration used for Fig. 1: 50 ms buckets covering 0–12 s.
-    pub fn paper_default() -> Self {
-        LatencyHistogram::new(SimDuration::from_millis(50), 240)
-    }
-
     /// Records one latency sample.
     pub fn record(&mut self, latency: SimDuration) {
-        let idx = (latency.as_micros() / self.bucket_width.as_micros()) as usize;
+        let idx = (latency.as_micros() / Self::BUCKET_WIDTH.as_micros()) as usize;
         if idx < self.counts.len() {
             self.counts[idx] += 1;
         } else {
@@ -97,14 +90,9 @@ impl LatencyHistogram {
         }
     }
 
-    /// The bucket width.
-    pub fn bucket_width(&self) -> SimDuration {
-        self.bucket_width
-    }
-
     /// Iterates `(bucket_start, count)` over all regular buckets.
     pub fn iter(&self) -> impl Iterator<Item = (SimDuration, u64)> + '_ {
-        let w = self.bucket_width.as_micros();
+        let w = Self::BUCKET_WIDTH.as_micros();
         self.counts
             .iter()
             .enumerate()
@@ -116,7 +104,7 @@ impl LatencyHistogram {
     pub fn count_above(&self, threshold: SimDuration) -> u64 {
         let first = threshold
             .as_micros()
-            .div_ceil(self.bucket_width.as_micros());
+            .div_ceil(Self::BUCKET_WIDTH.as_micros());
         let in_buckets: u64 = self.counts.iter().skip(first as usize).sum();
         in_buckets + self.overflow
     }
@@ -136,7 +124,7 @@ impl LatencyHistogram {
             seen += c;
             if seen >= target {
                 return Some(SimDuration::from_micros(
-                    (i as u64 + 1) * self.bucket_width.as_micros(),
+                    (i as u64 + 1) * Self::BUCKET_WIDTH.as_micros(),
                 ));
             }
         }
@@ -151,7 +139,7 @@ impl LatencyHistogram {
     /// For a CTQO run this returns clusters near 0 ms, ~3 s, ~6 s, ~9 s; for
     /// a healthy async run it returns the single service-time cluster.
     pub fn modes(&self, min_gap: SimDuration, min_count: u64) -> Vec<Mode> {
-        let gap_buckets = (min_gap.as_micros() / self.bucket_width.as_micros()).max(1) as usize;
+        let gap_buckets = (min_gap.as_micros() / Self::BUCKET_WIDTH.as_micros()).max(1) as usize;
         let mut modes = Vec::new();
         let mut run: Option<RunState> = None;
         let mut empties = 0usize;
@@ -189,7 +177,7 @@ impl LatencyHistogram {
 
     fn mode_from_run(&self, r: RunState) -> Mode {
         Mode {
-            peak: SimDuration::from_micros(r.peak_bucket as u64 * self.bucket_width.as_micros()),
+            peak: SimDuration::from_micros(r.peak_bucket as u64 * Self::BUCKET_WIDTH.as_micros()),
             count: r.total,
         }
     }
@@ -222,25 +210,26 @@ mod tests {
 
     #[test]
     fn records_into_correct_buckets() {
-        let mut h = LatencyHistogram::new(ms(50), 10);
+        let mut h = LatencyHistogram::paper_default();
         h.record(ms(0));
         h.record(ms(49));
         h.record(ms(50));
-        h.record(ms(499));
+        h.record(ms(11_999));
         let counts: Vec<u64> = h.iter().map(|(_, c)| c).collect();
+        assert_eq!(counts.len(), LatencyHistogram::BUCKETS);
         assert_eq!(counts[0], 2);
         assert_eq!(counts[1], 1);
-        assert_eq!(counts[9], 1);
+        assert_eq!(counts[239], 1);
         assert_eq!(h.overflow(), 0);
     }
 
     #[test]
     fn overflow_is_tracked_separately() {
-        let mut h = LatencyHistogram::new(ms(50), 2);
-        h.record(ms(1_000));
+        let mut h = LatencyHistogram::paper_default();
+        h.record(ms(12_000));
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.total(), 1);
-        assert_eq!(h.count_above(ms(100)), 1);
+        assert_eq!(h.count_above(ms(11_950)), 1);
     }
 
     #[test]
@@ -325,7 +314,7 @@ mod tests {
         /// total == sum of buckets + overflow, for arbitrary sample sets.
         #[test]
         fn totals_are_conserved(samples in proptest::collection::vec(0u64..20_000, 0..500)) {
-            let mut h = LatencyHistogram::new(ms(50), 100);
+            let mut h = LatencyHistogram::paper_default();
             for s in &samples {
                 h.record(SimDuration::from_millis(*s));
             }

@@ -5,7 +5,8 @@
 //! resource use is aggregated in 50 ms windows. This crate provides those
 //! instruments for the reproduction:
 //!
-//! * [`series::CounterSeries`] — drops and VLRT counts per 50 ms window,
+//! * [`series::CounterSeries`] — drops and VLRT counts per 50 ms window
+//!   ([`MONITOR_WINDOW`](ntier_des::time::MONITOR_WINDOW)),
 //!   stored sparsely (only the windows that counted);
 //! * [`series::PeakSeries`] — queue-depth peaks, one integer per window;
 //! * [`series::UtilizationSeries`] — busy-time accounting per window
@@ -34,10 +35,3 @@ pub use histogram::LatencyHistogram;
 pub use metrics::{MetricsConfig, MetricsRegistry, MetricsSample, MetricsSnapshot};
 pub use series::{CounterSeries, PeakSeries, UtilizationSeries};
 pub use sketch::QuantileSketch;
-
-/// The paper's monitoring window: 50 ms.
-pub const MONITOR_WINDOW_MS: u64 = 50;
-
-/// The paper's VLRT threshold: requests slower than 3 s are "very long
-/// response time" requests.
-pub const VLRT_THRESHOLD_MS: u64 = 3_000;

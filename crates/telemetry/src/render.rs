@@ -99,7 +99,7 @@ mod tests {
 
     #[test]
     fn semilog_histogram_includes_clusters_and_overflow() {
-        let mut h = LatencyHistogram::new(SimDuration::from_millis(50), 100);
+        let mut h = LatencyHistogram::paper_default();
         for _ in 0..1000 {
             h.record(SimDuration::from_millis(5));
         }

@@ -13,7 +13,7 @@
 //!   window, read back as CPU utilization; replica sets pool busy time and
 //!   cores.
 
-use ntier_des::time::{SimDuration, SimTime};
+use ntier_des::time::{SimDuration, SimTime, MONITOR_WINDOW};
 
 /// Horizon past which the `paper_default_for` constructors stop
 /// preallocating: 10 minutes of simulated time. Longer runs grow one
@@ -21,12 +21,16 @@ use ntier_des::time::{SimDuration, SimTime};
 /// what capped runs at Fig.-1 scale.
 pub const PREALLOC_HORIZON_CAP: SimDuration = SimDuration::from_secs(600);
 
-/// One `u32` per window, from time zero through the last touched window:
-/// the storage behind [`PeakSeries`] and [`UtilizationSeries`]. Untouched
-/// windows read as 0.
+/// Windows in [`PREALLOC_HORIZON_CAP`] plus a spill window for events
+/// landing exactly at the horizon: the most a dense series ever reserves up
+/// front, and its growth step past that.
+const CHUNK: usize = (PREALLOC_HORIZON_CAP.as_micros() / MONITOR_WINDOW.as_micros()) as usize + 2;
+
+/// One `u32` per [`MONITOR_WINDOW`], from time zero through the last
+/// touched window: the storage behind [`PeakSeries`] and
+/// [`UtilizationSeries`]. Untouched windows read as 0.
 #[derive(Debug, Clone)]
 struct Windows {
-    size: SimDuration,
     values: Vec<u32>,
     /// Windows to reserve on the first touch (0 once made): a series that
     /// never records allocates nothing.
@@ -36,36 +40,27 @@ struct Windows {
 /// Equality is by contents: a pending reservation is capacity, not data.
 impl PartialEq for Windows {
     fn eq(&self, other: &Self) -> bool {
-        self.size == other.size && self.values == other.values
+        self.values == other.values
     }
 }
 
 impl Eq for Windows {}
 
 impl Windows {
-    fn new(size: SimDuration) -> Self {
-        assert!(!size.is_zero(), "window must be non-zero");
+    const fn new() -> Self {
         Windows {
-            size,
             values: Vec::new(),
             reserve: 0,
         }
     }
 
-    /// Windows in [`PREALLOC_HORIZON_CAP`] plus a spill window for events
-    /// landing exactly at the horizon: the most ever reserved up front, and
-    /// the growth step past that.
-    fn chunk(&self) -> usize {
-        (PREALLOC_HORIZON_CAP.as_micros() / self.size.as_micros()) as usize + 2
-    }
-
     /// Plans capacity for every window up to `horizon` (plus the spill
-    /// window), capped at one [`chunk`](Self::chunk), and reserved on the
-    /// first touch. Only capacity is reserved: `len()` still reports the
-    /// windows actually touched.
+    /// window), capped at one [`CHUNK`], and reserved on the first touch.
+    /// Only capacity is reserved: `len()` still reports the windows
+    /// actually touched.
     fn reserve_through(&mut self, horizon: SimDuration) {
-        let want = (horizon.as_micros() / self.size.as_micros()) as usize + 2;
-        self.reserve = want.min(self.chunk());
+        let want = (horizon.as_micros() / MONITOR_WINDOW.as_micros()) as usize + 2;
+        self.reserve = want.min(CHUNK);
     }
 
     #[inline]
@@ -74,11 +69,6 @@ impl Windows {
             self.grow_to(idx);
         }
         &mut self.values[idx]
-    }
-
-    #[inline]
-    fn index(&self, t: SimTime) -> usize {
-        t.window_index(self.size) as usize
     }
 
     /// Extends the series through window `idx`, first making the planned
@@ -90,9 +80,8 @@ impl Windows {
         if self.reserve > 0 {
             self.values.reserve_exact(std::mem::take(&mut self.reserve));
         }
-        let chunk = self.chunk();
-        if idx >= self.values.capacity() && idx >= chunk {
-            let target = (idx / chunk + 1) * chunk;
+        if idx >= self.values.capacity() && idx >= CHUNK {
+            let target = (idx / CHUNK + 1) * CHUNK;
             self.values.reserve_exact(target - self.values.len());
         }
         self.values.resize(idx + 1, 0);
@@ -121,7 +110,6 @@ impl Windows {
     /// Folds `other` in window by window with `f`, extending `self` to
     /// cover every window either side touched.
     fn merge(&mut self, other: &Windows, f: impl Fn(u32, u32) -> u32) {
-        assert_same_window(self.size, other.size);
         if other.values.len() > self.values.len() {
             self.grow_to(other.values.len() - 1);
         }
@@ -139,11 +127,7 @@ fn checked_sum(a: u32, b: u32) -> u32 {
     a.checked_add(b).expect("per-window total overflows u32")
 }
 
-fn assert_same_window(a: SimDuration, b: SimDuration) {
-    assert_eq!(a, b, "cannot absorb series with a different window size");
-}
-
-/// Events counted per window (default 50 ms): drops, VLRT requests.
+/// Events counted per [`MONITOR_WINDOW`]: drops, VLRT requests.
 ///
 /// Only windows with a nonzero count are stored, as window-ordered
 /// `(window, count)` pairs; every reader still sees one count per window
@@ -155,7 +139,7 @@ fn assert_same_window(a: SimDuration, b: SimDuration) {
 /// use ntier_des::prelude::*;
 /// use ntier_telemetry::CounterSeries;
 ///
-/// let mut vlrt = CounterSeries::with_window(SimDuration::from_millis(50));
+/// let mut vlrt = CounterSeries::paper_default();
 /// vlrt.add(SimTime::from_millis(120), 1); // one VLRT request in window 2
 /// vlrt.add(SimTime::from_millis(130), 1);
 /// assert_eq!(vlrt.count(2), 2);
@@ -165,7 +149,6 @@ fn assert_same_window(a: SimDuration, b: SimDuration) {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterSeries {
-    size: SimDuration,
     /// Windows from time zero through the last touched window.
     len: usize,
     /// `(window, count)` of every window with a nonzero count, in window
@@ -174,23 +157,12 @@ pub struct CounterSeries {
 }
 
 impl CounterSeries {
-    /// Creates a series with the given window size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn with_window(window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "window must be non-zero");
+    /// Creates an empty series over the paper's 50 ms monitoring window.
+    pub const fn paper_default() -> Self {
         CounterSeries {
-            size: window,
             len: 0,
             nonzero: Vec::new(),
         }
-    }
-
-    /// Creates a series with the paper's 50 ms monitoring window.
-    pub fn paper_default() -> Self {
-        Self::with_window(SimDuration::from_millis(crate::MONITOR_WINDOW_MS))
     }
 
     /// Adds `n` events to the window containing `t`. Adding 0 still
@@ -201,7 +173,7 @@ impl CounterSeries {
     /// Panics if the window's count overflows `u32`, or if its index does.
     #[inline]
     pub fn add(&mut self, t: SimTime, n: u32) {
-        let w = u32::try_from(t.window_index(self.size)).expect("window index overflows u32");
+        let w = u32::try_from(t.window_index(MONITOR_WINDOW)).expect("window index overflows u32");
         self.len = self.len.max(w as usize + 1);
         if n == 0 {
             return;
@@ -247,7 +219,7 @@ impl CounterSeries {
     /// Iterates `(window_start_time, count)` over all windows, from time
     /// zero through the last touched window, zeros included.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, u32)> + '_ {
-        let w = self.size.as_micros();
+        let w = MONITOR_WINDOW.as_micros();
         let mut nonzero = self.nonzero.iter().peekable();
         (0..self.len).map(move |i| {
             let n = nonzero
@@ -275,12 +247,7 @@ impl CounterSeries {
 
     /// Pools `other` into `self` (one replica into a tier-wide view):
     /// counts add window by window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window sizes differ.
     pub fn absorb(&mut self, other: &CounterSeries) {
-        assert_same_window(self.size, other.size);
         self.len = self.len.max(other.len);
         if other.nonzero.is_empty() {
             return;
@@ -299,7 +266,7 @@ impl CounterSeries {
     }
 }
 
-/// The highest gauge reading per window (default 50 ms): queue depth.
+/// The highest gauge reading per [`MONITOR_WINDOW`]: queue depth.
 ///
 /// # Example
 ///
@@ -317,18 +284,9 @@ impl CounterSeries {
 pub struct PeakSeries(Windows);
 
 impl PeakSeries {
-    /// Creates a series with the given window size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    fn with_window(window: SimDuration) -> Self {
-        PeakSeries(Windows::new(window))
-    }
-
-    /// Creates a series with the paper's 50 ms monitoring window.
-    pub fn paper_default() -> Self {
-        Self::with_window(SimDuration::from_millis(crate::MONITOR_WINDOW_MS))
+    /// Creates an empty series over the paper's 50 ms monitoring window.
+    pub const fn paper_default() -> Self {
+        PeakSeries(Windows::new())
     }
 
     /// Like [`PeakSeries::paper_default`], with storage for a run of length
@@ -343,7 +301,7 @@ impl PeakSeries {
     /// Records a gauge reading at `t`; the window keeps its largest.
     #[inline]
     pub fn record(&mut self, t: SimTime, value: u32) {
-        let w = self.0.at(self.0.index(t));
+        let w = self.0.at(t.window_index(MONITOR_WINDOW) as usize);
         *w = (*w).max(value);
     }
 
@@ -381,10 +339,6 @@ impl PeakSeries {
 
     /// Pools `other` into `self` (one replica into a tier-wide view): each
     /// window keeps the larger peak.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window sizes differ.
     pub fn absorb(&mut self, other: &PeakSeries) {
         self.0.merge(&other.0, u32::max);
     }
@@ -401,7 +355,7 @@ impl PeakSeries {
 /// use ntier_des::prelude::*;
 /// use ntier_telemetry::series::UtilizationSeries;
 ///
-/// let mut cpu = UtilizationSeries::with_window(SimDuration::from_millis(50), 1);
+/// let mut cpu = UtilizationSeries::paper_default(1);
 /// // busy from 25 ms to 75 ms: half of window 0 and half of window 1
 /// cpu.record_busy(SimTime::from_millis(25), SimTime::from_millis(75));
 /// assert!((cpu.utilization(0) - 0.5).abs() < 1e-9);
@@ -415,33 +369,31 @@ pub struct UtilizationSeries {
 
 /// Asserts that a fully busy window of `cores` cores fits the `u32`
 /// per-window busy-time counter.
-fn check_capacity(window: SimDuration, cores: u32) {
+fn check_capacity(cores: u32) {
     assert!(
-        window
+        MONITOR_WINDOW
             .as_micros()
             .checked_mul(u64::from(cores))
             .is_some_and(|c| c <= u64::from(u32::MAX)),
-        "window x cores ({window} x {cores}) overflows the u32 busy-time counter"
+        "window x cores ({MONITOR_WINDOW} x {cores}) overflows the u32 busy-time counter"
     );
 }
 
 impl UtilizationSeries {
-    /// Creates a utilization series for `cores` cores with the given window.
+    /// Creates a utilization series for `cores` cores over the paper's
+    /// 50 ms monitoring window.
     ///
     /// # Panics
     ///
-    /// Panics if `window` or `cores` is zero, or if a fully busy window
-    /// (`window` × `cores` microseconds) does not fit in a `u32`.
-    pub fn with_window(window: SimDuration, cores: u32) -> Self {
-        let busy_micros = Windows::new(window);
-        assert!(cores > 0, "cores must be non-zero");
-        check_capacity(window, cores);
-        UtilizationSeries { cores, busy_micros }
-    }
-
-    /// Creates a series with the paper's 50 ms window.
+    /// Panics if `cores` is zero, or if a fully busy window
+    /// ([`MONITOR_WINDOW`] × `cores` microseconds) does not fit in a `u32`.
     pub fn paper_default(cores: u32) -> Self {
-        UtilizationSeries::with_window(SimDuration::from_millis(crate::MONITOR_WINDOW_MS), cores)
+        assert!(cores > 0, "cores must be non-zero");
+        check_capacity(cores);
+        UtilizationSeries {
+            cores,
+            busy_micros: Windows::new(),
+        }
     }
 
     /// Like [`UtilizationSeries::paper_default`], but with busy-time storage
@@ -467,7 +419,7 @@ impl UtilizationSeries {
     /// Panics if `end < start`.
     pub fn record_busy(&mut self, start: SimTime, end: SimTime) {
         assert!(end >= start, "busy interval must be well-ordered");
-        let wsize = self.busy_micros.size.as_micros();
+        let wsize = MONITOR_WINDOW.as_micros();
         let mut cursor = start.as_micros();
         let end_us = end.as_micros();
         while cursor < end_us {
@@ -481,7 +433,7 @@ impl UtilizationSeries {
     }
 
     fn capacity_micros(&self) -> f64 {
-        self.busy_micros.size.as_micros() as f64 * f64::from(self.cores)
+        MONITOR_WINDOW.as_micros() as f64 * f64::from(self.cores)
     }
 
     /// Utilization of window `idx` in `[0, 1]` (0 if never touched).
@@ -513,15 +465,14 @@ impl UtilizationSeries {
 
     /// Pools `other` into `self`: busy time and core counts add, so the
     /// combined series reads as the utilization of the whole replica set
-    /// (total busy over total capacity). Window sizes must match.
+    /// (total busy over total capacity).
     ///
     /// # Panics
     ///
-    /// Panics if the window sizes differ, or if the pooled cores overflow
-    /// the `u32` busy-time counter.
+    /// Panics if the pooled cores overflow the `u32` busy-time counter.
     pub fn absorb(&mut self, other: &UtilizationSeries) {
         let cores = self.cores + other.cores;
-        check_capacity(self.busy_micros.size, cores);
+        check_capacity(cores);
         self.busy_micros.merge(&other.busy_micros, checked_sum);
         self.cores = cores;
     }
@@ -544,10 +495,6 @@ mod tests {
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
-    }
-
-    fn chunk() -> usize {
-        Windows::new(SimDuration::from_millis(crate::MONITOR_WINDOW_MS)).chunk()
     }
 
     #[test]
@@ -584,10 +531,13 @@ mod tests {
 
     #[test]
     fn iter_yields_window_starts() {
-        let mut s = CounterSeries::with_window(SimDuration::from_millis(100));
+        let mut s = CounterSeries::paper_default();
         s.add(ms(150), 1);
         let points: Vec<_> = s.iter().collect();
-        assert_eq!(points, vec![(ms(0), 0), (ms(100), 1)]);
+        assert_eq!(
+            points,
+            vec![(ms(0), 0), (ms(50), 0), (ms(100), 0), (ms(150), 1)]
+        );
     }
 
     #[test]
@@ -610,13 +560,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different window size")]
-    fn absorb_rejects_mismatched_windows() {
-        let mut a = CounterSeries::paper_default();
-        a.absorb(&CounterSeries::with_window(SimDuration::from_millis(10)));
-    }
-
-    #[test]
     fn preallocation_is_capped_past_ten_minutes() {
         let day = SimDuration::from_secs(24 * 3_600);
         let mut p = PeakSeries::paper_default_for(day);
@@ -632,8 +575,8 @@ mod tests {
         u.record_busy(ms(0), ms(1));
         short.record(ms(0), 1);
         c.add(ms(0), 0);
-        assert_eq!(p.0.values.capacity(), chunk());
-        assert_eq!(u.busy_micros.values.capacity(), chunk());
+        assert_eq!(p.0.values.capacity(), CHUNK);
+        assert_eq!(u.busy_micros.values.capacity(), CHUNK);
         // short horizons get their exact reservation
         assert_eq!(short.0.values.capacity(), 402);
         // an add of 0 extends the counter without storing a window
@@ -648,14 +591,14 @@ mod tests {
         let mut s = PeakSeries::paper_default_for(hour);
         for t in (0..3_600_000u64).step_by(50) {
             s.record(ms(t), 1);
-            assert_eq!(s.0.values.capacity() % chunk(), 0, "at {t} ms");
+            assert_eq!(s.0.values.capacity() % CHUNK, 0, "at {t} ms");
         }
         assert_eq!(s.len(), 72_000);
-        assert_eq!(s.0.values.capacity(), 6 * chunk());
+        assert_eq!(s.0.values.capacity(), 6 * CHUNK);
         // Unreserved series double while small, then step by chunks.
         let mut p = PeakSeries::paper_default();
         p.record(ms(50 * 20_000), 1);
-        assert_eq!(p.0.values.capacity(), 2 * chunk());
+        assert_eq!(p.0.values.capacity(), 2 * CHUNK);
         // A counter stores only the windows that counted.
         let mut c = CounterSeries::paper_default();
         c.add(ms(50 * 20_000), 1);
@@ -787,7 +730,7 @@ mod tests {
     fn reference(samples: &[(u64, u32)]) -> Vec<RefWindow> {
         let mut windows = Vec::new();
         for &(t, v) in samples {
-            let idx = ms(t).window_index(SimDuration::from_millis(50)) as usize;
+            let idx = ms(t).window_index(MONITOR_WINDOW) as usize;
             if idx >= windows.len() {
                 windows.resize(idx + 1, RefWindow::default());
             }
@@ -818,7 +761,7 @@ mod tests {
                 expect += len;
             }
             prop_assert_eq!(u.total_busy_micros(), expect);
-            let w = SimDuration::from_millis(crate::MONITOR_WINDOW_MS).as_micros() as f64;
+            let w = MONITOR_WINDOW.as_micros() as f64;
             let got: f64 = u.utilizations().iter().map(|x| x * w).sum();
             prop_assert!((got - expect as f64).abs() < 1e-6);
         }

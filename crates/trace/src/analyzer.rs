@@ -13,7 +13,7 @@
 use crate::event::{TerminalClass, TraceEventKind};
 use crate::tracer::TraceLog;
 use ntier_des::ids::{site_label, ReplicaId, TierId};
-use ntier_des::time::{SimDuration, SimTime};
+use ntier_des::time::{SimDuration, SimTime, MONITOR_WINDOW};
 
 /// Per-tier time series the analyzer joins traces against, indexed by the
 /// same fixed windows the telemetry layer records (50 ms by default).
@@ -259,37 +259,26 @@ impl Analysis {
 }
 
 /// Walks VLRT span trees and attributes each 3 s step to its cause.
-#[derive(Debug, Clone, Copy)]
-pub struct RootCause {
-    /// Monitoring window size the [`TierData`] series were recorded at.
-    pub window: SimDuration,
-    /// Completion latency at or above which a trace counts as VLRT.
-    pub vlrt_threshold: SimDuration,
-    /// How many windows before the drop to search for the culprit
-    /// condition. Millibottlenecks are ~100 ms and queues take a few
-    /// windows to fill, so the default looks back 12 windows (600 ms).
-    pub lookback: u64,
-    /// Interferer utilization at or above which a window counts as a
-    /// millibottleneck.
-    pub interferer_floor: f64,
-    /// Own-work utilization at or above which a window counts as
-    /// saturation.
-    pub saturation_floor: f64,
-}
-
-impl Default for RootCause {
-    fn default() -> Self {
-        RootCause {
-            window: SimDuration::from_millis(50),
-            vlrt_threshold: SimDuration::from_secs(3),
-            lookback: 12,
-            interferer_floor: 0.4,
-            saturation_floor: 0.95,
-        }
-    }
-}
+///
+/// The [`TierData`] series are read as [`MONITOR_WINDOW`] windows, and a
+/// trace is VLRT under [`RequestTrace::is_vlrt`](crate::RequestTrace::is_vlrt).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RootCause;
 
 impl RootCause {
+    /// How many windows before the drop to search for the culprit
+    /// condition. Millibottlenecks are ~100 ms and queues take a few
+    /// windows to fill, so the analyzer looks back 12 windows (600 ms).
+    pub const LOOKBACK: u64 = 12;
+
+    /// Interferer utilization at or above which a window counts as a
+    /// millibottleneck.
+    pub const INTERFERER_FLOOR: f64 = 0.4;
+
+    /// Own-work utilization at or above which a window counts as
+    /// saturation.
+    pub const SATURATION_FLOOR: f64 = 0.95;
+
     /// Analyzes every VLRT trace in the log against the tier series.
     pub fn analyze(&self, log: &TraceLog, tiers: &[TierData]) -> Analysis {
         self.analyze_with_actions(log, tiers, &[])
@@ -297,10 +286,11 @@ impl RootCause {
 
     /// Like [`RootCause::analyze`], but joins a controller decision log:
     /// each causal chain picks up the [`ControlAction`]s that landed inside
-    /// its causal window — from `lookback` windows before its first drop to
-    /// its terminal instant — so narration can state facts like "scale-up
-    /// arrived 400 ms after the millibottleneck". `actions` must be in time
-    /// order (decision logs are appended in actuation order, so they are).
+    /// its causal window — from [`LOOKBACK`](Self::LOOKBACK) windows before
+    /// its first drop to its terminal instant — so narration can state facts
+    /// like "scale-up arrived 400 ms after the millibottleneck". `actions`
+    /// must be in time order (decision logs are appended in actuation
+    /// order, so they are).
     pub fn analyze_with_actions(
         &self,
         log: &TraceLog,
@@ -310,7 +300,7 @@ impl RootCause {
         let mut chains = Vec::new();
         let mut unattributed = Vec::new();
         let mut vlrt_total = 0;
-        for trace in log.traces.iter().filter(|t| t.is_vlrt(self.vlrt_threshold)) {
+        for trace in log.vlrt_traces() {
             vlrt_total += 1;
             let steps = self.steps_for(trace, tiers);
             if steps.is_empty() {
@@ -345,10 +335,10 @@ impl RootCause {
         let Some(first) = steps.first() else {
             return Vec::new();
         };
-        let lo_window = first.window.saturating_sub(self.lookback);
+        let lo_window = first.window.saturating_sub(Self::LOOKBACK);
         actions
             .iter()
-            .filter(|a| a.at.window_index(self.window) >= lo_window && a.at <= terminal_at)
+            .filter(|a| a.at.window_index(MONITOR_WINDOW) >= lo_window && a.at <= terminal_at)
             .cloned()
             .collect()
     }
@@ -371,7 +361,7 @@ impl RootCause {
                 .map(|e| e.at)
                 .find(|&at| at > ev.at)
                 .unwrap_or(trace.terminal_at);
-            let window = ev.at.window_index(self.window);
+            let window = ev.at.window_index(MONITOR_WINDOW);
             steps.push(CausalStep {
                 tier: tier.index(),
                 replica,
@@ -399,7 +389,7 @@ impl RootCause {
         window: u64,
         tiers: &[TierData],
     ) -> Option<Culprit> {
-        let lo = window.saturating_sub(self.lookback) as usize;
+        let lo = window.saturating_sub(Self::LOOKBACK) as usize;
         let hi = window as usize;
         let mut best_interferer: Option<Culprit> = None;
         let mut best_saturation: Option<Culprit> = None;
@@ -432,7 +422,7 @@ impl RootCause {
                 let r = Some(ReplicaId::from(ri));
                 consider(
                     &rd.interferer_util,
-                    self.interferer_floor,
+                    Self::INTERFERER_FLOOR,
                     &mut best_interferer,
                     ti,
                     r,
@@ -440,7 +430,7 @@ impl RootCause {
                 );
                 consider(
                     &rd.util,
-                    self.saturation_floor,
+                    Self::SATURATION_FLOOR,
                     &mut best_saturation,
                     ti,
                     r,
@@ -449,7 +439,7 @@ impl RootCause {
             }
             consider(
                 &td.interferer_util,
-                self.interferer_floor,
+                Self::INTERFERER_FLOOR,
                 &mut best_interferer,
                 ti,
                 None,
@@ -457,7 +447,7 @@ impl RootCause {
             );
             consider(
                 &td.util,
-                self.saturation_floor,
+                Self::SATURATION_FLOOR,
                 &mut best_saturation,
                 ti,
                 None,
@@ -541,7 +531,6 @@ mod tests {
             promoted: traces.len() as u64,
             evicted: 0,
             unterminated: 0,
-            vlrt_threshold: SimDuration::from_secs(3),
             traces,
         }
     }
@@ -566,7 +555,7 @@ mod tests {
         app.interferer_util[18] = 0.9;
         app.interferer_util[19] = 0.8;
         let log = log_of(vec![vlrt_trace(0, 1_000, 0)]);
-        let a = RootCause::default().analyze(&log, &[web, app]);
+        let a = RootCause.analyze(&log, &[web, app]);
         assert_eq!(a.vlrt_total, 1);
         assert_eq!(a.attribution_rate(), 1.0);
         let step = &a.chains[0].steps[0];
@@ -588,7 +577,7 @@ mod tests {
         web.drops[20] = 2;
         web.util[19] = 1.0;
         let log = log_of(vec![vlrt_trace(0, 1_000, 0)]);
-        let a = RootCause::default().analyze(&log, &[web]);
+        let a = RootCause.analyze(&log, &[web]);
         let c = a.chains[0].steps[0].culprit.as_ref().expect("culprit");
         assert_eq!(c.kind, CulpritKind::Saturation);
         assert_eq!(c.window, 19);
@@ -599,7 +588,7 @@ mod tests {
         let mut web = tier("web", 64);
         web.drops[20] = 3;
         let log = log_of(vec![vlrt_trace(0, 1_000, 0), vlrt_trace(1, 2_000, 0)]);
-        let a = RootCause::default().analyze(&log, &[web]);
+        let a = RootCause.analyze(&log, &[web]);
         let c0 = a.chains[0].steps[0].culprit.as_ref().expect("culprit");
         assert_eq!(c0.kind, CulpritKind::QueueOverflow);
         assert_eq!(c0.score, 3.0);
@@ -613,7 +602,7 @@ mod tests {
         t.events
             .retain(|e| !matches!(e.kind, TraceEventKind::SynDrop { .. }));
         let log = log_of(vec![t]);
-        let a = RootCause::default().analyze(&log, &[tier("web", 64)]);
+        let a = RootCause.analyze(&log, &[tier("web", 64)]);
         assert_eq!(a.vlrt_total, 1);
         assert_eq!(a.chains.len(), 0);
         assert_eq!(a.unattributed, vec![3]);
@@ -629,7 +618,7 @@ mod tests {
         // Ids sort ascending in the log, but top_chains ranks by latency.
         let mut log = log;
         log.traces.sort_by_key(|t| t.id);
-        let a = RootCause::default().analyze(&log, &[tier("web", 64)]);
+        let a = RootCause.analyze(&log, &[tier("web", 64)]);
         let top = a.top_chains(1);
         assert_eq!(top[0].trace_id, 0);
         assert_eq!(a.top_chains(10).len(), 2);
@@ -642,7 +631,7 @@ mod tests {
         web.drops[20] = 1;
         app.interferer_util[19] = 0.7;
         let log = log_of(vec![vlrt_trace(0, 1_000, 0)]);
-        let a = RootCause::default().analyze(&log, &[web, app]);
+        let a = RootCause.analyze(&log, &[web, app]);
         let text = a.chains[0].narrate(&[tier("web", 1), tier("app", 1)]);
         assert!(text.contains("drop #0 at web"), "{text}");
         assert!(text.contains("millibottleneck at app"), "{text}");
@@ -660,7 +649,7 @@ mod tests {
         app.replicas = vec![tier("app", 64), tier("app", 64), tier("app", 64)];
         app.replicas[1].interferer_util[19] = 0.9;
         let log = log_of(vec![vlrt_trace(0, 1_000, 0)]);
-        let a = RootCause::default().analyze(&log, &[web, app.clone()]);
+        let a = RootCause.analyze(&log, &[web, app.clone()]);
         let c = a.chains[0].steps[0].culprit.as_ref().expect("culprit");
         assert_eq!(c.tier, 1);
         assert_eq!(c.replica, Some(ReplicaId(1)));
@@ -687,7 +676,7 @@ mod tests {
             act(1_400, "late"),     // between drop and terminal
             act(9_000, "too-late"), // after terminal: excluded
         ];
-        let a = RootCause::default().analyze_with_actions(&log, &[web], &actions);
+        let a = RootCause.analyze_with_actions(&log, &[web], &actions);
         let chain = &a.chains[0];
         let labels: Vec<&str> = chain.control.iter().map(|c| c.label.as_str()).collect();
         assert_eq!(labels, vec!["pre-drop", "late"]);
@@ -707,7 +696,7 @@ mod tests {
         let mut web = tier("web", 64);
         web.drops[20] = 1;
         let log = log_of(vec![vlrt_trace(0, 1_000, 0)]);
-        let a = RootCause::default().analyze(&log, &[web]);
+        let a = RootCause.analyze(&log, &[web]);
         assert!(a.chains[0].control.is_empty());
     }
 
@@ -722,7 +711,7 @@ mod tests {
         web.drops[20] = 1;
         web.drops[40] = 1;
         web.drops[60] = 1;
-        let a = RootCause::default().analyze(&log, &[web, tier("app", 128)]);
+        let a = RootCause.analyze(&log, &[web, tier("app", 128)]);
         assert_eq!(
             a.drop_site_histogram(),
             vec![("0".to_string(), 1), ("1#2".to_string(), 2)]

@@ -8,7 +8,7 @@
 //! the hot-path record a single fixed-size push.
 
 use ntier_des::ids::{ReplicaId, TierId};
-use ntier_des::time::{SimDuration, SimTime};
+use ntier_des::time::{SimDuration, SimTime, VLRT_THRESHOLD};
 
 /// One timestamped occurrence within a request's life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,9 +107,10 @@ pub struct RequestTrace {
 }
 
 impl RequestTrace {
-    /// True when the request completed but took at least `threshold`.
-    pub fn is_vlrt(&self, threshold: SimDuration) -> bool {
-        self.outcome == TerminalClass::Completed && self.latency >= threshold
+    /// True when the request completed but took at least
+    /// [`VLRT_THRESHOLD`].
+    pub fn is_vlrt(&self) -> bool {
+        self.outcome == TerminalClass::Completed && self.latency >= VLRT_THRESHOLD
     }
 
     /// Iterates the SYN-drop events in time order as

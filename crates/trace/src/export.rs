@@ -371,7 +371,6 @@ mod tests {
             promoted: 1,
             evicted: 0,
             unterminated: 0,
-            vlrt_threshold: SimDuration::from_secs(3),
         }
     }
 

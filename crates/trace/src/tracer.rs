@@ -28,7 +28,7 @@
 
 use crate::event::{RequestTrace, TerminalClass, TraceEvent, TraceEventKind};
 use ntier_des::rng::SimRng;
-use ntier_des::time::{SimDuration, SimTime};
+use ntier_des::time::{SimDuration, SimTime, VLRT_THRESHOLD};
 
 /// Index of a scratch trace in the tracer's slab.
 pub type TraceHandle = u32;
@@ -44,21 +44,18 @@ pub struct TraceConfig {
     /// Probability that a fast (non-VLRT, completed) request's trace is
     /// retained anyway. Slow/failed/shed/cancelled traces are always kept.
     pub sample_prob: f64,
-    /// Capacity of the retained-trace ring; the oldest promoted trace is
-    /// evicted when full.
-    pub ring_capacity: usize,
-    /// Completion latency at or above which a trace is always promoted.
-    pub vlrt_threshold: SimDuration,
 }
 
 impl TraceConfig {
+    /// Capacity of the retained-trace ring; the oldest promoted trace is
+    /// evicted when full.
+    pub const RING_CAPACITY: usize = 32_768;
+
     /// Tracing off: the hot path reduces to handle-is-none checks.
     pub const fn disabled() -> Self {
         TraceConfig {
             enabled: false,
             sample_prob: 0.0,
-            ring_capacity: 0,
-            vlrt_threshold: SimDuration::from_secs(3),
         }
     }
 
@@ -67,8 +64,6 @@ impl TraceConfig {
         TraceConfig {
             enabled: true,
             sample_prob: 1.0,
-            ring_capacity: 65_536,
-            vlrt_threshold: SimDuration::from_secs(3),
         }
     }
 
@@ -77,15 +72,7 @@ impl TraceConfig {
         TraceConfig {
             enabled: true,
             sample_prob: p.clamp(0.0, 1.0),
-            ring_capacity: 16_384,
-            vlrt_threshold: SimDuration::from_secs(3),
         }
-    }
-
-    /// Overrides the retained-ring capacity.
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity;
-        self
     }
 }
 
@@ -120,16 +107,12 @@ pub struct TraceLog {
     pub evicted: u64,
     /// Traces finalized without a terminal record (in flight at horizon).
     pub unterminated: u64,
-    /// The promotion threshold the run used.
-    pub vlrt_threshold: SimDuration,
 }
 
 impl TraceLog {
-    /// Retained traces that are VLRT under the run's threshold.
+    /// Retained traces that are VLRT.
     pub fn vlrt_traces(&self) -> impl Iterator<Item = &RequestTrace> {
-        self.traces
-            .iter()
-            .filter(|t| t.is_vlrt(self.vlrt_threshold))
+        self.traces.iter().filter(|t| t.is_vlrt())
     }
 
     /// Looks up a retained trace by id.
@@ -176,7 +159,7 @@ impl Tracer {
             evicted: 0,
             unterminated: 0,
             ring: Vec::with_capacity(if cfg.enabled {
-                cfg.ring_capacity.min(4096)
+                TraceConfig::RING_CAPACITY.min(4096)
             } else {
                 0
             }),
@@ -319,7 +302,7 @@ impl Tracer {
         let s = &mut self.slots[h as usize];
         let promote = match s.terminal {
             Some((_, class, latency)) => {
-                s.sampled || class != TerminalClass::Completed || latency >= self.cfg.vlrt_threshold
+                s.sampled || class != TerminalClass::Completed || latency >= VLRT_THRESHOLD
             }
             None => {
                 self.unterminated += 1;
@@ -345,19 +328,17 @@ impl Tracer {
                 events,
             };
             self.promoted += 1;
-            if self.ring.len() < self.cfg.ring_capacity {
+            if self.ring.len() < TraceConfig::RING_CAPACITY {
                 self.ring.push(trace);
-            } else if self.cfg.ring_capacity > 0 {
+            } else {
                 // Reclaim the victim's event buffer for the scratch slot so
                 // eviction churn doesn't allocate either.
                 let victim = std::mem::replace(&mut self.ring[self.ring_head], trace);
-                self.ring_head = (self.ring_head + 1) % self.cfg.ring_capacity;
+                self.ring_head = (self.ring_head + 1) % TraceConfig::RING_CAPACITY;
                 self.evicted += 1;
                 let mut buf = victim.events;
                 buf.clear();
                 self.slots[h as usize].events = buf;
-            } else {
-                self.evicted += 1;
             }
         }
         self.free.push(h);
@@ -378,7 +359,6 @@ impl Tracer {
             promoted: self.promoted,
             evicted: self.evicted,
             unterminated: self.unterminated,
-            vlrt_threshold: self.cfg.vlrt_threshold,
         })
     }
 }
@@ -471,7 +451,7 @@ mod tests {
         let log = tr.into_log().expect("enabled");
         assert_eq!(log.promoted, 2);
         assert_eq!(log.traces.len(), 2);
-        assert!(log.traces[0].is_vlrt(SimDuration::from_secs(3)));
+        assert!(log.traces[0].is_vlrt());
         assert_eq!(log.traces[1].outcome, TerminalClass::Failed);
         assert_eq!(log.vlrt_traces().count(), 1);
     }
@@ -571,8 +551,9 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_and_counts_it() {
-        let mut tr = Tracer::new(TraceConfig::always().with_ring_capacity(2), rng());
-        for i in 0..5u64 {
+        let mut tr = Tracer::new(TraceConfig::always(), rng());
+        let cap = TraceConfig::RING_CAPACITY as u64;
+        for i in 0..cap + 3 {
             let h = tr.start(t(i), "browse");
             tr.set_terminal(
                 h,
@@ -583,12 +564,12 @@ mod tests {
             tr.release(h);
         }
         let log = tr.into_log().expect("enabled");
-        assert_eq!(log.promoted, 5);
+        assert_eq!(log.promoted, cap + 3);
         assert_eq!(log.evicted, 3);
         let ids: Vec<u64> = log.traces.iter().map(|t| t.id).collect();
-        assert_eq!(ids, vec![3, 4]);
-        assert!(log.get(4).is_some());
-        assert!(log.get(0).is_none());
+        assert_eq!(ids, (3..cap + 3).collect::<Vec<_>>());
+        assert!(log.get(cap + 2).is_some());
+        assert!(log.get(2).is_none());
     }
 
     #[test]

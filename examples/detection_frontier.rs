@@ -119,7 +119,7 @@ fn root_cause(label: &str, report: &RunReport) {
     let log = report.trace.as_ref().expect("frontier runs traced");
     let tier_data = report.trace_tier_data();
     let actions = report.control_actions();
-    let analysis = RootCause::default().analyze_with_actions(log, &tier_data, &actions);
+    let analysis = RootCause.analyze_with_actions(log, &tier_data, &actions);
     println!(
         "\n{label}: {}/{} VLRT traces attributed ({:.1}%), {} health actions in log",
         analysis.chains.len(),

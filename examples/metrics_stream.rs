@@ -26,7 +26,7 @@ use ntier_core::engine::{Engine, Workload};
 use ntier_core::{TierSpec, Topology};
 use ntier_des::prelude::*;
 use ntier_des::rng::SimRng;
-use ntier_telemetry::{MetricsConfig, QuantileSketch};
+use ntier_telemetry::{LatencyHistogram, MetricsConfig, QuantileSketch};
 use ntier_workload::{Mmpp2, RequestMix};
 
 fn main() {
@@ -90,7 +90,7 @@ fn main() {
     // plus the relative-error envelope.
     let sketch = reg.sketch();
     assert_eq!(sketch.total(), report.completed);
-    let bucket = report.latency.bucket_width().as_micros() as f64;
+    let bucket = LatencyHistogram::BUCKET_WIDTH.as_micros() as f64;
     for q in [0.50, 0.99, 0.999] {
         let s = sketch.quantile(q).expect("non-empty run").as_micros() as f64;
         let h = report

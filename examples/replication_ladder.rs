@@ -114,7 +114,7 @@ fn main() {
 fn root_cause(report: &RunReport) {
     let log = report.trace.as_ref().expect("ladder runs traced");
     let tier_data = report.trace_tier_data();
-    let analysis = RootCause::default().analyze(log, &tier_data);
+    let analysis = RootCause.analyze(log, &tier_data);
     println!(
         "\nround-robin @ 2 replicas, root-cause: {}/{} VLRT traces attributed ({:.1}%)",
         analysis.chains.len(),

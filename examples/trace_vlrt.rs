@@ -40,7 +40,7 @@ fn main() {
     );
 
     let tier_data = report.trace_tier_data();
-    let analysis = RootCause::default().analyze(log, &tier_data);
+    let analysis = RootCause.analyze(log, &tier_data);
     println!(
         "root-cause analysis: {}/{} VLRT traces attributed ({:.1}%)",
         analysis.chains.len(),

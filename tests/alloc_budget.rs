@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
-use ntier_core::experiment::{self, TraceReplayArm};
+use ntier_core::experiment::{self, ExperimentSpec, TraceReplayArm};
 use ntier_core::Engine;
 use ntier_des::time::SimDuration;
 
@@ -89,10 +89,9 @@ fn fig1(secs: u64) -> (u64, u64, usize) {
     (ALLOCS.load(Relaxed) - before, report.injected, peak)
 }
 
-/// Live heap bytes that `Engine::new` holds for the fig1 preset at WL 7000
-/// over 600 s, before any event runs.
-fn fig1_engine_footprint() -> usize {
-    let spec = experiment::fig1(7000, SimDuration::from_secs(600), 7);
+/// Live heap bytes that `Engine::new` holds for `spec` before any event
+/// runs.
+fn engine_footprint(spec: ExperimentSpec) -> usize {
     let before = LIVE.load(Relaxed);
     let engine = Engine::new(spec.system, spec.workload, spec.horizon, spec.seed);
     let held = LIVE.load(Relaxed) - before;
@@ -137,13 +136,15 @@ fn fig12_reports_retained() -> usize {
     retained
 }
 
-/// Bound on the live heap [`fig1_engine_footprint`] holds (192 KiB): with
+/// Bound on the live heap [`engine_footprint`] reads for the fig1 preset at
+/// WL 7000 over 600 s and for every spec of `fig12_grid(7)` (192 KiB): with
 /// the window series reserving their horizon-sized buffers on first touch
-/// and the drop and VLRT counters stored sparsely, a built engine holds
-/// 162 KiB (166 248 bytes); reserving every series at construction, it held
-/// 772 KiB (790 256 bytes). The footprint also sets what dropping an
-/// engine frees at once: with sparse counters but reservations still made
-/// at construction, glibc trimmed the heap top on 50 of 51 fig1 engine
+/// and the drop and VLRT counters stored sparsely, a built fig1 engine
+/// holds 162 KiB (166 032 bytes) and the largest Fig. 12 engine, a sync
+/// one, 161 KiB (165 264 bytes); reserving every series at construction, a
+/// fig1 engine held 772 KiB (790 256 bytes). The footprint also sets what
+/// dropping an engine frees at once: with sparse counters but reservations
+/// still made at construction, glibc trimmed the heap top on 50 of 51 fig1 engine
 /// drops, so each next construction grew the heap again and the
 /// benchmark's `setup_s` nearly doubled (DESIGN.md §16.6).
 const ENGINE_FOOTPRINT_BOUND: usize = 192 << 10;
@@ -176,10 +177,20 @@ const FIG12_REPORTS_BOUND: usize = 160 << 10;
 
 #[test]
 fn closed_loop_requests_allocate_about_once() {
-    let footprint = fig1_engine_footprint();
+    let footprint = engine_footprint(experiment::fig1(7000, SimDuration::from_secs(600), 7));
     assert!(
         footprint < ENGINE_FOOTPRINT_BOUND,
         "a fig1 engine holds {footprint} live heap bytes once built, over the \
+         {ENGINE_FOOTPRINT_BOUND} bound"
+    );
+    let fig12 = experiment::fig12_grid(7)
+        .into_iter()
+        .map(engine_footprint)
+        .max()
+        .expect("the grid has specs");
+    assert!(
+        fig12 < ENGINE_FOOTPRINT_BOUND,
+        "the largest Fig. 12 engine holds {fig12} live heap bytes once built, over the \
          {ENGINE_FOOTPRINT_BOUND} bound"
     );
     let (short_allocs, short_reqs, _) = fig1(30);

@@ -316,7 +316,7 @@ proptest! {
             (0usize..3, 0usize..4, 1u64..45, 1u64..15, 2f64..12.0, 0.05f64..0.9),
             0..3,
         ),
-        health in proptest::option::of((0.3f64..2.0, 200u64..3_000, 0.0f64..0.2)),
+        health in proptest::option::of((0.3f64..2.0, 200u64..3_000)),
         batch in 1u32..80,
         seed in any::<u64>(),
     ) {
@@ -351,12 +351,10 @@ proptest! {
             };
         }
         let mut system = system.with_faults(plan);
-        if let Some((score, probation_ms, probe)) = health {
+        if let Some((score, probation_ms)) = health {
             let policy = HealthPolicy::monitor(1)
                 .with_eject_score(score)
                 .with_probation(SimDuration::from_millis(probation_ms));
-            let mut policy = policy;
-            policy.probe_fraction = probe;
             system = system.with_health(policy);
         }
         let health_on = system.health.is_some();

@@ -104,7 +104,7 @@ fn root_cause_attributes_controller_actions_on_seed_7() {
         let actions = report.control_actions();
         assert!(!actions.is_empty());
         let tier_data = report.trace_tier_data();
-        let analysis = RootCause::default().analyze_with_actions(log, &tier_data, &actions);
+        let analysis = RootCause.analyze_with_actions(log, &tier_data, &actions);
         assert!(
             !analysis.chains.is_empty(),
             "VLRT chains must survive attribution"

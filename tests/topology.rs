@@ -326,7 +326,7 @@ fn queue_aware_balancing_suppresses_the_hot_replica_vlrt() {
     // output byte-compatible — so the histogram shows one site, "1"), and
     // the millibottleneck culprits carry the replica id rather than the
     // diluted tier aggregate.
-    let analysis = RootCause::default().analyze(log, &rr.trace_tier_data());
+    let analysis = RootCause.analyze(log, &rr.trace_tier_data());
     assert!(analysis.attribution_rate() >= 0.95);
     for chain in &analysis.chains {
         for step in &chain.steps {

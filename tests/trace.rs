@@ -20,6 +20,7 @@ use ntier_repro::core::engine::{Engine, Workload};
 use ntier_repro::core::experiment as exp;
 use ntier_repro::core::{RunReport, TierSpec, Topology};
 use ntier_repro::des::prelude::*;
+use ntier_repro::des::time::MONITOR_WINDOW;
 use ntier_repro::trace::{
     chrome_trace_json, CulpritKind, RootCause, TerminalClass, TraceConfig, TraceLog,
 };
@@ -59,7 +60,7 @@ proptest! {
         let report = traced_burst(seed, TraceConfig::always());
         let log = report.trace.as_ref().expect("tracing enabled");
         let tier_data = report.trace_tier_data();
-        let analysis = RootCause::default().analyze(log, &tier_data);
+        let analysis = RootCause.analyze(log, &tier_data);
         prop_assert_eq!(analysis.vlrt_total as u64, report.vlrt_total);
 
         for chain in &analysis.chains {
@@ -71,10 +72,7 @@ proptest! {
                 prop_assert_eq!(step.tier, tier.index());
                 prop_assert_eq!(step.replica, replica);
                 prop_assert_eq!(step.retransmit_no, ordinal);
-                prop_assert_eq!(
-                    step.window,
-                    at.window_index(RootCause::default().window)
-                );
+                prop_assert_eq!(step.window, at.window_index(MONITOR_WINDOW));
             }
         }
         for &id in &analysis.unattributed {
@@ -96,7 +94,7 @@ fn golden_seed_attributes_the_vlrt_population() {
     assert_eq!(log.unterminated, 0);
 
     let tier_data = report.trace_tier_data();
-    let analysis = RootCause::default().analyze(log, &tier_data);
+    let analysis = RootCause.analyze(log, &tier_data);
     assert_eq!(analysis.vlrt_total as u64, report.vlrt_total);
     assert!(
         analysis.attribution_rate() >= 0.95,
@@ -137,7 +135,7 @@ fn golden_seed_attributes_the_vlrt_population() {
         assert_eq!(culprit.tier, 1, "the Tomcat stall train");
         assert!(culprit.window <= step.window);
         assert!(
-            step.window - culprit.window <= RootCause::default().lookback,
+            step.window - culprit.window <= RootCause::LOOKBACK,
             "culprit within the lookback"
         );
     }
